@@ -16,10 +16,8 @@ from .experiments import (ExperimentConfig, ExperimentResult, Reference,
 from .mesh import Mesh, build_mesh
 from .schemes import (SchemeSpec, Trajectory, amplification_factor,
                       fmes_weight, make_stepper, pade_coefficients,
-                      pade_modal_step, pade_rational, pade_step_fmes,
-                      run_scheme, theta_step_fmes, theta_step_standard)
-from .sparse import (ConvergenceError, LinearOperator, SolveReport,
-                     as_operator, cg_solve, compose_shifted)
+                      pade_rational, run_scheme)
+from .sparse import ConvergenceError, SolveReport, cg_solve, compose_shifted
 from .spectral import (EigenPair, ModalBasis, exact_semidiscrete_solution,
                        inverse_iteration, modal_decompose)
 
@@ -27,14 +25,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "EigenPair", "ExperimentConfig", "ExperimentResult",
-    "FemSystem", "LinearOperator", "Mesh", "ModalBasis",
-    "ProblemCoefficients", "Reference", "RunResult", "SchemeRequest",
-    "SchemeSpec", "SolveReport", "Trajectory", "amplification_factor",
-    "as_operator", "assemble", "build_mesh", "cg_solve", "compose_shifted",
-    "epsilon_a", "epsilon_u", "exact_semidiscrete_solution", "fmes_weight",
-    "initial_state", "inverse_iteration", "m_inner", "m_norm",
-    "make_reference", "make_stepper", "modal_decompose",
-    "pade_coefficients", "pade_modal_step", "pade_rational",
-    "pade_step_fmes", "run_experiment", "run_scheme", "run_table1",
-    "sweep_reaction", "theta_step_fmes", "theta_step_standard",
+    "FemSystem", "Mesh", "ModalBasis", "ProblemCoefficients", "Reference",
+    "RunResult", "SchemeRequest", "SchemeSpec", "SolveReport", "Trajectory",
+    "amplification_factor", "assemble", "build_mesh", "cg_solve",
+    "compose_shifted", "epsilon_a", "epsilon_u",
+    "exact_semidiscrete_solution", "fmes_weight", "initial_state",
+    "inverse_iteration", "m_inner", "m_norm", "make_reference",
+    "make_stepper", "modal_decompose", "pade_coefficients", "pade_rational",
+    "run_experiment", "run_scheme", "run_table1", "sweep_reaction",
 ]

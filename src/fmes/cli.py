@@ -8,8 +8,9 @@ Three verbs:
 
 Each verb accepts ``--config PATH`` plus the overrides ``--nside``, ``--c``
 and ``--steps``.  The output directory can also be overridden through the
-FMES_OUTPUT_DIR environment variable.  Exit status is 0 only when every
-requested computation converged.
+FMES_OUTPUT_DIR environment variable.  Exit status is 0 when every
+requested computation converged, 1 when one did not, and 2 on invalid
+input (a one-line ``error:`` message on stderr).
 """
 
 from __future__ import annotations
@@ -136,7 +137,11 @@ def main(argv=None) -> int:
         _add_common(p)
         p.set_defaults(func=func)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

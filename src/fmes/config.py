@@ -10,7 +10,7 @@ Recognized sections and keys::
     [coefficients]  k_inner  k_outer  c  mu_right_top  mu_left_bottom
     [time]          T  reference_steps
     [eigen]         grids  tol  max_iter
-    [solver]        outer_tol  mass_tol  dense_limit
+    [solver]        outer_tol  dense_limit
     [output]        directory
     [scheme.NAME]   kind  sigma  l  m  steps     (one section per scheme)
 
@@ -32,7 +32,7 @@ _KNOWN = {
     "coefficients": {"k_inner", "k_outer", "c", "mu_right_top", "mu_left_bottom"},
     "time": {"T", "reference_steps"},
     "eigen": {"grids", "tol", "max_iter"},
-    "solver": {"outer_tol", "mass_tol", "dense_limit"},
+    "solver": {"outer_tol", "dense_limit"},
     "output": {"directory"},
 }
 _SCHEME_KEYS = {"kind", "sigma", "l", "m", "steps"}
@@ -41,6 +41,20 @@ _SCHEME_KEYS = {"kind", "sigma", "l", "m", "steps"}
 def _int_list(text: str) -> tuple[int, ...]:
     parts = text.replace(",", " ").split()
     return tuple(int(p) for p in parts)
+
+
+# (section, key) -> (ExperimentConfig field, converter)
+_FIELDS = {
+    ("mesh", "n_side"): ("n_side", int),
+    ("time", "T"): ("T", float),
+    ("time", "reference_steps"): ("reference_steps", int),
+    ("eigen", "grids"): ("eigen_grids", _int_list),
+    ("eigen", "tol"): ("eig_tol", float),
+    ("eigen", "max_iter"): ("eig_max_iter", int),
+    ("solver", "outer_tol"): ("outer_tol", float),
+    ("solver", "dense_limit"): ("dense_limit", int),
+    ("output", "directory"): ("output_dir", str),
+}
 
 
 def _check_keys(section: str, present, allowed) -> None:
@@ -56,8 +70,10 @@ def parse_config(text: str) -> ExperimentConfig:
     parser.optionxform = str        # keep key case (T vs t)
     parser.read_string(text)
 
-    config = ExperimentConfig()
-    coeffs = config.coefficients
+    # collected first and validated together, since step counts are
+    # checked against reference_steps
+    fields: dict = {}
+    coeffs: dict = {}
     schemes: list[SchemeRequest] = []
 
     for section in parser.sections():
@@ -78,40 +94,18 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in _KNOWN:
             raise ValueError(f"unknown section [{section}]")
         _check_keys(section, items.keys(), _KNOWN[section])
-        if section == "mesh":
-            if "n_side" in items:
-                config = replace(config, n_side=int(items["n_side"]))
-        elif section == "coefficients":
-            kwargs = {k: float(items[k]) for k in items}
-            coeffs = replace(coeffs, **kwargs)
-        elif section == "time":
-            if "T" in items:
-                config = replace(config, T=float(items["T"]))
-            if "reference_steps" in items:
-                config = replace(config,
-                                 reference_steps=int(items["reference_steps"]))
-        elif section == "eigen":
-            if "grids" in items:
-                config = replace(config, eigen_grids=_int_list(items["grids"]))
-            if "tol" in items:
-                config = replace(config, eig_tol=float(items["tol"]))
-            if "max_iter" in items:
-                config = replace(config, eig_max_iter=int(items["max_iter"]))
-        elif section == "solver":
-            if "outer_tol" in items:
-                config = replace(config, outer_tol=float(items["outer_tol"]))
-            if "mass_tol" in items:
-                config = replace(config, mass_tol=float(items["mass_tol"]))
-            if "dense_limit" in items:
-                config = replace(config, dense_limit=int(items["dense_limit"]))
-        elif section == "output":
-            if "directory" in items:
-                config = replace(config, output_dir=items["directory"])
+        if section == "coefficients":
+            coeffs.update({k: float(items[k]) for k in items})
+            continue
+        for key in items:
+            name, convert = _FIELDS[section, key]
+            fields[name] = convert(items[key])
 
-    config = replace(config, coefficients=coeffs)
+    config = ExperimentConfig()
+    fields["coefficients"] = replace(config.coefficients, **coeffs)
     if schemes:
-        config = replace(config, schemes=tuple(schemes))
-    return config
+        fields["schemes"] = tuple(schemes)
+    return replace(config, **fields)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -145,7 +139,6 @@ def default_config_text() -> str:
         "",
         "[solver]",
         f"outer_tol = {cfg.outer_tol:g}",
-        f"mass_tol = {cfg.mass_tol:g}",
         f"dense_limit = {cfg.dense_limit}",
         "",
         "[output]",

@@ -53,10 +53,8 @@ class SchemeRequest:
         return SchemeSpec(self.kind, tau=T / n_steps, n_steps=n_steps,
                           sigma=self.sigma, l=self.l, m=self.m, lambda1=lam)
 
-    def params_label(self) -> str:
-        if self.kind in ("theta_standard", "theta_fmes"):
-            return f"sigma{self.sigma:g}"
-        return f"l{self.l}m{self.m}"
+    # the label reads only kind, sigma, l and m, which both classes carry
+    params_label = SchemeSpec.params_label
 
 
 BASELINE_SCHEMES = (
@@ -79,7 +77,6 @@ class ExperimentConfig:
     eigen_grids: tuple[int, ...] = (26, 51, 101)
     output_dir: str = "results"
     outer_tol: float = 1e-10
-    mass_tol: float = 1e-12
     eig_tol: float = 1e-13
     eig_max_iter: int = 50
     dense_limit: int = 2500
@@ -93,6 +90,10 @@ class ExperimentConfig:
             for n in req.steps:
                 if n < 1:
                     raise ValueError(f"step count must be >= 1, got {n}")
+                if self.reference_steps % n != 0:
+                    raise ValueError(
+                        f"step count {n} must divide reference_steps "
+                        f"{self.reference_steps}")
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -305,8 +306,7 @@ def run_experiment(config: ExperimentConfig,
             started = time.perf_counter()
             try:
                 traj = run_scheme(spec, sys, w0, phi1=pair.phi1,
-                                  tol=config.outer_tol,
-                                  mass_tol=config.mass_tol)
+                                  tol=config.outer_tol)
             except ConvergenceError as err:
                 runs.append(RunResult(
                     kind=req.kind, params=req.params_label(),

@@ -5,17 +5,24 @@ Four families are provided:
 * ``theta_standard``   -- the classical weighted scheme,
   (M + sigma tau K) y' = (M - (1-sigma) tau K) y.
 * ``theta_fmes``       -- the same scheme applied to the shifted operator
-  K - lambda1 M, with the new level scaled by exp(lambda1 tau).  The
+  K - lambda1 M, with the new level scaled by exp(-lambda1 tau).  The
   fundamental mode is then propagated exactly: its amplitude gains the
   factor exp(-lambda1 tau) per step regardless of tau.
 * ``pade_fmes``        -- rational one-step methods built from Pade
-  approximants of exp(-z), applied to the shifted operator.  Index (0,1)
-  coincides with theta_fmes at sigma=1, (1,1) with sigma=0.5, and (0,2)
-  is a second-order scheme that additionally keeps every mode multiplier
-  positive (spectral monotonicity).
+  approximants of exp(-z), applied to the shifted operator, for every
+  index l <= m <= 4.  Index (0,1) coincides with theta_fmes at sigma=1,
+  (1,1) with sigma=0.5, and (0,2) is a second-order scheme that
+  additionally keeps every mode multiplier positive (spectral
+  monotonicity).
 * ``pade_modal``       -- the same rational multipliers applied mode by
   mode through a dense eigenbasis; exact in space, it serves as the
   oracle for all sparse steppers and covers arbitrary Pade indices.
+
+The three sparse kinds share one stepper: each is
+y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
+for theta_standard, lambda1 otherwise), applied in partial fractions
+R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
+conjugate pole pair.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -28,17 +35,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import FemSystem
-from .sparse import ConvergenceError, LinearOperator, cg_solve, compose_shifted
+from .sparse import ConvergenceError, cg_solve, compose_shifted
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
-SPARSE_PADE_INDICES = ((0, 1), (1, 1), (0, 2))
-
 OUTER_TOL_DEFAULT = 1e-10
-MASS_TOL_DEFAULT = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +140,12 @@ class SchemeSpec:
                 raise ValueError("Pade schemes need indices l and m")
             if self.l < 0 or self.m < 0 or self.l + self.m < 1:
                 raise ValueError(f"invalid Pade indices ({self.l}, {self.m})")
-            if self.kind == "pade_fmes" and (self.l, self.m) not in SPARSE_PADE_INDICES:
+            # l <= m keeps R bounded at infinity; up to m = 4 every pole
+            # lies in the left half-plane, so each pole solve is definite
+            if self.kind == "pade_fmes" and not self.l <= self.m <= 4:
                 raise ValueError(
-                    f"sparse Pade stepping supports (l, m) in "
-                    f"{SPARSE_PADE_INDICES}; use the modal path for "
-                    f"({self.l}, {self.m})")
+                    f"sparse Pade stepping needs l <= m <= 4; use the modal "
+                    f"path (pade_modal) for ({self.l}, {self.m})")
         if self.kind != "theta_standard" and self.lambda1 is None:
             raise ValueError(f"{self.kind} needs lambda1 (fundamental eigenvalue)")
 
@@ -155,70 +159,54 @@ class SchemeSpec:
 # steppers
 # ---------------------------------------------------------------------------
 
-class _MatrixPairStepper:
-    """Advance by solving A_impl y' = scale * (A_expl @ y)."""
+def _partial_fractions(p: np.ndarray, q: np.ndarray):
+    """Split R = P/Q (ascending coefficients, deg P <= deg Q, simple poles)
+    into c0 + sum_j r_j / (z - z_j).
 
-    def __init__(self, A_impl: sp.csr_matrix, A_expl: sp.csr_matrix,
-                 scale: float, tol: float):
-        self.A_impl = A_impl.tocsr()
-        self.A_expl = A_expl.tocsr()
-        self.scale = scale
-        self.tol = tol
+    Returns c0 and one (z_j, r_j, weight) per real pole or conjugate pair;
+    a pair is represented by its upper pole with weight 2, since for a real
+    argument the two terms are complex conjugates.
+    """
+    c0 = p[-1] / q[-1] if p.size == q.size else 0.0
+    dq = np.polyder(q[::-1])
+    terms = []
+    for z in np.roots(q[::-1]):
+        if z.imag < 0.0:
+            continue
+        r = np.polyval(p[::-1], z) / np.polyval(dq, z)
+        terms.append((z, r, 1.0 if z.imag == 0.0 else 2.0))
+    return c0, terms
 
-    def step(self, y: np.ndarray) -> np.ndarray:
-        rhs = self.scale * (self.A_expl @ y)
-        x, _ = cg_solve(self.A_impl, rhs, tol=self.tol, x0=self.scale * y)
-        return x
 
+class _RationalStepper:
+    """Advance y' = s R(tau M^-1 Kt) y with Kt = K - mu M and s = exp(-mu tau).
 
-class _CompositePadeStepper:
-    """The (0, 2) shifted stepper: solve (M + tau Kt + tau^2/2 Kt M^-1 Kt) y' = scale M y.
-
-    The composite operator is kept matrix-free.  It is preconditioned by
-    S M^-1 S with S = M + (tau/sqrt(2)) Kt, whose spectrum relative to the
-    operator lies in [0.85, 1], so the outer CG converges in a handful of
-    iterations however stiff the problem.  With a lumped (diagonal) mass the
-    composite matrix is assembled explicitly instead.
+    With R = c0 + sum_j r_j / (z - z_j) every pole costs one CG solve of
+    (tau Kt - z_j M) x_j = s r_j M y, complex-symmetric for a complex pole,
+    and y' = s c0 y + sum_j w_j Re x_j.  The poles of every admitted R lie
+    in the left half-plane, so each system matrix (for a complex pole, its
+    Hermitian part) is positive definite.  The solves run at
+    tol / (1 + |c0|) because the c0 term cancels against the pole terms.
     """
 
-    def __init__(self, sys: FemSystem, tau: float, lambda1: float,
-                 q: np.ndarray, tol: float, mass_tol: float):
-        M = sys.M
-        Kt = compose_shifted(sys.K, M, lambda1)
-        self.scale = math.exp(-lambda1 * tau)
-        self.tol = tol
-        self.M = M
-        if sys.lumped:
-            d_inv = 1.0 / M.diagonal()
-            B = (q[0] * M + q[1] * tau * Kt
-                 + q[2] * tau * tau * (Kt @ sp.diags(d_inv) @ Kt)).tocsr()
-            self.op = B
-            self.precondition = None            # Jacobi from the matrix diagonal
-        else:
-            n = M.shape[0]
-            S = (M + math.sqrt(q[2]) * tau * Kt).tocsr()
-            mass_diag = M.diagonal()
-
-            def apply(v: np.ndarray) -> np.ndarray:
-                kv = Kt @ v
-                minv_kv, _ = cg_solve(M, kv, tol=mass_tol)
-                return q[0] * (M @ v) + q[1] * tau * kv \
-                    + q[2] * tau * tau * (Kt @ minv_kv)
-
-            def precondition(r: np.ndarray) -> np.ndarray:
-                u, _ = cg_solve(S, r, tol=mass_tol)
-                w, _ = cg_solve(S, self.M @ u, tol=mass_tol)
-                return w
-
-            self.op = LinearOperator(dimension=n, apply=apply,
-                                     diagonal=mass_diag)
-            self.precondition = precondition
+    def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
+                 tau: float, mu: float, tol: float):
+        Kt = compose_shifted(sys.K, sys.M, mu)
+        self.M = sys.M
+        self.scale = math.exp(-mu * tau)
+        self.c0, terms = _partial_fractions(p, q)
+        self.tol = tol / (1.0 + abs(self.c0))
+        self.poles = [(z, self.scale * r, w, tau * Kt - z * sys.M)
+                      for z, r, w in terms]
 
     def step(self, y: np.ndarray) -> np.ndarray:
-        rhs = self.scale * (self.M @ y)
-        x, _ = cg_solve(self.op, rhs, tol=self.tol, x0=self.scale * y,
-                        precondition=self.precondition)
-        return x
+        My = self.M @ y
+        out = self.scale * self.c0 * y if self.c0 else None
+        for z, sr, w, A in self.poles:
+            x, _ = cg_solve(A, sr * My, tol=self.tol, x0=(sr / -z) * y)
+            x = w * x.real
+            out = x if out is None else out + x
+        return out
 
 
 class _ModalStepper:
@@ -237,76 +225,19 @@ class _ModalStepper:
 
 def make_stepper(spec: SchemeSpec, sys: FemSystem, *,
                  basis: ModalBasis | None = None,
-                 tol: float = OUTER_TOL_DEFAULT,
-                 mass_tol: float = MASS_TOL_DEFAULT):
+                 tol: float = OUTER_TOL_DEFAULT):
     """Build the cached stepper object for a scheme specification."""
-    tau = spec.tau
-    if spec.kind == "theta_standard":
-        s = spec.sigma
-        return _MatrixPairStepper(sys.M + s * tau * sys.K,
-                                  sys.M - (1.0 - s) * tau * sys.K,
-                                  1.0, tol)
-    if spec.kind == "theta_fmes":
-        s = spec.sigma
-        Kt = compose_shifted(sys.K, sys.M, spec.lambda1)
-        return _MatrixPairStepper(sys.M + s * tau * Kt,
-                                  sys.M - (1.0 - s) * tau * Kt,
-                                  math.exp(-spec.lambda1 * tau), tol)
-    if spec.kind == "pade_fmes":
-        p, q = pade_coefficients(spec.l, spec.m)
-        if spec.m <= 1:
-            Kt = compose_shifted(sys.K, sys.M, spec.lambda1)
-            A_impl = q[0] * sys.M + q[1] * tau * Kt
-            A_expl = p[0] * sys.M + (p[1] * tau * Kt if spec.l >= 1 else 0.0 * Kt)
-            return _MatrixPairStepper(A_impl, A_expl,
-                                      math.exp(-spec.lambda1 * tau), tol)
-        return _CompositePadeStepper(sys, tau, spec.lambda1, q, tol, mass_tol)
     if spec.kind == "pade_modal":
         if basis is None:
             raise ValueError("pade_modal needs a ModalBasis")
-        return _ModalStepper(basis, spec.l, spec.m, tau, spec.lambda1)
-    raise ValueError(f"unknown scheme kind {spec.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# one-shot step operations
-# ---------------------------------------------------------------------------
-
-def theta_step_standard(sys: FemSystem, sigma: float, tau: float,
-                        y_n: np.ndarray, *, tol: float = OUTER_TOL_DEFAULT,
-                        ) -> np.ndarray:
-    """One step of the standard weighted scheme."""
-    spec = SchemeSpec("theta_standard", tau=tau, n_steps=1, sigma=sigma)
-    return make_stepper(spec, sys, tol=tol).step(np.asarray(y_n, dtype=float))
-
-
-def theta_step_fmes(sys: FemSystem, sigma: float, tau: float, lambda1: float,
-                    y_n: np.ndarray, *, tol: float = OUTER_TOL_DEFAULT,
-                    ) -> np.ndarray:
-    """One step of the shifted (fundamental-mode-exact) weighted scheme."""
-    spec = SchemeSpec("theta_fmes", tau=tau, n_steps=1, sigma=sigma,
-                      lambda1=lambda1)
-    return make_stepper(spec, sys, tol=tol).step(np.asarray(y_n, dtype=float))
-
-
-def pade_step_fmes(sys: FemSystem, l: int, m: int, tau: float, lambda1: float,
-                   y_n: np.ndarray, *, tol: float = OUTER_TOL_DEFAULT,
-                   mass_tol: float = MASS_TOL_DEFAULT) -> np.ndarray:
-    """One step of the shifted Pade scheme for (l, m) in (0,1), (1,1), (0,2)."""
-    spec = SchemeSpec("pade_fmes", tau=tau, n_steps=1, l=l, m=m,
-                      lambda1=lambda1)
-    return make_stepper(spec, sys, tol=tol, mass_tol=mass_tol).step(
-        np.asarray(y_n, dtype=float))
-
-
-def pade_modal_step(basis: ModalBasis, l: int, m: int, tau: float,
-                    lambda1: float, y_n: np.ndarray) -> np.ndarray:
-    """One modal step: scale the coefficient of mode k by
-    exp(-lambda1 tau) R_lm((lambda_k - lambda1) tau).  Any l + m >= 1."""
-    spec = SchemeSpec("pade_modal", tau=tau, n_steps=1, l=l, m=m,
-                      lambda1=lambda1)
-    return make_stepper(spec, None, basis=basis).step(
-        np.asarray(y_n, dtype=float))
+        return _ModalStepper(basis, spec.l, spec.m, spec.tau, spec.lambda1)
+    if spec.kind == "pade_fmes":
+        p, q = pade_coefficients(spec.l, spec.m)
+    else:
+        p = np.array([1.0, -(1.0 - spec.sigma)])
+        q = np.array([1.0, spec.sigma])
+    mu = 0.0 if spec.kind == "theta_standard" else spec.lambda1
+    return _RationalStepper(sys, p, q, spec.tau, mu, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +274,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
                phi1: np.ndarray | None = None,
                basis: ModalBasis | None = None,
                store_levels=None,
-               tol: float = OUTER_TOL_DEFAULT,
-               mass_tol: float = MASS_TOL_DEFAULT) -> Trajectory:
+               tol: float = OUTER_TOL_DEFAULT) -> Trajectory:
     """Iterate the selected stepper n_steps times from y^0 = w0.
 
     ``store_levels`` limits which full vectors are kept (a collection of
@@ -360,7 +290,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     y = np.array(w0, dtype=float)
     if y.shape != (mass.shape[0],):
         raise ValueError(f"w0 has shape {y.shape}, expected ({mass.shape[0]},)")
-    stepper = make_stepper(spec, sys, basis=basis, tol=tol, mass_tol=mass_tol)
+    stepper = make_stepper(spec, sys, basis=basis, tol=tol)
 
     n_steps = spec.n_steps
     keep = None if store_levels is None else set(store_levels) | {0, n_steps}

@@ -3,12 +3,13 @@
 The conjugate gradient loop is written out explicitly (instead of calling
 into a library) so that the iteration count, the reported residual and the
 failure behaviour are fully under our control and runs are bit-reproducible.
+The same loop solves complex-symmetric systems (A^T = A, not Hermitian) as
+conjugate orthogonal CG, which the rational steppers need for complex poles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,59 +36,24 @@ class ConvergenceError(RuntimeError):
         self.history = history
 
 
-@dataclass(frozen=True)
-class LinearOperator:
-    """Matrix-free symmetric operator: a dimension plus an apply callback.
+def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
+             *, x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Conjugate gradients with diagonal (Jacobi) scaling for a symmetric matrix.
 
-    ``diagonal`` is optional; when present it enables Jacobi preconditioning
-    in :func:`cg_solve`.
-    """
-
-    dimension: int
-    apply: Callable[[np.ndarray], np.ndarray]
-    diagonal: np.ndarray | None = None
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
-
-
-def as_operator(a) -> LinearOperator:
-    """Wrap a sparse/dense matrix (or pass through an operator) for cg_solve."""
-    if isinstance(a, LinearOperator):
-        return a
-    mat = sp.csr_matrix(a)
-    if mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"operator must be square, got shape {mat.shape}")
-    return LinearOperator(dimension=mat.shape[0],
-                          apply=lambda v: mat @ v,
-                          diagonal=mat.diagonal().copy())
-
-
-def jacobi_preconditioner(op: LinearOperator) -> Callable[[np.ndarray], np.ndarray] | None:
-    """Diagonal preconditioner from the operator's diagonal, if available."""
-    if op.diagonal is None:
-        return None
-    inv = 1.0 / np.where(op.diagonal == 0.0, 1.0, op.diagonal)
-    return lambda r: inv * r
-
-
-def cg_solve(op, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
-             *, x0: np.ndarray | None = None,
-             precondition: Callable[[np.ndarray], np.ndarray] | None = None,
-             ) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned conjugate gradients for a symmetric positive definite op.
+    A real ``A`` must be positive definite.  A complex ``A`` must be
+    symmetric (A^T = A) with a positive definite Hermitian part; it is
+    solved by conjugate orthogonal CG, the same loop with the unconjugated
+    bilinear form r^T z.
 
     Parameters
     ----------
-    op : sparse matrix or LinearOperator
+    A : square sparse (or dense) matrix, real or complex
     rhs : right-hand side vector
-    tol : relative residual tolerance, ||op x - rhs|| <= tol ||rhs||; the
+    tol : relative residual tolerance, ||A x - rhs|| <= tol ||rhs||; the
         residual is the standard CG recurrence estimate, which near machine
         precision can understate the true residual by a small factor
     max_iter : iteration cap (default scales with the dimension)
     x0 : optional warm start
-    precondition : optional callback applying an SPD preconditioner inverse;
-        defaults to Jacobi when the operator exposes its diagonal.
 
     Returns
     -------
@@ -96,29 +62,36 @@ def cg_solve(op, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = Non
     Raises
     ------
     ConvergenceError
-        If the tolerance is not met within max_iter iterations.  The partial
-        solution is not returned; the report rides on the exception.
+        If the tolerance is not met within max_iter iterations, or if
+        Re(p^H A p) <= 0 for a search direction p (A, or its Hermitian
+        part, is not positive definite).  The partial solution is not
+        returned; the report rides on the exception.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    a = as_operator(op)
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (a.dimension,):
-        raise ValueError(f"rhs has shape {rhs.shape}, expected ({a.dimension},)")
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError(f"operator must be square, got shape {A.shape}")
+    rhs = np.asarray(rhs)
+    if rhs.shape != (n,):
+        raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
+    dtype = np.result_type(A.dtype, rhs.dtype, float)
+    is_complex = np.issubdtype(dtype, np.complexfloating)
+    rhs = rhs.astype(dtype, copy=False)
     if max_iter is None:
-        max_iter = max(1000, 20 * a.dimension)
-    if precondition is None:
-        precondition = jacobi_preconditioner(a)
+        max_iter = max(1000, 20 * n)
+    diagonal = A.diagonal()
+    inv_diag = 1.0 / np.where(diagonal == 0.0, 1.0, diagonal)
 
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return np.zeros_like(rhs), SolveReport(0, 0.0, True)
 
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=float)
-    r = rhs - a(x)
-    z = precondition(r) if precondition is not None else r
+    x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=dtype)
+    r = rhs - A @ x
+    z = inv_diag * r
     p = z.copy()
-    rz = float(r @ z)
+    rz = r @ z
 
     for iterations in range(max_iter + 1):
         res = float(np.linalg.norm(r))
@@ -126,17 +99,18 @@ def cg_solve(op, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = Non
             return x, SolveReport(iterations, res / b_norm, True)
         if iterations == max_iter:
             break
-        ap = a(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
+        ap = A @ p
+        pap = p @ ap
+        # a real solve keeps one reduction; a complex one also needs p^H A p
+        if (np.vdot(p, ap).real if is_complex else pap) <= 0.0:
             raise ConvergenceError(
-                "operator is not positive definite (p^T A p <= 0 in CG)",
+                "operator is not positive definite (Re(p^H A p) <= 0 in CG)",
                 report=SolveReport(iterations, res / b_norm, False))
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        z = precondition(r) if precondition is not None else r
-        rz_next = float(r @ z)
+        z = inv_diag * r
+        rz_next = r @ z
         p = z + (rz_next / rz) * p
         rz = rz_next
 

@@ -16,9 +16,8 @@ from fmes.assembly import assemble, m_inner, m_norm
 from fmes.experiments import ExperimentConfig, SchemeRequest, sweep_reaction
 from fmes.mesh import build_mesh
 from fmes.schemes import (SchemeSpec, amplification_factor, fmes_weight,
-                          pade_coefficients, pade_modal_step, pade_rational,
-                          pade_step_fmes, run_scheme, theta_step_fmes,
-                          theta_step_standard)
+                          make_stepper, pade_coefficients, pade_rational,
+                          run_scheme)
 from fmes.spectral import (exact_semidiscrete_solution, inverse_iteration,
                            modal_decompose)
 
@@ -139,16 +138,21 @@ def test_criterion_4_oracle_equivalence(small_problem):
 
     cases = {}
     for sigma in (0.5, 1.0):
-        stepped = theta_step_standard(sys, sigma, tau, y)
+        stepped = make_stepper(SchemeSpec(
+            "theta_standard", tau=tau, n_steps=1, sigma=sigma), sys).step(y)
         oracle = modal_apply(np.array([amplification_factor(sigma, lk * tau)
                                        for lk in lam]))
         cases[f"theta_standard s={sigma:g}"] = m_norm(sys, stepped - oracle)
-        stepped = theta_step_fmes(sys, sigma, tau, lam1, y)
+        stepped = make_stepper(SchemeSpec(
+            "theta_fmes", tau=tau, n_steps=1, sigma=sigma, lambda1=lam1),
+            sys).step(y)
         oracle = modal_apply(math.exp(-lam1 * tau) * np.array(
             [amplification_factor(sigma, (lk - lam1) * tau) for lk in lam]))
         cases[f"theta_fmes s={sigma:g}"] = m_norm(sys, stepped - oracle)
     for l, m in ((0, 1), (1, 1), (0, 2)):
-        stepped = pade_step_fmes(sys, l, m, tau, lam1, y)
+        stepped = make_stepper(SchemeSpec(
+            "pade_fmes", tau=tau, n_steps=1, l=l, m=m, lambda1=lam1),
+            sys).step(y)
         oracle = modal_apply(math.exp(-lam1 * tau)
                              * pade_rational(l, m, (lam - lam1) * tau))
         cases[f"pade({l},{m})"] = m_norm(sys, stepped - oracle)
@@ -211,14 +215,18 @@ def test_criterion_6_spectral_monotonicity():
     ok = True
     details = []
     for m in (1, 2, 3):
-        stepped = pade_modal_step(basis, 0, m, tau, lam1, y_all)
+        stepped = make_stepper(SchemeSpec(
+            "pade_modal", tau=tau, n_steps=1, l=0, m=m, lambda1=lam1),
+            sys, basis=basis).step(y_all)
         mult = V.T @ (M @ stepped)
         positive = bool(np.all(mult > 0))
         decreasing = bool(np.all(np.diff(mult) < 0))
         ok &= positive and decreasing
         details.append(f"(0,{m}) positive={positive} decreasing={decreasing}")
     tau_big = 3.0 / (lam[-1] - lam1)       # shifted eta reaches 3 > 2
-    stepped = pade_modal_step(basis, 1, 1, tau_big, lam1, y_all)
+    stepped = make_stepper(SchemeSpec(
+        "pade_modal", tau=tau_big, n_steps=1, l=1, m=1, lambda1=lam1),
+        sys, basis=basis).step(y_all)
     mult = V.T @ (M @ stepped)
     has_negative = bool(mult.min() < 0)
     ok &= has_negative

@@ -73,3 +73,15 @@ def test_analyze_verb(outdir, capsys):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("argv", [["--nside", "1"], ["--steps", "0"],
+                                  ["--nside", "6", "--steps", "7"]],
+                         ids=["nside1", "steps0", "steps7"])
+def test_run_verb_bad_input_is_one_line_error(outdir, capsys, argv):
+    assert main(["run"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    # refused before any work: not even the eigenpair is written
+    assert not (outdir / "eigenpair.csv").exists()

@@ -6,8 +6,7 @@ import scipy.sparse as sp
 
 from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
 from fmes.schemes import (SchemeSpec, amplification_factor, fmes_weight,
-                          make_stepper, pade_modal_step, pade_step_fmes,
-                          run_scheme, theta_step_fmes, theta_step_standard)
+                          make_stepper, run_scheme)
 from fmes.sparse import ConvergenceError
 from fmes.spectral import exact_semidiscrete_solution
 
@@ -21,6 +20,11 @@ def _scalar_system(k, mass=1.0):
 
 def _generic_state(sys, rng):
     return np.ones(sys.n_nodes) + 0.1 * rng.standard_normal(sys.n_nodes)
+
+
+def _step(sys, kind, tau, y, basis=None, **params):
+    spec = SchemeSpec(kind, tau=tau, n_steps=1, **params)
+    return make_stepper(spec, sys, basis=basis).step(y)
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +49,9 @@ def test_spec_validation():
 
 
 def test_sparse_pade_rejects_general_indices():
-    with pytest.raises(ValueError, match="modal"):
-        SchemeSpec("pade_fmes", tau=0.1, n_steps=1, l=0, m=3, lambda1=1.0)
+    for l, m in ((2, 1), (0, 5)):
+        with pytest.raises(ValueError, match="modal"):
+            SchemeSpec("pade_fmes", tau=0.1, n_steps=1, l=l, m=m, lambda1=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -59,14 +64,15 @@ def test_zero_stiffness_is_identity(rng):
     sys = FemSystem(mesh=None, M=M, K_bar=zero, K=zero,
                     coeffs=ProblemCoefficients())
     y = rng.standard_normal(2)
-    assert theta_step_standard(sys, 1.0, 0.3, y) == pytest.approx(y, rel=1e-12)
+    stepped = _step(sys, "theta_standard", 0.3, y, sigma=1.0)
+    assert stepped == pytest.approx(y, rel=1e-12)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.7, 1.0])
 def test_scalar_reduction_to_amplification_factor(sigma):
     lam, tau = 4.0, 0.07
     sys = _scalar_system(lam)
-    y1 = theta_step_standard(sys, sigma, tau, np.array([1.0]))
+    y1 = _step(sys, "theta_standard", tau, np.array([1.0]), sigma=sigma)
     assert y1[0] == pytest.approx(amplification_factor(sigma, lam * tau),
                                   rel=1e-12)
 
@@ -74,7 +80,7 @@ def test_scalar_reduction_to_amplification_factor(sigma):
 def test_standard_step_matches_modal_multipliers(sys6, basis6, rng):
     sigma, tau = 0.7, 0.01
     y = _generic_state(sys6, rng)
-    stepped = theta_step_standard(sys6, sigma, tau, y)
+    stepped = _step(sys6, "theta_standard", tau, y, sigma=sigma)
     mult = np.array([amplification_factor(sigma, lam * tau)
                      for lam in basis6.eigenvalues])
     coeffs = basis6.eigenvectors.T @ (sys6.M @ y)
@@ -88,7 +94,8 @@ def test_standard_step_matches_modal_multipliers(sys6, basis6, rng):
 
 def test_fmes_step_on_fundamental_mode(sys6, pair6):
     tau = 0.02
-    stepped = theta_step_fmes(sys6, 1.0, tau, pair6.lambda1, pair6.phi1)
+    stepped = _step(sys6, "theta_fmes", tau, pair6.phi1, sigma=1.0,
+                    lambda1=pair6.lambda1)
     expected = math.exp(-pair6.lambda1 * tau) * pair6.phi1
     assert m_norm(sys6, stepped - expected) < 1e-9
 
@@ -96,7 +103,8 @@ def test_fmes_step_on_fundamental_mode(sys6, pair6):
 def test_fmes_scalar_single_mode_exact():
     lam, tau = 3.0, 0.1
     sys = _scalar_system(lam)
-    y1 = theta_step_fmes(sys, 1.0, tau, lam, np.array([1.0]))
+    y1 = _step(sys, "theta_fmes", tau, np.array([1.0]), sigma=1.0,
+               lambda1=lam)
     assert y1[0] == math.exp(-lam * tau)
 
 
@@ -107,11 +115,11 @@ def test_fmes_amplitude_condition_random_state(sys6, pair6, rng):
     a0 = m_inner(sys6, y, pair6.phi1)
     lam1 = pair6.lambda1
     steps = [
-        theta_step_fmes(sys6, 1.0, tau, lam1, y),
-        theta_step_fmes(sys6, 0.5, tau, lam1, y),
-        pade_step_fmes(sys6, 0, 1, tau, lam1, y),
-        pade_step_fmes(sys6, 1, 1, tau, lam1, y),
-        pade_step_fmes(sys6, 0, 2, tau, lam1, y),
+        _step(sys6, "theta_fmes", tau, y, sigma=1.0, lambda1=lam1),
+        _step(sys6, "theta_fmes", tau, y, sigma=0.5, lambda1=lam1),
+        _step(sys6, "pade_fmes", tau, y, l=0, m=1, lambda1=lam1),
+        _step(sys6, "pade_fmes", tau, y, l=1, m=1, lambda1=lam1),
+        _step(sys6, "pade_fmes", tau, y, l=0, m=2, lambda1=lam1),
     ]
     for stepped in steps:
         a1 = m_inner(sys6, stepped, pair6.phi1)
@@ -151,26 +159,31 @@ def test_pade_reductions_to_theta(sys6, pair6, rng):
     tau = 0.01
     y = _generic_state(sys6, rng)
     lam1 = pair6.lambda1
-    d01 = pade_step_fmes(sys6, 0, 1, tau, lam1, y) \
-        - theta_step_fmes(sys6, 1.0, tau, lam1, y)
-    d11 = pade_step_fmes(sys6, 1, 1, tau, lam1, y) \
-        - theta_step_fmes(sys6, 0.5, tau, lam1, y)
+    d01 = _step(sys6, "pade_fmes", tau, y, l=0, m=1, lambda1=lam1) \
+        - _step(sys6, "theta_fmes", tau, y, sigma=1.0, lambda1=lam1)
+    d11 = _step(sys6, "pade_fmes", tau, y, l=1, m=1, lambda1=lam1) \
+        - _step(sys6, "theta_fmes", tau, y, sigma=0.5, lambda1=lam1)
     assert np.abs(d01).max() < 1e-12
     assert np.abs(d11).max() < 1e-12
 
 
 def test_pade_02_annihilates_shifted_fundamental(sys6, pair6):
     tau = 0.02
-    stepped = pade_step_fmes(sys6, 0, 2, tau, pair6.lambda1, pair6.phi1)
+    stepped = _step(sys6, "pade_fmes", tau, pair6.phi1, l=0, m=2,
+                    lambda1=pair6.lambda1)
     expected = math.exp(-pair6.lambda1 * tau) * pair6.phi1
     assert m_norm(sys6, stepped - expected) < 1e-9
 
 
-def test_pade_02_matches_modal_oracle(sys6, basis6, pair6, rng):
+@pytest.mark.parametrize("l, m", [(l, m) for m in range(1, 5)
+                                  for l in range(m + 1)])
+def test_pade_02_matches_modal_oracle(sys6, basis6, pair6, rng, l, m):
+    # every sparse index agrees with the modal oracle, not only (0, 2)
     tau = 0.01
     y = _generic_state(sys6, rng)
-    sparse_step = pade_step_fmes(sys6, 0, 2, tau, pair6.lambda1, y)
-    modal_step = pade_modal_step(basis6, 0, 2, tau, pair6.lambda1, y)
+    params = dict(l=l, m=m, lambda1=pair6.lambda1)
+    sparse_step = _step(sys6, "pade_fmes", tau, y, **params)
+    modal_step = _step(None, "pade_modal", tau, y, basis=basis6, **params)
     assert m_norm(sys6, sparse_step - modal_step) < 1e-8
 
 
@@ -183,7 +196,8 @@ def test_pade_02_with_lumped_mass(rng):
     sys = assemble(build_mesh(6), lumped_mass=True)
     pair = inverse_iteration(sys)
     tau = 0.02
-    stepped = pade_step_fmes(sys, 0, 2, tau, pair.lambda1, pair.phi1)
+    stepped = _step(sys, "pade_fmes", tau, pair.phi1, l=0, m=2,
+                    lambda1=pair.lambda1)
     expected = math.exp(-pair.lambda1 * tau) * pair.phi1
     assert m_norm(sys, stepped - expected) < 1e-9
 
@@ -196,14 +210,16 @@ def test_modal_multipliers_sm_property(basis11, pair11):
     e = np.zeros(basis11.eigenvalues.size)
     for m in (1, 2, 3):
         y = basis11.eigenvectors @ np.ones_like(e)   # equal modal content
-        stepped = pade_modal_step(basis11, 0, m, tau, lam1, y)
+        stepped = _step(None, "pade_modal", tau, y, basis=basis11, l=0, m=m,
+                        lambda1=lam1)
         mult = basis11.eigenvectors.T @ (basis11.mass @ stepped)
         assert np.all(mult > 0)
         assert np.all(np.diff(mult) < 1e-15)
     lam_max = basis11.eigenvalues[-1]
     tau_big = 3.0 / (lam_max - lam1)
     y = basis11.eigenvectors @ np.ones_like(e)
-    stepped = pade_modal_step(basis11, 1, 1, tau_big, lam1, y)
+    stepped = _step(None, "pade_modal", tau_big, y, basis=basis11, l=1, m=1,
+                    lambda1=lam1)
     mult = basis11.eigenvectors.T @ (basis11.mass @ stepped)
     assert mult.min() < 0
 

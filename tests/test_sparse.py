@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from fmes.sparse import (ConvergenceError, LinearOperator, as_operator,
-                         cg_solve, compose_shifted)
+from fmes.sparse import ConvergenceError, cg_solve, compose_shifted
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -76,29 +76,22 @@ def test_rhs_shape_validation(sys6):
         cg_solve(sys6.M, np.ones(sys6.n_nodes), tol=0.0)
 
 
-def test_linear_operator_linearity(sys6, rng):
-    # composite matrix-free operator stays linear within rounding
-    M, K = sys6.M, sys6.K
-
-    def apply(v):
-        y, _ = cg_solve(M, K @ v, tol=1e-13)
-        return K @ v + 0.5 * (K @ y)
-
-    op = LinearOperator(dimension=sys6.n_nodes, apply=apply)
-    u = rng.standard_normal(sys6.n_nodes)
-    v = rng.standard_normal(sys6.n_nodes)
-    lhs = op(2.0 * u - 3.0 * v)
-    rhs = 2.0 * op(u) - 3.0 * op(v)
-    scale = max(np.abs(lhs).max(), 1.0)
-    assert lhs == pytest.approx(rhs, abs=1e-9 * scale)
+def test_complex_symmetric_solve(sys6, rng):
+    # conjugate orthogonal CG on (K + (1 - 1j) M), a complex-symmetric
+    # matrix with a positive definite Hermitian part
+    A = (sys6.K + (1.0 - 1.0j) * sys6.M).tocsr()
+    b = rng.standard_normal(sys6.n_nodes)
+    x, report = cg_solve(A, b, tol=1e-12)
+    assert report.converged
+    expected = spla.spsolve(A.tocsc(), b.astype(complex))
+    assert np.abs(x - expected).max() <= 1e-9 * np.abs(expected).max()
 
 
-def test_as_operator_passthrough_and_wrap(sys6):
-    op = as_operator(sys6.M)
-    assert op.dimension == sys6.n_nodes
-    assert as_operator(op) is op
-    v = np.ones(sys6.n_nodes)
-    assert op(v) == pytest.approx(sys6.M @ v, abs=0)
+def test_complex_indefinite_hermitian_part_raises(sys6):
+    # symmetric, but the Hermitian part K - 100 M is indefinite
+    A = (sys6.K - (100.0 + 1.0j) * sys6.M).tocsr()
+    with pytest.raises(ConvergenceError):
+        cg_solve(A, np.ones(sys6.n_nodes), tol=1e-10)
 
 
 def test_compose_shifted_zero_shift(sys6):
