@@ -45,8 +45,9 @@ class ProblemCoefficients:
         if self.mu_right_top < 0.0 or self.mu_left_bottom < 0.0:
             raise ValueError("boundary coefficients must be nonnegative")
 
-    def diffusivity_at(self, x: float, y: float) -> float:
-        return self.k_inner if (x < 0.5 and y < 0.5) else self.k_outer
+    def diffusivity_at(self, x, y):
+        """Diffusivity at points (x, y); accepts scalars or arrays."""
+        return np.where((x < 0.5) & (y < 0.5), self.k_inner, self.k_outer)
 
     def mu_for_side(self, side: str) -> float:
         if side in ("right", "top"):
@@ -70,21 +71,15 @@ class FemSystem:
     K_bar: sp.csr_matrix
     K: sp.csr_matrix
     coeffs: ProblemCoefficients
-    lumped: bool = False
 
     @property
     def n_nodes(self) -> int:
         return self.M.shape[0]
 
 
-def assemble(mesh: Mesh, coeffs: ProblemCoefficients | None = None,
-             *, lumped_mass: bool = False) -> FemSystem:
-    """Assemble mass and stiffness matrices on a mesh.
-
-    With ``lumped_mass`` the consistent mass matrix is replaced by its
-    row-sum diagonal (useful to keep composite steppers cheap); the reaction
-    term then uses the lumped mass as well.
-    """
+def assemble(mesh: Mesh,
+             coeffs: ProblemCoefficients | None = None) -> FemSystem:
+    """Assemble mass and stiffness matrices on a mesh."""
     if coeffs is None:
         coeffs = ProblemCoefficients()
 
@@ -94,8 +89,7 @@ def assemble(mesh: Mesh, coeffs: ProblemCoefficients | None = None,
     areas = triangle_areas(mesh)               # (T,)
     centroids = pts.mean(axis=1)               # (T, 2)
 
-    k_elem = np.where((centroids[:, 0] < 0.5) & (centroids[:, 1] < 0.5),
-                      coeffs.k_inner, coeffs.k_outer)
+    k_elem = coeffs.diffusivity_at(centroids[:, 0], centroids[:, 1])
 
     # P1 basis gradients: grad(lambda_i) = (b_i, c_i) with cyclic differences
     x, y = pts[:, :, 0], pts[:, :, 1]
@@ -126,12 +120,8 @@ def assemble(mesh: Mesh, coeffs: ProblemCoefficients | None = None,
         K_bar = (K_bar + sp.coo_matrix((edge_vals, (edge_rows, edge_cols)),
                                        shape=(n, n)).tocsr()).tocsr()
 
-    if lumped_mass:
-        M = sp.diags(np.asarray(M.sum(axis=1)).ravel(), format="csr")
-
     K = (K_bar + coeffs.c * M).tocsr()
-    return FemSystem(mesh=mesh, M=M, K_bar=K_bar, K=K, coeffs=coeffs,
-                     lumped=lumped_mass)
+    return FemSystem(mesh=mesh, M=M, K_bar=K_bar, K=K, coeffs=coeffs)
 
 
 def m_inner(sys: FemSystem, u: np.ndarray, v: np.ndarray) -> float:

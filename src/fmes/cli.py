@@ -10,7 +10,8 @@ Each verb accepts ``--config PATH`` plus the overrides ``--nside``, ``--c``
 and ``--steps``.  The output directory can also be overridden through the
 FMES_OUTPUT_DIR environment variable.  Exit status is 0 when every
 requested computation converged, 1 when one did not, and 2 on invalid
-input (a one-line ``error:`` message on stderr).
+input, a missing or malformed configuration file included (a one-line
+``error:`` message on stderr).
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:    # OSError: unreadable --config
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -29,7 +29,7 @@ from .assembly import FemSystem, ProblemCoefficients, assemble
 from .mesh import build_mesh
 from .schemes import SchemeSpec, run_scheme
 from .sparse import ConvergenceError
-from .spectral import EigenPair, inverse_iteration
+from .spectral import EigenPair, inverse_iteration, modal_decompose
 
 OUTPUT_DIR_ENV = "FMES_OUTPUT_DIR"
 
@@ -79,7 +79,6 @@ class ExperimentConfig:
     outer_tol: float = 1e-10
     eig_tol: float = 1e-13
     eig_max_iter: int = 50
-    dense_limit: int = 2500
 
     def __post_init__(self):
         if self.T <= 0.0:
@@ -87,6 +86,8 @@ class ExperimentConfig:
         if self.reference_steps < 1:
             raise ValueError("reference_steps must be >= 1")
         for req in self.schemes:
+            # SchemeSpec holds the scheme rules; 0.0 stands in for lambda1
+            req.to_spec(self.T, self.reference_steps, 0.0)
             for n in req.steps:
                 if n < 1:
                     raise ValueError(f"step count must be >= 1, got {n}")
@@ -277,12 +278,15 @@ def run_experiment(config: ExperimentConfig,
     remaining runs continue.  With an empty scheme list only the eigenpair
     summary is emitted.  ``output_dir`` bypasses the config/environment
     resolution (used by sweeps writing one subdirectory per variant).
+    pade_modal schemes share one dense modal basis, built (or refused
+    above 2500 nodes) before the output directory is made.
     """
-    outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     mesh = build_mesh(config.n_side)
     sys = assemble(mesh, config.coefficients)
+    basis = (modal_decompose(sys) if any(req.kind == "pade_modal"
+                                         for req in config.schemes) else None)
+    outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
+    outdir.mkdir(parents=True, exist_ok=True)
     pair = inverse_iteration(sys, tol=config.eig_tol,
                              max_iter=config.eig_max_iter)
     _write_csv(outdir / "eigenpair.csv",
@@ -305,7 +309,7 @@ def run_experiment(config: ExperimentConfig,
             spec = req.to_spec(config.T, n_steps, pair.lambda1)
             started = time.perf_counter()
             try:
-                traj = run_scheme(spec, sys, w0, phi1=pair.phi1,
+                traj = run_scheme(spec, sys, w0, phi1=pair.phi1, basis=basis,
                                   tol=config.outer_tol)
             except ConvergenceError as err:
                 runs.append(RunResult(

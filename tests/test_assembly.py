@@ -101,18 +101,6 @@ def test_boundary_term_restricted_to_robin_sides():
     assert ones @ (extra.tocsr() @ ones) == pytest.approx(20.0, rel=1e-13)
 
 
-def test_lumped_mass():
-    mesh = build_mesh(7)
-    consistent = assemble(mesh)
-    lumped = assemble(mesh, lumped_mass=True)
-    assert lumped.lumped
-    assert lumped.M.nnz == mesh.n_nodes
-    row_sums = np.asarray(consistent.M.sum(axis=1)).ravel()
-    assert lumped.M.diagonal() == pytest.approx(row_sums, rel=1e-14)
-    ones = np.ones(mesh.n_nodes)
-    assert m_inner(lumped, ones, ones) == pytest.approx(1.0, rel=1e-13)
-
-
 def test_coefficient_validation():
     with pytest.raises(ValueError):
         ProblemCoefficients(k_inner=0.0)

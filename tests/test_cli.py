@@ -80,8 +80,29 @@ def test_requires_subcommand():
                          ids=["nside1", "steps0", "steps7"])
 def test_run_verb_bad_input_is_one_line_error(outdir, capsys, argv):
     assert main(["run"] + argv) == 2
+    _assert_refused(outdir, capsys)
+
+
+def _assert_refused(outdir, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
-    # refused before any work: not even the eigenpair is written
-    assert not (outdir / "eigenpair.csv").exists()
+    # refused before any work: not even the output directory is made
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[scheme.a]\nkind = thta\nsigma = 1\n",
+    "[scheme.a]\nkind = theta_fmes\n",
+    "[scheme.a]\nkind = pade_fmes\nl = 0\nm = 7\n",
+    "[mesh]\nn_side = 51\n[scheme.a]\nkind = pade_modal\nl = 2\nm = 2\n",
+    "n_side = 6\n",
+    None,
+], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "no_section",
+        "missing_file"])
+def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
+    config = tmp_path / "bad.ini"
+    if text is not None:
+        config.write_text(text)
+    assert main(["run", "--config", str(config)]) == 2
+    _assert_refused(outdir, capsys)

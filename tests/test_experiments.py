@@ -145,6 +145,18 @@ def test_run_experiment_csvs_and_summary(tmp_path):
     assert len(summary) == 1 + 4
 
 
+def test_run_experiment_pade_modal(tmp_path, sys6):
+    config = _small_config(tmp_path, schemes=(
+        SchemeRequest("pade_modal", l=2, m=2, steps=(5, 10)),))
+    result = run_experiment(config)
+    assert result.all_converged
+    a0 = abs(result.eigenpair.phi1 @ (sys6.M @ initial_state(sys6)))
+    for n in (5, 10):
+        run = result.find_run("pade_modal", "l2m2", n)
+        assert (result.output_dir / run.csv_name).exists()
+        assert run.max_eps_a <= 1e-8 * a0
+
+
 def test_fmes_beats_standard_in_summary(tmp_path):
     config = _small_config(tmp_path)
     result = run_experiment(config)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
-from fmes.schemes import (SchemeSpec, amplification_factor, fmes_weight,
-                          make_stepper, run_scheme)
+from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
+                          fmes_weight, make_stepper, pade_coefficients,
+                          run_scheme)
 from fmes.sparse import ConvergenceError
 from fmes.spectral import exact_semidiscrete_solution
 
@@ -52,6 +54,27 @@ def test_sparse_pade_rejects_general_indices():
     for l, m in ((2, 1), (0, 5)):
         with pytest.raises(ValueError, match="modal"):
             SchemeSpec("pade_fmes", tau=0.1, n_steps=1, l=l, m=m, lambda1=1.0)
+
+
+# P/Q pairs the sparse stepper admits: every Pade index l <= m <= 4 and the
+# theta scheme's P = 1 - (1 - sigma) z, Q = 1 + sigma z.  Below sigma ~ 1e-154
+# the theta residue 1/sigma^2 overflows, so sigma is drawn from [1e-150, 1].
+_RATIONALS = st.one_of(
+    st.sampled_from([(l, m) for m in range(1, 5) for l in range(m + 1)]).map(
+        lambda lm: pade_coefficients(*lm)),
+    st.floats(1e-150, 1.0).map(
+        lambda sigma: (np.array([1.0, -(1.0 - sigma)]), np.array([1.0, sigma]))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pq=_RATIONALS, z=st.floats(0.0, 1e3))
+def test_partial_fractions_match_rational(pq, z):
+    p, q = pq
+    c0, terms = _partial_fractions(p, q)
+    split = c0 + sum(w * (r / (z - zj)).real for zj, r, w in terms)
+    direct = np.polyval(p[::-1], z) / np.polyval(q[::-1], z)
+    # the c0 term cancels against the pole terms, as in the stepper's tol
+    assert abs(split - direct) <= 1e-11 * (1.0 + abs(c0))
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +208,6 @@ def test_pade_02_matches_modal_oracle(sys6, basis6, pair6, rng, l, m):
     sparse_step = _step(sys6, "pade_fmes", tau, y, **params)
     modal_step = _step(None, "pade_modal", tau, y, basis=basis6, **params)
     assert m_norm(sys6, sparse_step - modal_step) < 1e-8
-
-
-def test_pade_02_with_lumped_mass(rng):
-    # the lumped-mass toggle changes the operator family consistently:
-    # exactness holds for the lumped system's own eigenpair
-    from fmes.assembly import assemble
-    from fmes.mesh import build_mesh
-    from fmes.spectral import inverse_iteration
-    sys = assemble(build_mesh(6), lumped_mass=True)
-    pair = inverse_iteration(sys)
-    tau = 0.02
-    stepped = _step(sys, "pade_fmes", tau, pair.phi1, l=0, m=2,
-                    lambda1=pair.lambda1)
-    expected = math.exp(-pair.lambda1 * tau) * pair.phi1
-    assert m_norm(sys, stepped - expected) < 1e-9
 
 
 def test_modal_multipliers_sm_property(basis11, pair11):
