@@ -16,13 +16,15 @@ Four families are provided:
   monotonicity).
 * ``pade_modal``       -- the same rational multipliers applied mode by
   mode through a dense eigenbasis; exact in space, it serves as the
-  oracle for all sparse steppers and covers arbitrary Pade indices.
+  oracle for all sparse steppers and covers every index l <= m (for
+  l > m, R_lm is unbounded at infinity and both kinds refuse it).
 
 The three sparse kinds share one stepper: each is
 y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
 for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
-conjugate pole pair.
+conjugate pole pair: a banded direct solve with a factor made once per
+run, or CG when that factor would exceed DIRECT_LIMIT_BYTES.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -37,11 +39,15 @@ from fractions import Fraction
 import numpy as np
 
 from .assembly import FemSystem
-from .sparse import ConvergenceError, cg_solve, compose_shifted
+from .sparse import BandedSolver, ConvergenceError, cg_solve, compose_shifted
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
 OUTER_TOL_DEFAULT = 1e-10
+# Largest band factor a pole system may keep; larger systems are solved by
+# CG.  The paper's grid (676 nodes) needs 0.15 MB real, 0.9 MB complex;
+# 40,401 nodes would need 65 MB real.
+DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +146,15 @@ class SchemeSpec:
                 raise ValueError("Pade schemes need indices l and m")
             if self.l < 0 or self.m < 0 or self.l + self.m < 1:
                 raise ValueError(f"invalid Pade indices ({self.l}, {self.m})")
-            # l <= m keeps R bounded at infinity; up to m = 4 every pole
-            # lies in the left half-plane, so each pole solve is definite
-            if self.kind == "pade_fmes" and not self.l <= self.m <= 4:
+            if self.l > self.m:
                 raise ValueError(
-                    f"sparse Pade stepping needs l <= m <= 4; use the modal "
+                    f"Pade indices ({self.l}, {self.m}) need l <= m: R_lm is "
+                    f"unbounded at infinity, so stiff modes would blow up")
+            # up to m = 4 every pole lies in the left half-plane, so each
+            # pole solve is definite
+            if self.kind == "pade_fmes" and self.m > 4:
+                raise ValueError(
+                    f"sparse Pade stepping needs m <= 4; use the modal "
                     f"path (pade_modal) for ({self.l}, {self.m})")
         if self.kind != "theta_standard" and self.lambda1 is None:
             raise ValueError(f"{self.kind} needs lambda1 (fundamental eigenvalue)")
@@ -181,12 +191,17 @@ def _partial_fractions(p: np.ndarray, q: np.ndarray):
 class _RationalStepper:
     """Advance y' = s R(tau M^-1 Kt) y with Kt = K - mu M and s = exp(-mu tau).
 
-    With R = c0 + sum_j r_j / (z - z_j) every pole costs one CG solve of
+    With R = c0 + sum_j r_j / (z - z_j) every pole costs one solve of
     (tau Kt - z_j M) x_j = s r_j M y, complex-symmetric for a complex pole,
     and y' = s c0 y + sum_j w_j Re x_j.  The poles of every admitted R lie
     in the left half-plane, so each system matrix (for a complex pole, its
     Hermitian part) is positive definite.  The solves run at
     tol / (1 + |c0|) because the c0 term cancels against the pole terms.
+
+    A pole system whose band factor fits in DIRECT_LIMIT_BYTES is factored
+    on the first step (so a failure still names level 1) and later steps
+    only back-substitute; a larger one is solved by CG, warm-started from
+    the pole term's large-z limit.
     """
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
@@ -196,14 +211,22 @@ class _RationalStepper:
         self.scale = math.exp(-mu * tau)
         self.c0, terms = _partial_fractions(p, q)
         self.tol = tol / (1.0 + abs(self.c0))
-        self.poles = [(z, self.scale * r, w, tau * Kt - z * sys.M)
-                      for z, r, w in terms]
+        self.poles = []
+        for z, r, w in terms:
+            A = tau * Kt - z * sys.M
+            direct = BandedSolver(A)
+            if direct.nbytes > DIRECT_LIMIT_BYTES:
+                direct = None
+            self.poles.append((z, self.scale * r, w, A, direct))
 
     def step(self, y: np.ndarray) -> np.ndarray:
         My = self.M @ y
         out = self.scale * self.c0 * y if self.c0 else None
-        for z, sr, w, A in self.poles:
-            x, _ = cg_solve(A, sr * My, tol=self.tol, x0=(sr / -z) * y)
+        for z, sr, w, A, direct in self.poles:
+            if direct is None:
+                x, _ = cg_solve(A, sr * My, tol=self.tol, x0=(sr / -z) * y)
+            else:
+                x, _ = direct.solve(sr * My, self.tol)
             x = w * x.real
             out = x if out is None else out + x
         return out

@@ -1,10 +1,20 @@
 """Symmetric sparse solves and operator composition.
 
-The conjugate gradient loop is written out explicitly (instead of calling
-into a library) so that the iteration count, the reported residual and the
-failure behaviour are fully under our control and runs are bit-reproducible.
-The same loop solves complex-symmetric systems (A^T = A, not Hermitian) as
-conjugate orthogonal CG, which the rational steppers need for complex poles.
+Two solvers share one contract: a solve of a symmetric matrix A (real and
+positive definite, or complex-symmetric, A^T = A, with a positive definite
+Hermitian part) returns x with ||A x - b|| <= tol ||b||, or raises
+ConvergenceError.
+
+* ``BandedSolver`` factors A once in LAPACK band storage and then solves by
+  back-substitution.  Its memory is set by the bandwidth read from the
+  pattern (n_side + 1 on the row-by-row numbered structured mesh), so
+  callers compare its ``nbytes`` with a budget before using it.
+* ``cg_solve`` is Jacobi-scaled conjugate gradients, written out explicitly
+  so that the iteration count, the reported residual and the failure
+  behaviour are fully under our control.  The same loop solves
+  complex-symmetric systems as conjugate orthogonal CG.
+
+Both are deterministic, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 
@@ -118,6 +129,89 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
     raise ConvergenceError(
         f"CG did not reach tol={tol:g} in {max_iter} iterations "
         f"(relative residual {report.relative_residual:.3e})", report=report)
+
+
+def bandwidth(A) -> int:
+    """Largest |i - j| over the stored entries of sparse A."""
+    A = sp.csr_matrix(A)
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    return int(np.abs(rows - A.indices).max(initial=0))
+
+
+def _band_storage(coo: sp.coo_matrix, offset: int, n_rows: int) -> np.ndarray:
+    """LAPACK band storage ab[offset + i - j, j] = a[i, j]; entries that fall
+    outside the n_rows rows (the lower triangle, for the upper Cholesky
+    form) are dropped."""
+    diag = offset + coo.row - coo.col
+    keep = diag < n_rows
+    ab = np.zeros((n_rows, coo.shape[1]), dtype=coo.dtype)
+    ab[diag[keep], coo.col[keep]] = coo.data[keep]
+    return ab
+
+
+class BandedSolver:
+    """Direct solves of one symmetric sparse matrix through a band factor.
+
+    A real A gets a banded Cholesky factor, (u + 1) n doubles for
+    bandwidth u.  A complex-symmetric A gets a banded LU factor with
+    partial pivoting (LAPACK zgbtrf), (3u + 1) n complex numbers; its
+    Hermitian part Re(A) is Cholesky-factored once as well, only to prove
+    it positive definite.  The factorization runs on the first ``solve``,
+    and every solve checks its true residual.
+    """
+
+    def __init__(self, A):
+        self.A = sp.csr_matrix(A)
+        self.bandwidth = bandwidth(self.A)
+        n, u = self.A.shape[0], self.bandwidth
+        self.is_complex = np.iscomplexobj(self.A)
+        self.nbytes = ((3 * u + 1) * n * 16 if self.is_complex
+                       else (u + 1) * n * 8)
+        self._factor = None
+
+    def _factorize(self):
+        u = self.bandwidth
+        coo = self.A.tocoo()
+        coo.sum_duplicates()
+        try:
+            chol = scipy.linalg.cholesky_banded(
+                _band_storage(coo.real if self.is_complex else coo, u, u + 1))
+        except np.linalg.LinAlgError as err:
+            raise ConvergenceError(
+                "operator is not positive definite (banded Cholesky of its "
+                f"Hermitian part failed: {err})") from err
+        if not self.is_complex:
+            return chol
+        lu, ipiv, info = scipy.linalg.lapack.zgbtrf(
+            _band_storage(coo, 2 * u, 3 * u + 1), u, u)
+        if info != 0:
+            raise ConvergenceError(f"banded LU failed (zgbtrf info={info})")
+        return lu, ipiv
+
+    def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
+        """Solve A x = rhs; raise ConvergenceError unless the relative
+        residual ||A x - rhs|| / ||rhs|| is at most ``tol``."""
+        if self._factor is None:
+            self._factor = self._factorize()
+        b_norm = float(np.linalg.norm(rhs))
+        if b_norm == 0.0:
+            return np.zeros_like(rhs), SolveReport(0, 0.0, True)
+        if self.is_complex:
+            lu, ipiv = self._factor
+            u = self.bandwidth
+            x, info = scipy.linalg.lapack.zgbtrs(lu, u, u, rhs, ipiv)
+            if info != 0:
+                raise ValueError(f"zgbtrs rejected its arguments (info={info})")
+        else:
+            x = scipy.linalg.cho_solve_banded((self._factor, False), rhs,
+                                              check_finite=False)
+        residual = float(np.linalg.norm(self.A @ x - rhs)) / b_norm
+        report = SolveReport(0, residual, residual <= tol)
+        if not report.converged:
+            raise ConvergenceError(
+                f"banded solve missed tol={tol:g} (relative residual "
+                f"{residual:.3e})", report=report)
+        return x, report
 
 
 def compose_shifted(K: sp.spmatrix, M: sp.spmatrix, lambda1: float) -> sp.csr_matrix:

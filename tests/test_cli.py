@@ -96,10 +96,11 @@ def _assert_refused(outdir, capsys):
     "[scheme.a]\nkind = theta_fmes\n",
     "[scheme.a]\nkind = pade_fmes\nl = 0\nm = 7\n",
     "[mesh]\nn_side = 51\n[scheme.a]\nkind = pade_modal\nl = 2\nm = 2\n",
+    "[scheme.a]\nkind = pade_modal\nl = 2\nm = 0\n",
     "n_side = 6\n",
     None,
-], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "no_section",
-        "missing_file"])
+], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
+        "no_section", "missing_file"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:

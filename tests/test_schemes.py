@@ -5,11 +5,12 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from fmes import schemes
 from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
                           run_scheme)
-from fmes.sparse import ConvergenceError
+from fmes.sparse import BandedSolver, ConvergenceError
 from fmes.spectral import exact_semidiscrete_solution
 
 
@@ -51,9 +52,17 @@ def test_spec_validation():
 
 
 def test_sparse_pade_rejects_general_indices():
-    for l, m in ((2, 1), (0, 5)):
+    for l, m in ((0, 5), (3, 5)):
         with pytest.raises(ValueError, match="modal"):
             SchemeSpec("pade_fmes", tau=0.1, n_steps=1, l=l, m=m, lambda1=1.0)
+
+
+@pytest.mark.parametrize("kind", ["pade_fmes", "pade_modal"])
+@pytest.mark.parametrize("l, m", [(1, 0), (2, 0), (2, 1), (6, 5)])
+def test_pade_rejects_l_above_m(kind, l, m):
+    # R_lm with l > m is unbounded at infinity: stiff modes would blow up
+    with pytest.raises(ValueError, match="unbounded"):
+        SchemeSpec(kind, tau=0.1, n_steps=1, l=l, m=m, lambda1=1.0)
 
 
 # P/Q pairs the sparse stepper admits: every Pade index l <= m <= 4 and the
@@ -297,6 +306,77 @@ def test_step_failure_reports_level(sys6):
                       lambda1=1e4)
     with pytest.raises(ConvergenceError, match="level 1"):
         run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+
+
+def test_complex_pole_definiteness_guard(sys6):
+    # the (0, 2) pole pair -1 +- i: the Hermitian part tau (K - 1e4 M) + M
+    # is indefinite, which the direct path's Cholesky check refuses
+    spec = SchemeSpec("pade_fmes", tau=0.01, n_steps=3, l=0, m=2,
+                      lambda1=1e4)
+    with pytest.raises(ConvergenceError, match="level 1"):
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+
+
+_SPARSE_SPECS = ([("theta_standard", dict(sigma=s)) for s in (0.5, 1.0)]
+                 + [("theta_fmes", dict(sigma=s)) for s in (0.5, 1.0)]
+                 + [("pade_fmes", dict(l=l, m=m)) for m in range(1, 5)
+                    for l in range(m + 1)])
+
+
+@pytest.mark.parametrize("kind, params", _SPARSE_SPECS)
+def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
+                                   params):
+    # at the default tol, CG's own step error reaches 1.3e-9 at (3, 4) while
+    # the direct step stays within 1e-12 of the modal oracle, so both paths
+    # solve to 1e-12 here and the comparison shows they solve one system
+    lam1 = None if kind == "theta_standard" else pair6.lambda1
+    spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
+    y = _generic_state(sys6, rng)
+    direct = make_stepper(spec, sys6, tol=1e-12)
+    assert all(pole[-1] is not None for pole in direct.poles)
+    monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
+    cg = make_stepper(spec, sys6, tol=1e-12)
+    assert all(pole[-1] is None for pole in cg.poles)
+    assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
+
+
+@pytest.mark.parametrize("l, m", [(0, 1), (0, 2), (2, 4)])
+def test_each_pole_system_factored_once(sys6, pair6, monkeypatch, l, m):
+    calls = []
+    factorize = BandedSolver._factorize
+
+    def counting(self):
+        calls.append(self)
+        return factorize(self)
+
+    monkeypatch.setattr(BandedSolver, "_factorize", counting)
+    spec = SchemeSpec("pade_fmes", tau=1e-4, n_steps=1000, l=l, m=m,
+                      lambda1=pair6.lambda1)
+    run_scheme(spec, sys6, np.ones(sys6.n_nodes), store_levels=())
+    # one solver per real pole or conjugate pair, each factored once
+    assert len(calls) == len(set(map(id, calls))) == (m + 1) // 2
+
+
+@pytest.mark.parametrize("sigma, delta", [(1.0, 1e-3), (1.0, 1e-2),
+                                          (1.0, 1e-1), (0.5, 1e-1)])
+def test_eigenvalue_error_amplitude_defect(sys6, pair6, sigma, delta):
+    # shifting by lambda~ = (1 + delta) lambda1 leaves the fundamental mode
+    # the shifted eigenvalue -delta lambda1, so its amplitude gains
+    # g = exp(-lambda~ tau) r(sigma, -delta lambda1 tau) per step instead of
+    # exp(-lambda1 tau): a defect of O(delta^2) for sigma = 1 and O(delta^3)
+    # for sigma = 1/2, on top of the eigenpair's own floor (~4.5e-10 a0)
+    tau, n_steps, lam1 = 0.01, 10, pair6.lambda1
+    spec = SchemeSpec("theta_fmes", tau=tau, n_steps=n_steps, sigma=sigma,
+                      lambda1=(1.0 + delta) * lam1)
+    traj = run_scheme(spec, sys6, np.ones(sys6.n_nodes), phi1=pair6.phi1)
+    a0 = traj.amplitudes[0]
+    exact = a0 * np.exp(-lam1 * traj.times)
+    measured = np.abs(traj.amplitudes - exact).max()
+    g = (math.exp(-(1.0 + delta) * lam1 * tau)
+         * amplification_factor(sigma, -delta * lam1 * tau))
+    predicted = np.abs(a0 * g ** np.arange(n_steps + 1) - exact).max()
+    assert predicted > 5e-9 * abs(a0)
+    assert abs(measured - predicted) <= 1e-9 * abs(a0)
 
 
 def test_modal_kind_requires_basis(sys6, pair6):

@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fmes.sparse import ConvergenceError, cg_solve, compose_shifted
+from fmes.sparse import (BandedSolver, ConvergenceError, bandwidth, cg_solve,
+                         compose_shifted)
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -92,6 +93,43 @@ def test_complex_indefinite_hermitian_part_raises(sys6):
     A = (sys6.K - (100.0 + 1.0j) * sys6.M).tocsr()
     with pytest.raises(ConvergenceError):
         cg_solve(A, np.ones(sys6.n_nodes), tol=1e-10)
+
+
+def test_bandwidth_of_structured_mesh(sys6):
+    # row-by-row numbering: the farthest neighbour is one row up, one right
+    assert bandwidth(sys6.K + sys6.M) == sys6.mesh.n_side + 1
+    assert bandwidth(sp.eye(4)) == 0
+
+
+@pytest.mark.parametrize("shift", [-1.0, -1.0 + 1.0j])
+def test_banded_solver_matches_spsolve(sys6, rng, shift):
+    A = (0.01 * sys6.K - shift * sys6.M).tocsr()
+    b = rng.standard_normal(sys6.n_nodes) * (1.0 - 2.0j if shift.imag else 1.0)
+    solver = BandedSolver(A)
+    x, report = solver.solve(b, tol=1e-12)
+    assert report.converged and report.relative_residual <= 1e-12
+    expected = spla.spsolve(A.tocsc(), b)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+    # factored on the first solve, reused by later ones
+    factor = solver._factor
+    solver.solve(2.0 * b, tol=1e-12)
+    assert solver._factor is factor
+
+
+@pytest.mark.parametrize("shift", [100.0, 100.0 + 1.0j])
+def test_banded_solver_indefinite_raises(sys6, shift):
+    # K - 100 M (for a complex shift, its Hermitian part) is indefinite
+    solver = BandedSolver((sys6.K - shift * sys6.M).tocsr())
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        solver.solve(np.ones(sys6.n_nodes), tol=1e-10)
+
+
+def test_banded_solver_checks_true_residual(sys6):
+    solver = BandedSolver(sys6.M)
+    with pytest.raises(ConvergenceError) as exc:
+        solver.solve(np.ones(sys6.n_nodes), tol=1e-30)
+    assert not exc.value.report.converged
+    assert 0.0 < exc.value.report.relative_residual < 1e-12
 
 
 def test_compose_shifted_zero_shift(sys6):
