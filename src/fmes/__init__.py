@@ -10,14 +10,14 @@ methods, together with the error studies comparing them.
 from .assembly import (FemSystem, ProblemCoefficients, assemble, m_inner,
                        m_norm)
 from .experiments import (ExperimentConfig, ExperimentResult, Reference,
-                          RunResult, SchemeRequest, epsilon_a, epsilon_u,
+                          RunResult, SchemeRequest, epsilon_u,
                           initial_state, make_reference, run_experiment,
                           run_table1, sweep_reaction)
 from .mesh import Mesh, build_mesh
 from .schemes import (SchemeSpec, Trajectory, amplification_factor,
                       fmes_weight, make_stepper, pade_coefficients,
                       pade_rational, run_scheme)
-from .sparse import ConvergenceError, SolveReport, cg_solve, compose_shifted
+from .sparse import ConvergenceError, SolveReport, cg_solve
 from .spectral import (EigenPair, ModalBasis, exact_semidiscrete_solution,
                        inverse_iteration, modal_decompose)
 
@@ -28,8 +28,7 @@ __all__ = [
     "FemSystem", "Mesh", "ModalBasis", "ProblemCoefficients", "Reference",
     "RunResult", "SchemeRequest", "SchemeSpec", "SolveReport", "Trajectory",
     "amplification_factor", "assemble", "build_mesh", "cg_solve",
-    "compose_shifted", "epsilon_a", "epsilon_u",
-    "exact_semidiscrete_solution", "fmes_weight", "initial_state",
+    "epsilon_u", "exact_semidiscrete_solution", "fmes_weight", "initial_state",
     "inverse_iteration", "m_inner", "m_norm", "make_reference",
     "make_stepper", "modal_decompose", "pade_coefficients", "pade_rational",
     "run_experiment", "run_scheme", "run_table1", "sweep_reaction",

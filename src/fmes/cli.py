@@ -6,12 +6,13 @@ Three verbs:
 * ``fmes run``     -- full experiment (schemes, metrics, CSV files)
 * ``fmes analyze`` -- scalar tables: exact weight vs. eta, Pade errors
 
-Each verb accepts ``--config PATH`` plus the overrides ``--nside``, ``--c``
-and ``--steps``.  The output directory can also be overridden through the
-FMES_OUTPUT_DIR environment variable.  Exit status is 0 when every
-requested computation converged, 1 when one did not, and 2 on invalid
-input, a missing or malformed configuration file included (a one-line
-``error:`` message on stderr).
+Each verb accepts ``--config PATH`` plus only the overrides it reads:
+``--nside`` and ``--c`` for ``eigens`` and ``run``, ``--steps`` for ``run``.
+The output directory can also be overridden through the FMES_OUTPUT_DIR
+environment variable.  Exit status is 0 when every requested computation
+converged, 1 when one did not, and 2 on invalid input, a missing or
+malformed configuration file included (a one-line ``error:`` message on
+stderr; argparse adds a usage line for an unknown option).
 """
 
 from __future__ import annotations
@@ -29,15 +30,16 @@ from .schemes import amplification_factor, fmes_weight, pade_rational
 from .sparse import ConvergenceError
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH",
-                        help="configuration file (INI); defaults otherwise")
-    parser.add_argument("--nside", type=int, metavar="N",
-                        help="override the grid (nodes per side)")
-    parser.add_argument("--c", type=float, metavar="C",
-                        help="override the reaction constant")
-    parser.add_argument("--steps", metavar="N1,N2,...",
-                        help="override every scheme's step counts")
+_FLAGS = {
+    "--config": dict(metavar="PATH",
+                     help="configuration file (INI); defaults otherwise"),
+    "--nside": dict(type=int, metavar="N",
+                    help="override the grid (nodes per side)"),
+    "--c": dict(type=float, metavar="C",
+                help="override the reaction constant"),
+    "--steps": dict(metavar="N1,N2,...",
+                    help="override every scheme's step counts"),
+}
 
 
 def _load(args) -> ExperimentConfig:
@@ -130,13 +132,19 @@ def main(argv=None) -> int:
         prog="fmes",
         description="Fundamental-mode-exact time stepping workbench")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text in (
-            ("eigens", _cmd_eigens, "eigenvalue iteration table per grid"),
-            ("run", _cmd_run, "run the configured schemes and write CSVs"),
-            ("analyze", _cmd_analyze, "scalar amplification and Pade tables")):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.set_defaults(func=func)
+    for name, func, flags, help_text in (
+            ("eigens", _cmd_eigens, ("--config", "--nside", "--c"),
+             "eigenvalue iteration table per grid"),
+            ("run", _cmd_run, ("--config", "--nside", "--c", "--steps"),
+             "run the configured schemes and write CSVs"),
+            ("analyze", _cmd_analyze, ("--config",),
+             "scalar amplification and Pade tables")):
+        # no abbreviations: "--c" must not stand for "--config"
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        # overrides a verb does not take stay unset for _load
+        p.set_defaults(func=func, nside=None, c=None, steps=None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

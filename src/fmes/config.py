@@ -43,7 +43,6 @@ _FIELDS = {
     ("eigen", "grids"): ("eigen_grids", _int_list),
     ("eigen", "tol"): ("eig_tol", float),
     ("eigen", "max_iter"): ("eig_max_iter", int),
-    ("solver", "outer_tol"): ("outer_tol", float),
     ("output", "directory"): ("output_dir", str),
 }
 # key (= SchemeRequest field) -> converter

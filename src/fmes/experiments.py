@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -76,7 +75,6 @@ class ExperimentConfig:
     reference_steps: int = 1000
     eigen_grids: tuple[int, ...] = (26, 51, 101)
     output_dir: str = "results"
-    outer_tol: float = 1e-10
     eig_tol: float = 1e-13
     eig_max_iter: int = 50
 
@@ -106,15 +104,6 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 # error metrics
 # ---------------------------------------------------------------------------
 
-def epsilon_a(y_n: np.ndarray, y_0: np.ndarray, pair: EigenPair, t_n: float,
-              M: sp.spmatrix) -> float:
-    """Fundamental-amplitude defect
-    (y^n, phi1)_M - (y^0, phi1)_M exp(-lambda1 t^n)."""
-    amp_n = float(pair.phi1 @ (M @ np.asarray(y_n, dtype=float)))
-    amp_0 = float(pair.phi1 @ (M @ np.asarray(y_0, dtype=float)))
-    return amp_n - amp_0 * math.exp(-pair.lambda1 * t_n)
-
-
 def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix) -> float:
     """Relative solution error ||y^n - ref^n||_M / ||y^n||_M."""
     y_n = np.asarray(y_n, dtype=float)
@@ -134,7 +123,6 @@ class Reference:
     """Fully implicit fine-grid trajectory sampled where coarse runs need it."""
 
     n_steps: int
-    T: float
     vectors: dict[int, np.ndarray] = field(repr=False)
 
     def at(self, coarse_steps: int, level: int) -> np.ndarray:
@@ -148,8 +136,8 @@ class Reference:
 
 def make_reference(sys: FemSystem, w0: np.ndarray, T: float,
                    n_steps: int = 1000,
-                   coarse_steps: tuple[int, ...] = (10, 20, 40, 100), *,
-                   tol: float = 1e-10) -> Reference:
+                   coarse_steps: tuple[int, ...] = (10, 20, 40, 100),
+                   ) -> Reference:
     """Run the fully implicit scheme on the fine time grid and keep the
     vectors at every sample time of the coarse runs.
 
@@ -168,8 +156,8 @@ def make_reference(sys: FemSystem, w0: np.ndarray, T: float,
         needed.update(range(0, n_steps + 1, stride))
     spec = SchemeSpec("theta_standard", tau=T / n_steps, n_steps=n_steps,
                       sigma=1.0)
-    traj = run_scheme(spec, sys, w0, store_levels=needed, tol=tol)
-    return Reference(n_steps=n_steps, T=T, vectors=traj.vectors)
+    traj = run_scheme(spec, sys, w0, store_levels=needed)
+    return Reference(n_steps=n_steps, vectors=traj.vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -178,31 +166,21 @@ def make_reference(sys: FemSystem, w0: np.ndarray, T: float,
 
 @dataclass
 class RunResult:
-    """Per-level metrics of one scheme run (or its failure record)."""
+    """The summary.csv row of one scheme run; a failed run keeps its error
+    and nan metrics."""
 
     kind: str
     params: str
     n_steps: int
-    times: np.ndarray | None
-    m_norms: np.ndarray | None
-    eps_a: np.ndarray | None
-    eps_u: np.ndarray | None
-    wall_time: float
-    converged: bool
+    max_eps_a: float = math.nan
+    max_eps_u: float = math.nan
+    final_norm: float = math.nan
     error: str | None = None
     csv_name: str | None = None
 
     @property
-    def max_eps_a(self) -> float:
-        return float(np.max(np.abs(self.eps_a)))
-
-    @property
-    def max_eps_u(self) -> float:
-        return float(np.max(self.eps_u))
-
-    @property
-    def final_norm(self) -> float:
-        return float(self.m_norms[-1])
+    def converged(self) -> bool:
+        return self.error is None
 
 
 def _fmt(x: float) -> str:
@@ -225,12 +203,11 @@ def initial_state(sys: FemSystem) -> np.ndarray:
     return np.ones(sys.n_nodes)
 
 
-def run_table1(config: ExperimentConfig, *, write_csv: bool = True,
-               ) -> dict[int, EigenPair]:
+def run_table1(config: ExperimentConfig) -> dict[int, EigenPair]:
     """Inverse iteration on each configured grid, ten iterations minimum.
 
-    Returns the eigenpair per grid; optionally writes eigen_iterations.csv
-    (one column of estimates per grid) into the output directory.
+    Returns the eigenpair per grid and writes eigen_iterations.csv (one
+    column of estimates per grid) into the output directory.
     """
     pairs: dict[int, EigenPair] = {}
     for n_side in config.eigen_grids:
@@ -239,17 +216,16 @@ def run_table1(config: ExperimentConfig, *, write_csv: bool = True,
         pairs[n_side] = inverse_iteration(sys, tol=config.eig_tol,
                                           max_iter=config.eig_max_iter,
                                           min_iter=10)
-    if write_csv:
-        outdir = resolve_output_dir(config)
-        outdir.mkdir(parents=True, exist_ok=True)
-        header = "m," + ",".join(f"nside_{n}" for n in config.eigen_grids)
-        rows = []
-        for i in range(10):
-            row = [str(i + 1)]
-            for n_side in config.eigen_grids:
-                row.append(_fmt(pairs[n_side].history[i]))
-            rows.append(row)
-        _write_csv(outdir / "eigen_iterations.csv", header, rows)
+    outdir = resolve_output_dir(config)
+    outdir.mkdir(parents=True, exist_ok=True)
+    header = "m," + ",".join(f"nside_{n}" for n in config.eigen_grids)
+    rows = []
+    for i in range(10):
+        row = [str(i + 1)]
+        for n_side in config.eigen_grids:
+            row.append(_fmt(pairs[n_side].history[i]))
+        rows.append(row)
+    _write_csv(outdir / "eigen_iterations.csv", header, rows)
     return pairs
 
 
@@ -274,7 +250,7 @@ def run_experiment(config: ExperimentConfig,
                    output_dir: Path | str | None = None) -> ExperimentResult:
     """Assemble, eigensolve, run every scheme/step-count pair, write CSVs.
 
-    A failing run is recorded (converged=False, error message) and the
+    A failing run is recorded (its error message, nan metrics) and the
     remaining runs continue.  With an empty scheme list only the eigenpair
     summary is emitted.  ``output_dir`` bypasses the config/environment
     resolution (used by sweeps writing one subdirectory per variant).
@@ -302,21 +278,16 @@ def run_experiment(config: ExperimentConfig,
     w0 = initial_state(sys)
     all_steps = tuple(sorted({n for req in config.schemes for n in req.steps}))
     reference = make_reference(sys, w0, config.T, config.reference_steps,
-                               all_steps, tol=config.outer_tol)
+                               all_steps)
 
     for req in config.schemes:
         for n_steps in req.steps:
             spec = req.to_spec(config.T, n_steps, pair.lambda1)
-            started = time.perf_counter()
             try:
-                traj = run_scheme(spec, sys, w0, phi1=pair.phi1, basis=basis,
-                                  tol=config.outer_tol)
+                traj = run_scheme(spec, sys, w0, phi1=pair.phi1, basis=basis)
             except ConvergenceError as err:
-                runs.append(RunResult(
-                    kind=req.kind, params=req.params_label(),
-                    n_steps=n_steps, times=None, m_norms=None, eps_a=None,
-                    eps_u=None, wall_time=time.perf_counter() - started,
-                    converged=False, error=str(err)))
+                runs.append(RunResult(req.kind, req.params_label(), n_steps,
+                                      error=str(err)))
                 continue
             eps_a = traj.amplitudes - traj.amplitudes[0] * np.exp(
                 -pair.lambda1 * traj.times)
@@ -329,18 +300,15 @@ def run_experiment(config: ExperimentConfig,
                          _fmt(eps_a[n]), _fmt(eps_u[n])]
                         for n in range(n_steps + 1)))
             runs.append(RunResult(
-                kind=req.kind, params=req.params_label(), n_steps=n_steps,
-                times=traj.times, m_norms=traj.m_norms, eps_a=eps_a,
-                eps_u=eps_u, wall_time=time.perf_counter() - started,
-                converged=True, csv_name=name))
+                req.kind, req.params_label(), n_steps,
+                max_eps_a=float(np.max(np.abs(eps_a))),
+                max_eps_u=float(np.max(eps_u)),
+                final_norm=float(traj.m_norms[-1]), csv_name=name))
 
     _write_csv(outdir / "summary.csv",
                "scheme,params,N,max_eps_a,max_eps_u,final_norm",
-               ([r.kind, r.params, str(r.n_steps),
-                 _fmt(r.max_eps_a) if r.converged else "nan",
-                 _fmt(r.max_eps_u) if r.converged else "nan",
-                 _fmt(r.final_norm) if r.converged else "nan"]
-                for r in runs))
+               ([r.kind, r.params, str(r.n_steps), _fmt(r.max_eps_a),
+                 _fmt(r.max_eps_u), _fmt(r.final_norm)] for r in runs))
     return ExperimentResult(eigenpair=pair, runs=runs, output_dir=outdir)
 
 

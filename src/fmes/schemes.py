@@ -39,11 +39,13 @@ from fractions import Fraction
 import numpy as np
 
 from .assembly import FemSystem
-from .sparse import BandedSolver, ConvergenceError, cg_solve, compose_shifted
+from .sparse import BandedSolver, ConvergenceError, cg_solve
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
-OUTER_TOL_DEFAULT = 1e-10
+# Relative residual every stepper solve must reach (divided by 1 + |c0|,
+# see _RationalStepper); read when a stepper is made.
+OUTER_TOL = 1e-10
 # Largest band factor a pole system may keep; larger systems are solved by
 # CG.  The paper's grid (676 nodes) needs 0.15 MB real, 0.9 MB complex;
 # 40,401 nodes would need 65 MB real.
@@ -141,6 +143,13 @@ class SchemeSpec:
         if self.kind in ("theta_standard", "theta_fmes"):
             if self.sigma is None or not (0.0 < self.sigma <= 1.0):
                 raise ValueError("theta schemes need a weight sigma in (0, 1]")
+            # the pole solve runs at OUTER_TOL / (1 + |c0|) = OUTER_TOL sigma,
+            # and double precision cannot reach a relative residual below 1e-15
+            if self.sigma * OUTER_TOL < 1e-15:
+                raise ValueError(
+                    f"theta weight sigma = {self.sigma:g} needs solves to a "
+                    f"relative residual of {self.sigma * OUTER_TOL:.1e}, "
+                    f"below 1e-15; use sigma >= {1e-15 / OUTER_TOL:g}")
         else:
             if self.l is None or self.m is None:
                 raise ValueError("Pade schemes need indices l and m")
@@ -196,7 +205,8 @@ class _RationalStepper:
     and y' = s c0 y + sum_j w_j Re x_j.  The poles of every admitted R lie
     in the left half-plane, so each system matrix (for a complex pole, its
     Hermitian part) is positive definite.  The solves run at
-    tol / (1 + |c0|) because the c0 term cancels against the pole terms.
+    OUTER_TOL / (1 + |c0|) because the c0 term cancels against the pole
+    terms.
 
     A pole system whose band factor fits in DIRECT_LIMIT_BYTES is factored
     on the first step (so a failure still names level 1) and later steps
@@ -205,12 +215,12 @@ class _RationalStepper:
     """
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
-                 tau: float, mu: float, tol: float):
-        Kt = compose_shifted(sys.K, sys.M, mu)
+                 tau: float, mu: float):
+        Kt = sys.K - mu * sys.M
         self.M = sys.M
         self.scale = math.exp(-mu * tau)
         self.c0, terms = _partial_fractions(p, q)
-        self.tol = tol / (1.0 + abs(self.c0))
+        self.tol = OUTER_TOL / (1.0 + abs(self.c0))
         self.poles = []
         for z, r, w in terms:
             A = tau * Kt - z * sys.M
@@ -247,8 +257,7 @@ class _ModalStepper:
 
 
 def make_stepper(spec: SchemeSpec, sys: FemSystem, *,
-                 basis: ModalBasis | None = None,
-                 tol: float = OUTER_TOL_DEFAULT):
+                 basis: ModalBasis | None = None):
     """Build the cached stepper object for a scheme specification."""
     if spec.kind == "pade_modal":
         if basis is None:
@@ -260,7 +269,7 @@ def make_stepper(spec: SchemeSpec, sys: FemSystem, *,
         p = np.array([1.0, -(1.0 - spec.sigma)])
         q = np.array([1.0, spec.sigma])
     mu = 0.0 if spec.kind == "theta_standard" else spec.lambda1
-    return _RationalStepper(sys, p, q, spec.tau, mu, tol)
+    return _RationalStepper(sys, p, q, spec.tau, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +285,6 @@ class Trajectory:
     Full vectors are stored only at the requested levels (all by default).
     """
 
-    spec: SchemeSpec
     times: np.ndarray
     m_norms: np.ndarray
     amplitudes: np.ndarray | None
@@ -296,8 +304,7 @@ class Trajectory:
 def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
                phi1: np.ndarray | None = None,
                basis: ModalBasis | None = None,
-               store_levels=None,
-               tol: float = OUTER_TOL_DEFAULT) -> Trajectory:
+               store_levels=None) -> Trajectory:
     """Iterate the selected stepper n_steps times from y^0 = w0.
 
     ``store_levels`` limits which full vectors are kept (a collection of
@@ -309,11 +316,10 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     ConvergenceError
         If a step's solve fails; the message carries the level index.
     """
-    mass = sys.M if sys is not None else basis.mass
     y = np.array(w0, dtype=float)
-    if y.shape != (mass.shape[0],):
-        raise ValueError(f"w0 has shape {y.shape}, expected ({mass.shape[0]},)")
-    stepper = make_stepper(spec, sys, basis=basis, tol=tol)
+    if y.shape != (sys.n_nodes,):
+        raise ValueError(f"w0 has shape {y.shape}, expected ({sys.n_nodes},)")
+    stepper = make_stepper(spec, sys, basis=basis)
 
     n_steps = spec.n_steps
     keep = None if store_levels is None else set(store_levels) | {0, n_steps}
@@ -323,7 +329,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     vectors: dict[int, np.ndarray] = {}
 
     def record(level: int, vec: np.ndarray):
-        mv = mass @ vec
+        mv = sys.M @ vec
         m_norms[level] = math.sqrt(vec @ mv)
         if amplitudes is not None:
             amplitudes[level] = float(phi1 @ mv)
@@ -339,5 +345,5 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
                 f"{spec.kind} step failed at level {level}: {err}",
                 report=err.report) from err
         record(level, y)
-    return Trajectory(spec=spec, times=times, m_norms=m_norms,
+    return Trajectory(times=times, m_norms=m_norms,
                       amplitudes=amplitudes, vectors=vectors)

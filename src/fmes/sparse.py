@@ -1,4 +1,4 @@
-"""Symmetric sparse solves and operator composition.
+"""Symmetric sparse solves.
 
 Two solvers share one contract: a solve of a symmetric matrix A (real and
 positive definite, or complex-symmetric, A^T = A, with a positive definite
@@ -213,14 +213,3 @@ class BandedSolver:
                 f"{residual:.3e})", report=report)
         return x, report
 
-
-def compose_shifted(K: sp.spmatrix, M: sp.spmatrix, lambda1: float) -> sp.csr_matrix:
-    """Shifted stiffness K - lambda1 * M.
-
-    Subtracting the identity at operator level corresponds to subtracting the
-    mass matrix at matrix level; with lambda1 the fundamental eigenvalue the
-    result is symmetric positive semidefinite up to eigensolver error.
-    """
-    if K.shape != M.shape:
-        raise ValueError(f"shape mismatch: K {K.shape} vs M {M.shape}")
-    return (K - lambda1 * M).tocsr()

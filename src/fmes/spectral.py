@@ -18,7 +18,10 @@ import scipy.sparse as sp
 from .assembly import FemSystem, m_norm
 from .sparse import ConvergenceError, cg_solve
 
-DENSE_LIMIT_DEFAULT = 2500
+# Largest system (in nodes) modal_decompose accepts.
+DENSE_LIMIT = 2500
+# Relative residual of each inverse-iteration solve.
+INNER_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -53,13 +56,12 @@ class ModalBasis:
 
 
 def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
-                      *, min_iter: int = 1, inner_tol: float = 1e-13,
-                      ) -> EigenPair:
+                      *, min_iter: int = 1) -> EigenPair:
     """Smallest eigenpair of (K_bar, M) by inverse iteration.
 
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG at
-    ``inner_tol``, and stops once consecutive eigenvalue estimates agree to
+    INNER_TOL, and stops once consecutive eigenvalue estimates agree to
     ``tol`` relative (never before ``min_iter`` iterations, which lets
     callers force a fixed-length history).
 
@@ -82,7 +84,7 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     for it in range(1, max_iter + 1):
         rhs = sys.M @ phi
         try:
-            psi, _ = cg_solve(sys.K_bar, rhs, tol=inner_tol, x0=warm)
+            psi, _ = cg_solve(sys.K_bar, rhs, tol=INNER_TOL, x0=warm)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"inner solve failed at iteration {it} "
@@ -111,18 +113,17 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
                      history=history)
 
 
-def modal_decompose(sys: FemSystem, *, dense_limit: int = DENSE_LIMIT_DEFAULT,
-                    ) -> ModalBasis:
+def modal_decompose(sys: FemSystem) -> ModalBasis:
     """Dense generalized eigendecomposition of (K, M) for small systems.
 
-    Refuses systems above ``dense_limit`` nodes; the dense path exists as an
+    Refuses systems above DENSE_LIMIT nodes; the dense path exists as an
     oracle and as the engine of the modal steppers, not as a production
     eigensolver.
     """
     n = sys.n_nodes
-    if n > dense_limit:
+    if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
-                         f"{dense_limit}")
+                         f"{DENSE_LIMIT}")
     evals, evecs = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
     return ModalBasis(eigenvalues=evals, eigenvectors=evecs, mass=sys.M)
 

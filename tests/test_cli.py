@@ -75,6 +75,20 @@ def test_requires_subcommand():
         main([])
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--nside", "6"], ["analyze", "--c", "3"],
+    ["analyze", "--steps", "4"], ["eigens", "--steps", "7"],
+], ids=["analyze_nside", "analyze_c", "analyze_steps", "eigens_steps"])
+def test_verb_refuses_overrides_it_does_not_read(outdir, capsys, argv):
+    # "--c" must not be taken as an abbreviation of "--config" either
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = argv[1]
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv", [["--nside", "1"], ["--steps", "0"],
                                   ["--nside", "6", "--steps", "7"]],
                          ids=["nside1", "steps0", "steps7"])
@@ -97,10 +111,12 @@ def _assert_refused(outdir, capsys):
     "[scheme.a]\nkind = pade_fmes\nl = 0\nm = 7\n",
     "[mesh]\nn_side = 51\n[scheme.a]\nkind = pade_modal\nl = 2\nm = 2\n",
     "[scheme.a]\nkind = pade_modal\nl = 2\nm = 0\n",
+    "[scheme.a]\nkind = theta_standard\nsigma = 1e-6\n",
+    "[solver]\nouter_tol = 1e-10\n",
     "n_side = 6\n",
     None,
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
-        "no_section", "missing_file"])
+        "tiny_sigma", "solver_section", "no_section", "missing_file"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:

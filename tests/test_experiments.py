@@ -3,11 +3,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fmes import experiments
 from fmes.config import default_config_text, load_config, parse_config
-from fmes.experiments import (ExperimentConfig, SchemeRequest, epsilon_a,
-                              epsilon_u, initial_state, make_reference,
-                              run_experiment, run_table1)
+from fmes.experiments import (ExperimentConfig, SchemeRequest, epsilon_u,
+                              initial_state, make_reference, run_experiment,
+                              run_table1)
 from fmes.schemes import SchemeSpec, run_scheme
+from fmes.sparse import ConvergenceError
 from fmes.spectral import exact_semidiscrete_solution
 
 
@@ -26,20 +28,16 @@ def _small_config(tmp_path, **overrides):
 # metrics
 # ---------------------------------------------------------------------------
 
-def test_epsilon_a_zero_at_start(sys6, pair6, rng):
-    y0 = rng.standard_normal(sys6.n_nodes)
-    assert epsilon_a(y0, y0, pair6, 0.0, sys6.M) == 0.0
-
-
 def test_epsilon_a_fmes_trajectory_bounded(sys6, pair6):
     w0 = initial_state(sys6)
     spec = SchemeSpec("theta_fmes", tau=0.01, n_steps=10, sigma=1.0,
                       lambda1=pair6.lambda1)
-    traj = run_scheme(spec, sys6, w0)
-    a0 = abs(epsilon_a(w0, np.zeros_like(w0), pair6, 0.0, sys6.M))
-    for n in range(11):
-        eps = epsilon_a(traj.vector_at(n), w0, pair6, traj.times[n], sys6.M)
-        assert abs(eps) <= 1e-9 * a0
+    traj = run_scheme(spec, sys6, w0, phi1=pair6.phi1)
+    a0 = abs(traj.amplitudes[0])
+    eps = traj.amplitudes - traj.amplitudes[0] * np.exp(
+        -pair6.lambda1 * traj.times)
+    assert eps[0] == 0.0
+    assert np.all(np.abs(eps) <= 1e-9 * a0)
 
 
 def test_epsilon_a_standard_scheme_first_order(sys6, pair6):
@@ -157,6 +155,23 @@ def test_run_experiment_pade_modal(tmp_path, sys6):
         assert run.max_eps_a <= 1e-8 * a0
 
 
+def test_failed_run_is_a_nan_summary_row(tmp_path, monkeypatch):
+    def failing(spec, *args, **kwargs):
+        if spec.kind == "theta_fmes":
+            raise ConvergenceError("forced failure")
+        return run_scheme(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_scheme", failing)
+    result = run_experiment(_small_config(tmp_path))
+    assert not result.all_converged
+    failed = result.find_run("theta_fmes", "sigma1", 5)
+    assert not failed.converged and failed.error == "forced failure"
+    assert result.find_run("theta_standard", "sigma1", 5).converged
+    summary = (result.output_dir / "summary.csv").read_text().splitlines()
+    assert "theta_fmes,sigma1,5,nan,nan,nan" in summary
+    assert not (result.output_dir / "theta_fmes_sigma1_N5.csv").exists()
+
+
 def test_fmes_beats_standard_in_summary(tmp_path):
     config = _small_config(tmp_path)
     result = run_experiment(config)
@@ -252,6 +267,8 @@ steps = 4, 8
 def test_config_rejects_unknown_names():
     with pytest.raises(ValueError):
         parse_config("[mesh]\nn_sides = 4\n")
+    with pytest.raises(ValueError, match=r"unknown section \[solver\]"):
+        parse_config("[solver]\nouter_tol = 1e-10\n")
     with pytest.raises(ValueError):
         parse_config("[nonsense]\nx = 1\n")
     with pytest.raises(ValueError):

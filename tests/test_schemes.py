@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +10,7 @@ from fmes import schemes
 from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
-                          run_scheme)
+                          pade_rational, run_scheme)
 from fmes.sparse import BandedSolver, ConvergenceError
 from fmes.spectral import exact_semidiscrete_solution
 
@@ -63,6 +64,28 @@ def test_pade_rejects_l_above_m(kind, l, m):
     # R_lm with l > m is unbounded at infinity: stiff modes would blow up
     with pytest.raises(ValueError, match="unbounded"):
         SchemeSpec(kind, tau=0.1, n_steps=1, l=l, m=m, lambda1=1.0)
+
+
+@pytest.mark.parametrize("kind", ["theta_standard", "theta_fmes"])
+def test_tiny_theta_weight_refused(kind):
+    # the split's solves run at OUTER_TOL sigma, out of reach below 1e-15
+    for sigma in (1e-6, 1e-160):
+        with pytest.raises(ValueError, match="sigma >= 1e-05"):
+            SchemeSpec(kind, tau=0.01, n_steps=1, sigma=sigma, lambda1=1.0)
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "cg"])
+def test_smallest_theta_weight_steps(sys6, basis6, rng, monkeypatch, direct):
+    sigma, tau = 1e-5, 0.01
+    if not direct:
+        monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
+    y = _generic_state(sys6, rng)
+    stepped = _step(sys6, "theta_standard", tau, y, sigma=sigma)
+    mult = np.array([amplification_factor(sigma, lam * tau)
+                     for lam in basis6.eigenvalues])
+    V = basis6.eigenvectors
+    oracle = V @ (mult * (V.T @ (sys6.M @ y)))
+    assert m_norm(sys6, stepped - oracle) <= 1e-9 * m_norm(sys6, oracle)
 
 
 # P/Q pairs the sparse stepper admits: every Pade index l <= m <= 4 and the
@@ -245,7 +268,6 @@ def test_pade_order_slopes_float_measurable():
     # log-log slope of |R - exp| equals l+m+1 for the pairs whose error is
     # far above double rounding on this z range
     zs = np.logspace(-3, -1, 9)
-    from fmes.schemes import pade_rational
     for l, m in ((0, 1), (0, 2)):
         errs = np.abs(pade_rational(l, m, zs) - np.exp(-zs))
         slope = np.polyfit(np.log(zs), np.log(errs), 1)[0]
@@ -326,18 +348,53 @@ _SPARSE_SPECS = ([("theta_standard", dict(sigma=s)) for s in (0.5, 1.0)]
 @pytest.mark.parametrize("kind, params", _SPARSE_SPECS)
 def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
                                    params):
-    # at the default tol, CG's own step error reaches 1.3e-9 at (3, 4) while
-    # the direct step stays within 1e-12 of the modal oracle, so both paths
-    # solve to 1e-12 here and the comparison shows they solve one system
+    # at the default OUTER_TOL, CG's own step error reaches 1.3e-9 at (3, 4)
+    # while the direct step stays within 1e-12 of the modal oracle, so both
+    # paths solve to 1e-12 here and the comparison shows they solve one system
+    monkeypatch.setattr(schemes, "OUTER_TOL", 1e-12)
     lam1 = None if kind == "theta_standard" else pair6.lambda1
     spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
     y = _generic_state(sys6, rng)
-    direct = make_stepper(spec, sys6, tol=1e-12)
+    direct = make_stepper(spec, sys6)
     assert all(pole[-1] is not None for pole in direct.poles)
     monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
-    cg = make_stepper(spec, sys6, tol=1e-12)
+    cg = make_stepper(spec, sys6)
     assert all(pole[-1] is None for pole in cg.poles)
     assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
+
+
+_SPD_KINDS = ([(kind, dict(sigma=s))
+               for kind in ("theta_standard", "theta_fmes")
+               for s in (0.5, 0.75, 1.0)]
+              + [("pade_fmes", dict(l=l, m=m)) for m in range(1, 5)
+                 for l in range(m + 1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind_params=st.sampled_from(_SPD_KINDS), n=st.integers(1, 8),
+       tau=st.floats(1e-4, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_step_on_random_spd_pair_matches_modal_oracle(kind_params, n, tau,
+                                                      seed):
+    # dense random pairs give band patterns no mesh produces
+    kind, params = kind_params
+    rng = np.random.default_rng(seed)
+    A, B = rng.standard_normal((2, n, n))
+    K = A @ A.T + 0.1 * np.eye(n)
+    M = B @ B.T + n * np.eye(n)
+    sys = FemSystem(mesh=None, M=sp.csr_matrix(M), K_bar=sp.csr_matrix(K),
+                    K=sp.csr_matrix(K), coeffs=ProblemCoefficients())
+    lam, V = scipy.linalg.eigh(K, M)
+    mu = 0.0 if kind == "theta_standard" else lam[0]
+    eta = (lam - mu) * tau
+    if kind == "pade_fmes":
+        R = pade_rational(params["l"], params["m"], eta)
+    else:
+        R = np.array([amplification_factor(params["sigma"], e) for e in eta])
+    y = rng.standard_normal(n)
+    oracle = V @ (math.exp(-mu * tau) * R * (V.T @ (M @ y)))
+    stepped = _step(sys, kind, tau, y,
+                    lambda1=None if kind == "theta_standard" else mu, **params)
+    assert m_norm(sys, stepped - oracle) <= 1e-9 * m_norm(sys, y)
 
 
 @pytest.mark.parametrize("l, m", [(0, 1), (0, 2), (2, 4)])

@@ -3,8 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fmes.sparse import (BandedSolver, ConvergenceError, bandwidth, cg_solve,
-                         compose_shifted)
+from fmes.sparse import BandedSolver, ConvergenceError, bandwidth, cg_solve
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -132,32 +131,16 @@ def test_banded_solver_checks_true_residual(sys6):
     assert 0.0 < exc.value.report.relative_residual < 1e-12
 
 
-def test_compose_shifted_zero_shift(sys6):
-    diff = (compose_shifted(sys6.K, sys6.M, 0.0) - sys6.K).tocoo()
-    assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
-
-
-def test_compose_shifted_scalar_case():
-    K = sp.csr_matrix(np.array([[3.0]]))
-    M = sp.csr_matrix(np.array([[1.0]]))
-    assert compose_shifted(K, M, 3.0).toarray()[0, 0] == 0.0
-
-
 def test_compose_shifted_annihilates_fundamental_mode(sys6, pair6):
-    # the leftover is exactly the eigensolver residual
-    Kt = compose_shifted(sys6.K_bar, sys6.M, pair6.lambda1_bar)
+    # the shifted stiffness leaves exactly the eigensolver residual
+    Kt = sys6.K_bar - pair6.lambda1_bar * sys6.M
     residual = np.linalg.norm(Kt @ pair6.phi1)
     assert residual == pytest.approx(pair6.residual, rel=1e-9)
     assert residual <= 1e-7
 
 
-def test_compose_shifted_dimension_mismatch(sys6):
-    with pytest.raises(ValueError):
-        compose_shifted(sys6.K, sp.eye(3, format="csr"), 1.0)
-
-
 def test_shifted_nonnegative_after_projection(sys6, pair6, rng):
-    Kt = compose_shifted(sys6.K_bar, sys6.M, pair6.lambda1_bar)
+    Kt = sys6.K_bar - pair6.lambda1_bar * sys6.M
     M, phi = sys6.M, pair6.phi1
     for _ in range(100):
         v = rng.standard_normal(sys6.n_nodes)

@@ -125,9 +125,10 @@ def test_modal_reconstruction(sys11, basis11, rng):
     assert np.linalg.norm(ricochet - y) <= 1e-9 * np.linalg.norm(y)
 
 
-def test_dense_limit_refusal(sys26):
-    with pytest.raises(ValueError):
-        modal_decompose(sys26, dense_limit=100)
+def test_dense_limit_refusal():
+    # n_side 51 has 2,601 nodes, just above the 2,500-node dense limit
+    with pytest.raises(ValueError, match="dense limit"):
+        modal_decompose(assemble(build_mesh(51)))
 
 
 def test_exact_solution_at_time_zero(sys6, basis6, rng):
