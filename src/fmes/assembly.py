@@ -49,13 +49,6 @@ class ProblemCoefficients:
         """Diffusivity at points (x, y); accepts scalars or arrays."""
         return np.where((x < 0.5) & (y < 0.5), self.k_inner, self.k_outer)
 
-    def mu_for_side(self, side: str) -> float:
-        if side in ("right", "top"):
-            return self.mu_right_top
-        if side in ("left", "bottom"):
-            return self.mu_left_bottom
-        raise ValueError(f"unknown side {side!r}")
-
 
 @dataclass(frozen=True)
 class FemSystem:
@@ -75,6 +68,16 @@ class FemSystem:
     @property
     def n_nodes(self) -> int:
         return self.M.shape[0]
+
+
+def _scatter(conn: np.ndarray, n: int, *blocks) -> list[sp.csr_matrix]:
+    """Sum each array of local (E, k, k) blocks on connectivity (E, k) into
+    an n x n CSR matrix; the COO index arrays are built once for all."""
+    k = conn.shape[1]
+    rows = np.repeat(conn, k, axis=1).ravel()
+    cols = np.tile(conn, k).ravel()
+    return [sp.coo_matrix((b.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+            for b in blocks]
 
 
 def assemble(mesh: Mesh,
@@ -100,25 +103,19 @@ def assemble(mesh: Mesh,
                                  + c[:, :, None] * c[:, None, :])
     me = areas[:, None, None] * ELEMENT_MASS[None, :, :]
 
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, 3).ravel()
-    M = sp.coo_matrix((me.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    K_bar = sp.coo_matrix((ke.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    M, K_bar = _scatter(tri, n, me, ke)
 
     # Robin term: exact edge-mass integration, each side contributing its own mu
-    edge_rows, edge_cols, edge_vals = [], [], []
-    for (i, j), side in mesh.boundary_edges:
-        mu = coeffs.mu_for_side(side)
-        if mu == 0.0:
-            continue
-        length = float(np.linalg.norm(mesh.nodes[j] - mesh.nodes[i]))
-        block = mu * length * EDGE_MASS
-        edge_rows += [i, i, j, j]
-        edge_cols += [i, j, i, j]
-        edge_vals += [block[0, 0], block[0, 1], block[1, 0], block[1, 1]]
-    if edge_vals:
-        K_bar = (K_bar + sp.coo_matrix((edge_vals, (edge_rows, edge_cols)),
-                                       shape=(n, n)).tocsr()).tocsr()
+    mu = {"left": coeffs.mu_left_bottom, "bottom": coeffs.mu_left_bottom,
+          "right": coeffs.mu_right_top, "top": coeffs.mu_right_top}
+    robin = [side for side in mesh.boundary_edges if mu[side] != 0.0]
+    if robin:
+        edges = np.concatenate([mesh.boundary_edges[side] for side in robin])
+        mu_edge = np.repeat([mu[side] for side in robin], mesh.n_side - 1)
+        p = mesh.nodes[edges]
+        length = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+        blocks = (mu_edge * length)[:, None, None] * EDGE_MASS
+        K_bar = K_bar + _scatter(edges, n, blocks)[0]
 
     K = (K_bar + coeffs.c * M).tocsr()
     return FemSystem(mesh=mesh, M=M, K_bar=K_bar, K=K, coeffs=coeffs)

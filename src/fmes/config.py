@@ -68,7 +68,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     for section in parser.sections():
         items = parser[section]
-        is_scheme = section.startswith(("scheme.", "scheme:"))
+        is_scheme = section.startswith("scheme.")
         if is_scheme:
             table = {key: (key, convert)
                      for key, convert in _SCHEME_FIELDS.items()}

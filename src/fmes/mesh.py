@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SIDES = ("left", "right", "bottom", "top")
-
 
 @dataclass(frozen=True)
 class Mesh:
@@ -15,7 +13,9 @@ class Mesh:
 
     Nodes are numbered row by row, x varying fastest, so node (ix, iy) has
     index ``iy * n_side + ix``.  Each grid cell is split by its lower-left to
-    upper-right diagonal; both triangles are stored counterclockwise and have
+    upper-right diagonal into a lower triangle (ll, lr, ur) and an upper one
+    (ll, ur, ul); cell (ix, iy) owns triangle rows ``2 (iy (n_side - 1) + ix)``
+    and the one after it.  Both triangles are counterclockwise and have
     signed area h**2 / 2.
 
     Attributes
@@ -23,14 +23,15 @@ class Mesh:
     n_side : nodes per side (mesh width h = 1 / (n_side - 1))
     nodes : (n_nodes, 2) array of coordinates
     triangles : (n_triangles, 3) int array of node indices
-    boundary_edges : list of ((i, j), side) with side one of SIDES
+    boundary_edges : side ("left", "right", "bottom", "top") -> (n_side - 1, 2)
+        int array of node pairs, ordered along the side by increasing x or y
     """
 
     n_side: int
     h: float
     nodes: np.ndarray
     triangles: np.ndarray
-    boundary_edges: list[tuple[tuple[int, int], str]]
+    boundary_edges: dict[str, np.ndarray]
 
     @property
     def n_nodes(self) -> int:
@@ -55,38 +56,26 @@ def build_mesh(n_side: int) -> Mesh:
     if n_side < 2:
         raise ValueError(f"n_side must be >= 2, got {n_side}")
 
-    n_cells = n_side - 1
-    h = 1.0 / n_cells
+    h = 1.0 / (n_side - 1)
 
     xs = np.linspace(0.0, 1.0, n_side)
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def idx(ix: int, iy: int) -> int:
-        return iy * n_side + ix
+    idx = np.arange(n_side ** 2, dtype=np.int64).reshape(n_side, n_side)
+    ll, lr = idx[:-1, :-1], idx[:-1, 1:]
+    ul, ur = idx[1:, :-1], idx[1:, 1:]
+    triangles = np.stack([ll, lr, ur, ll, ur, ul], axis=-1).reshape(-1, 3)
 
-    triangles = np.empty((2 * n_cells * n_cells, 3), dtype=np.int64)
-    t = 0
-    for iy in range(n_cells):
-        for ix in range(n_cells):
-            ll = idx(ix, iy)
-            lr = idx(ix + 1, iy)
-            ul = idx(ix, iy + 1)
-            ur = idx(ix + 1, iy + 1)
-            triangles[t] = (ll, lr, ur)
-            triangles[t + 1] = (ll, ur, ul)
-            t += 2
-
-    boundary_edges: list[tuple[tuple[int, int], str]] = []
-    last = n_side - 1
-    for i in range(n_cells):
-        boundary_edges.append(((idx(i, 0), idx(i + 1, 0)), "bottom"))
-        boundary_edges.append(((idx(i, last), idx(i + 1, last)), "top"))
-        boundary_edges.append(((idx(0, i), idx(0, i + 1)), "left"))
-        boundary_edges.append(((idx(last, i), idx(last, i + 1)), "right"))
+    lines = {"left": idx[:, 0], "right": idx[:, -1],
+             "bottom": idx[0], "top": idx[-1]}
+    boundary_edges = {side: np.column_stack([line[:-1], line[1:]])
+                      for side, line in lines.items()}
 
     nodes.setflags(write=False)
     triangles.setflags(write=False)
+    for edges in boundary_edges.values():
+        edges.setflags(write=False)
     return Mesh(n_side=n_side, h=h, nodes=nodes, triangles=triangles,
                 boundary_edges=boundary_edges)
 

@@ -143,13 +143,11 @@ class SchemeSpec:
         if self.kind in ("theta_standard", "theta_fmes"):
             if self.sigma is None or not (0.0 < self.sigma <= 1.0):
                 raise ValueError("theta schemes need a weight sigma in (0, 1]")
-            # the pole solve runs at OUTER_TOL / (1 + |c0|) = OUTER_TOL sigma,
-            # and double precision cannot reach a relative residual below 1e-15
-            if self.sigma * OUTER_TOL < 1e-15:
+            if self.sigma < 0.5:
                 raise ValueError(
-                    f"theta weight sigma = {self.sigma:g} needs solves to a "
-                    f"relative residual of {self.sigma * OUTER_TOL:.1e}, "
-                    f"below 1e-15; use sigma >= {1e-15 / OUTER_TOL:g}")
+                    f"theta weight sigma = {self.sigma:g} is below 1/2, where "
+                    f"|r(sigma, eta)| > 1 for eta > 2/(1 - 2 sigma): stiff "
+                    f"modes would blow up; use sigma >= 0.5")
         else:
             if self.l is None or self.m is None:
                 raise ValueError("Pade schemes need indices l and m")

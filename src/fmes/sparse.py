@@ -1,9 +1,11 @@
 """Symmetric sparse solves.
 
-Two solvers share one contract: a solve of a symmetric matrix A (real and
-positive definite, or complex-symmetric, A^T = A, with a positive definite
-Hermitian part) returns x with ||A x - b|| <= tol ||b||, or raises
-ConvergenceError.
+Two solvers of a symmetric matrix A (real and positive definite, or
+complex-symmetric, A^T = A, with a positive definite Hermitian part).  Both
+return x or raise ConvergenceError, but only ``BandedSolver`` checks its true
+residual ||A x - b|| <= tol ||b||.  ``cg_solve`` stops on its recurrence
+residual: asked for 1e-13 on K_bar (rhs M 1), its true residual was 2.0e-12
+at n_side 26, 7.2e-11 at n_side 101 and 4.0e-10 at n_side 201.
 
 * ``BandedSolver`` factors A once in LAPACK band storage and then solves by
   back-substitution.  Its memory is set by the bandwidth read from the
@@ -60,9 +62,9 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
     ----------
     A : square sparse (or dense) matrix, real or complex
     rhs : right-hand side vector
-    tol : relative residual tolerance, ||A x - rhs|| <= tol ||rhs||; the
-        residual is the standard CG recurrence estimate, which near machine
-        precision can understate the true residual by a small factor
+    tol : relative tolerance on the CG recurrence residual; the true
+        residual ||A x - rhs|| / ||rhs|| is never computed and can be far
+        larger (see the module docstring)
     max_iter : iteration cap (default scales with the dimension)
     x0 : optional warm start
 

@@ -101,6 +101,20 @@ def test_boundary_term_restricted_to_robin_sides():
     assert ones @ (extra.tocsr() @ ones) == pytest.approx(20.0, rel=1e-13)
 
 
+def test_boundary_term_on_left_and_bottom_sides():
+    mesh = build_mesh(5)
+    without_mu = ProblemCoefficients(mu_right_top=0.0)
+    with_mu = ProblemCoefficients(mu_right_top=0.0, mu_left_bottom=3.0)
+    extra = (assemble(mesh, with_mu).K_bar
+             - assemble(mesh, without_mu).K_bar).tocoo()
+    # every extra entry couples nodes on the left or bottom side
+    on_robin = (mesh.nodes[:, 0] == 0.0) | (mesh.nodes[:, 1] == 0.0)
+    assert extra.nnz > 0
+    assert np.all(on_robin[extra.row]) and np.all(on_robin[extra.col])
+    ones = np.ones(mesh.n_nodes)
+    assert ones @ (extra.tocsr() @ ones) == pytest.approx(6.0, rel=1e-13)
+
+
 def test_coefficient_validation():
     with pytest.raises(ValueError):
         ProblemCoefficients(k_inner=0.0)

@@ -112,11 +112,12 @@ def _assert_refused(outdir, capsys):
     "[mesh]\nn_side = 51\n[scheme.a]\nkind = pade_modal\nl = 2\nm = 2\n",
     "[scheme.a]\nkind = pade_modal\nl = 2\nm = 0\n",
     "[scheme.a]\nkind = theta_standard\nsigma = 1e-6\n",
+    "[scheme.a]\nkind = theta_fmes\nsigma = 0.49\n",
     "[solver]\nouter_tol = 1e-10\n",
     "n_side = 6\n",
     None,
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
-        "tiny_sigma", "solver_section", "no_section", "missing_file"])
+        "tiny_sigma", "sigma_below_half", "solver_section", "no_section", "missing_file"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:

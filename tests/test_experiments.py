@@ -271,6 +271,8 @@ def test_config_rejects_unknown_names():
         parse_config("[solver]\nouter_tol = 1e-10\n")
     with pytest.raises(ValueError):
         parse_config("[nonsense]\nx = 1\n")
+    with pytest.raises(ValueError, match=r"unknown section \[scheme:a\]"):
+        parse_config("[scheme:a]\nkind = theta_standard\nsigma = 1\n")
     with pytest.raises(ValueError):
         parse_config("[scheme.a]\nsigma = 1\n")     # kind missing
 

@@ -4,11 +4,15 @@ import pytest
 from fmes.mesh import build_mesh, triangle_areas
 
 
+def _n_boundary_edges(mesh):
+    return sum(len(edges) for edges in mesh.boundary_edges.values())
+
+
 def test_single_cell_counts():
     mesh = build_mesh(2)
     assert mesh.n_nodes == 4
     assert mesh.n_triangles == 2
-    assert len(mesh.boundary_edges) == 4
+    assert _n_boundary_edges(mesh) == 4
     assert mesh.h == 1.0
 
 
@@ -17,7 +21,7 @@ def test_table_grid_counts():
     assert mesh.h == pytest.approx(1.0 / 25, abs=0)
     assert mesh.n_nodes == 676
     assert mesh.n_triangles == 1250
-    assert len(mesh.boundary_edges) == 100
+    assert _n_boundary_edges(mesh) == 100
 
 
 def test_areas_single_value():
@@ -41,7 +45,9 @@ def test_counts_formulae():
         mesh = build_mesh(n_side)
         assert mesh.n_nodes == n_side ** 2
         assert mesh.n_triangles == 2 * (n_side - 1) ** 2
-        assert len(mesh.boundary_edges) == 4 * (n_side - 1)
+        assert _n_boundary_edges(mesh) == 4 * (n_side - 1)
+        for edges in mesh.boundary_edges.values():
+            assert edges.shape == (n_side - 1, 2)
 
 
 def test_interior_node_in_six_triangles():
@@ -61,7 +67,8 @@ def test_edge_manifold_property():
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             key = (min(a, b), max(a, b))
             edge_count[key] = edge_count.get(key, 0) + 1
-    boundary = {(min(i, j), max(i, j)) for (i, j), _ in mesh.boundary_edges}
+    boundary = {(min(i, j), max(i, j))
+                for edges in mesh.boundary_edges.values() for i, j in edges}
     for key, count in edge_count.items():
         if count == 1:
             assert key in boundary
@@ -75,10 +82,10 @@ def test_boundary_edges_lie_on_their_side():
     mesh = build_mesh(7)
     coord = {"left": (0, 0.0), "right": (0, 1.0),
              "bottom": (1, 0.0), "top": (1, 1.0)}
-    for (i, j), side in mesh.boundary_edges:
+    assert set(mesh.boundary_edges) == set(coord)
+    for side, edges in mesh.boundary_edges.items():
         axis, value = coord[side]
-        assert mesh.nodes[i][axis] == value
-        assert mesh.nodes[j][axis] == value
+        assert np.all(mesh.nodes[edges][:, :, axis] == value)
 
 
 def test_row_major_numbering():
@@ -87,6 +94,20 @@ def test_row_major_numbering():
     assert mesh.nodes[0] == pytest.approx([0.0, 0.0])
     assert mesh.nodes[3] == pytest.approx([1.0, 0.0])
     assert mesh.nodes[4] == pytest.approx([0.0, 1.0 / 3])
+
+
+def test_triangle_order():
+    # the CSV bytes depend on this order: cell (ix, iy) owns rows
+    # 2 (3 iy + ix) and the one after it, lower (ll, lr, ur) then upper
+    # (ll, ur, ul)
+    mesh = build_mesh(4)
+    for iy in range(3):
+        for ix in range(3):
+            ll, lr = 4 * iy + ix, 4 * iy + ix + 1
+            ul, ur = ll + 4, lr + 4
+            row = 2 * (3 * iy + ix)
+            assert mesh.triangles[row].tolist() == [ll, lr, ur]
+            assert mesh.triangles[row + 1].tolist() == [ll, ur, ul]
 
 
 def test_invalid_n_side():

@@ -68,15 +68,15 @@ def test_pade_rejects_l_above_m(kind, l, m):
 
 @pytest.mark.parametrize("kind", ["theta_standard", "theta_fmes"])
 def test_tiny_theta_weight_refused(kind):
-    # the split's solves run at OUTER_TOL sigma, out of reach below 1e-15
-    for sigma in (1e-6, 1e-160):
-        with pytest.raises(ValueError, match="sigma >= 1e-05"):
+    # below 1/2 the weighted scheme is only conditionally stable
+    for sigma in (0.49, 1e-5, 1e-6, 1e-160):
+        with pytest.raises(ValueError, match="sigma >= 0.5"):
             SchemeSpec(kind, tau=0.01, n_steps=1, sigma=sigma, lambda1=1.0)
 
 
 @pytest.mark.parametrize("direct", [True, False], ids=["direct", "cg"])
 def test_smallest_theta_weight_steps(sys6, basis6, rng, monkeypatch, direct):
-    sigma, tau = 1e-5, 0.01
+    sigma, tau = 0.5, 0.01
     if not direct:
         monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
     y = _generic_state(sys6, rng)
@@ -89,8 +89,9 @@ def test_smallest_theta_weight_steps(sys6, basis6, rng, monkeypatch, direct):
 
 
 # P/Q pairs the sparse stepper admits: every Pade index l <= m <= 4 and the
-# theta scheme's P = 1 - (1 - sigma) z, Q = 1 + sigma z.  Below sigma ~ 1e-154
-# the theta residue 1/sigma^2 overflows, so sigma is drawn from [1e-150, 1].
+# theta scheme's P = 1 - (1 - sigma) z, Q = 1 + sigma z.  SchemeSpec admits
+# only sigma >= 1/2, but the splitter itself holds far below that: sigma is
+# drawn from [1e-150, 1], since below ~1e-154 the residue 1/sigma^2 overflows.
 _RATIONALS = st.one_of(
     st.sampled_from([(l, m) for m in range(1, 5) for l in range(m + 1)]).map(
         lambda lm: pade_coefficients(*lm)),
