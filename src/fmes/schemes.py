@@ -24,7 +24,8 @@ y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
 for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
 conjugate pole pair: a banded direct solve with a factor made once per
-run, or CG when that factor would exceed DIRECT_LIMIT_BYTES.
+run or, when that factor would exceed DIRECT_LIMIT_BYTES, CG preconditioned
+by multigrid on a coarsenable mesh and by Jacobi scaling otherwise.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .assembly import FemSystem
-from .sparse import BandedSolver, ConvergenceError, cg_solve
+from .sparse import BandedSolver, ConvergenceError, cg_solve, multigrid
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
@@ -47,8 +48,9 @@ SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
 # see _RationalStepper); read when a stepper is made.
 OUTER_TOL = 1e-10
 # Largest band factor a pole system may keep; larger systems are solved by
-# CG.  The paper's grid (676 nodes) needs 0.15 MB real, 0.9 MB complex;
-# 40,401 nodes would need 65 MB real.
+# CG, multigrid-preconditioned where the mesh coarsens.  The paper's grid
+# (676 nodes) needs 0.15 MB real, 0.9 MB complex; 40,401 nodes would need
+# 65 MB real.
 DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 
 
@@ -208,8 +210,9 @@ class _RationalStepper:
 
     A pole system whose band factor fits in DIRECT_LIMIT_BYTES is factored
     on the first step (so a failure still names level 1) and later steps
-    only back-substitute; a larger one is solved by CG, warm-started from
-    the pole term's large-z limit.
+    only back-substitute.  A larger one is solved by CG, warm-started from
+    the pole term's large-z limit, with a multigrid V-cycle of its real part
+    built once as preconditioner when the mesh coarsens (else Jacobi).
     """
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
@@ -222,17 +225,18 @@ class _RationalStepper:
         self.poles = []
         for z, r, w in terms:
             A = tau * Kt - z * sys.M
-            direct = BandedSolver(A)
+            direct, precondition = BandedSolver(A), None
             if direct.nbytes > DIRECT_LIMIT_BYTES:
-                direct = None
-            self.poles.append((z, self.scale * r, w, A, direct))
+                direct, precondition = None, multigrid(A, sys.mesh)
+            self.poles.append((z, self.scale * r, w, A, precondition, direct))
 
     def step(self, y: np.ndarray) -> np.ndarray:
         My = self.M @ y
         out = self.scale * self.c0 * y if self.c0 else None
-        for z, sr, w, A, direct in self.poles:
+        for z, sr, w, A, precondition, direct in self.poles:
             if direct is None:
-                x, _ = cg_solve(A, sr * My, tol=self.tol, x0=(sr / -z) * y)
+                x, _ = cg_solve(A, sr * My, tol=self.tol, x0=(sr / -z) * y,
+                                precondition=precondition)
             else:
                 x, _ = direct.solve(sr * My, self.tol)
             x = w * x.real

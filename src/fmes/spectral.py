@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import FemSystem, m_norm
-from .sparse import ConvergenceError, cg_solve
+from .sparse import ConvergenceError, cg_solve, multigrid
 
 # Largest system (in nodes) modal_decompose accepts.
 DENSE_LIMIT = 2500
@@ -61,9 +61,10 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
 
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG at
-    INNER_TOL, and stops once consecutive eigenvalue estimates agree to
-    ``tol`` relative (never before ``min_iter`` iterations, which lets
-    callers force a fixed-length history).
+    INNER_TOL, preconditioned by one multigrid hierarchy of K_bar when the
+    mesh coarsens (Jacobi otherwise), and stops once consecutive eigenvalue
+    estimates agree to ``tol`` relative (never before ``min_iter``
+    iterations, which lets callers force a fixed-length history).
 
     Raises
     ------
@@ -80,11 +81,13 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     lam_prev: float | None = None
     lam = float("nan")
     warm: np.ndarray | None = None
+    precondition = multigrid(sys.K_bar, sys.mesh)
 
     for it in range(1, max_iter + 1):
         rhs = sys.M @ phi
         try:
-            psi, _ = cg_solve(sys.K_bar, rhs, tol=INNER_TOL, x0=warm)
+            psi, _ = cg_solve(sys.K_bar, rhs, tol=INNER_TOL, x0=warm,
+                              precondition=precondition)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"inner solve failed at iteration {it} "

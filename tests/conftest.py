@@ -35,6 +35,11 @@ def basis11(sys11):
 
 
 @pytest.fixture(scope="session")
+def sys21():
+    return assemble(build_mesh(21))
+
+
+@pytest.fixture(scope="session")
 def sys26():
     return assemble(build_mesh(26))
 

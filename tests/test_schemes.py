@@ -11,8 +11,8 @@ from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
                           pade_rational, run_scheme)
-from fmes.sparse import BandedSolver, ConvergenceError
-from fmes.spectral import exact_semidiscrete_solution
+from fmes.sparse import BandedSolver, ConvergenceError, Multigrid
+from fmes.spectral import exact_semidiscrete_solution, inverse_iteration
 
 
 def _scalar_system(k, mass=1.0):
@@ -360,8 +360,30 @@ def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
     assert all(pole[-1] is not None for pole in direct.poles)
     monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
     cg = make_stepper(spec, sys6)
-    assert all(pole[-1] is None for pole in cg.poles)
+    assert all(pole[-2:] == (None, None) for pole in cg.poles)   # Jacobi
     assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
+
+
+@pytest.fixture(scope="module")
+def pair21(sys21):
+    return inverse_iteration(sys21)
+
+
+@pytest.mark.parametrize("kind, params", _SPARSE_SPECS)
+def test_direct_and_multigrid_paths_agree(sys21, pair21, rng, monkeypatch,
+                                          kind, params):
+    # n_side 21 coarsens once, so without the band path every pole system,
+    # complex ones included, runs multigrid-preconditioned CG
+    lam1 = None if kind == "theta_standard" else pair21.lambda1
+    spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
+    y = _generic_state(sys21, rng)
+    direct = make_stepper(spec, sys21)
+    monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
+    iterative = make_stepper(spec, sys21)
+    assert all(isinstance(pole[-2], Multigrid) and pole[-1] is None
+               for pole in iterative.poles)
+    error = m_norm(sys21, direct.step(y) - iterative.step(y))
+    assert error <= 1e-9 * m_norm(sys21, y)
 
 
 _SPD_KINDS = ([(kind, dict(sigma=s))

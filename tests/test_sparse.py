@@ -3,7 +3,10 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fmes.sparse import BandedSolver, ConvergenceError, bandwidth, cg_solve
+from fmes import ProblemCoefficients, assemble, build_mesh
+from fmes.sparse import (BandedSolver, ConvergenceError, bandwidth, cg_solve,
+                         multigrid, prolongation)
+from fmes.spectral import INNER_TOL
 
 
 def test_identity_converges_in_one_iteration(rng):
@@ -129,6 +132,49 @@ def test_banded_solver_checks_true_residual(sys6):
         solver.solve(np.ones(sys6.n_nodes), tol=1e-30)
     assert not exc.value.report.converged
     assert 0.0 < exc.value.report.relative_residual < 1e-12
+
+
+@pytest.mark.parametrize("n_side", [41, 201])
+def test_prolongation_is_exact_for_nested_meshes(n_side):
+    # nested P1 spaces: P^T A P is the coarse assembly, for the reaction and
+    # for Robin terms on both pairs of sides
+    coeffs = ProblemCoefficients(c=2.5, mu_left_bottom=3.0)
+    fine = assemble(build_mesh(n_side), coeffs)
+    coarse = assemble(build_mesh((n_side + 1) // 2), coeffs)
+    P = prolongation(n_side)
+    for name in ("M", "K_bar", "K"):
+        A, B = getattr(fine, name), getattr(coarse, name)
+        assert abs(P.T @ A @ P - B).max() <= 1e-13 * abs(B).max(), name
+
+
+def test_multigrid_needs_a_coarsenable_mesh(sys6, sys11, sys21, sys26):
+    # n_side - 1 must be even and n_side above 20 for one coarsening
+    for sys in (sys6, sys11, sys26):
+        assert multigrid(sys.K_bar, sys.mesh) is None
+    assert multigrid(sys21.K_bar, None) is None
+    assert len(multigrid(sys21.K_bar, sys21.mesh).levels) == 1
+
+
+def test_vcycle_is_symmetric_positive_definite(sys21):
+    # CG needs a symmetric positive definite preconditioner
+    mg = multigrid(sys21.K_bar, sys21.mesh)
+    B = np.column_stack([mg(e) for e in np.eye(sys21.n_nodes)])
+    assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
+    assert np.linalg.eigvalsh(B).min() > 0.0
+    # a complex vector gets the same real matrix
+    r = np.arange(sys21.n_nodes) * (1.0 - 2.0j)
+    expected = B @ r
+    assert np.abs(mg(r) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_side", [41, 101, 201])
+def test_multigrid_cg_iterations_are_mesh_independent(n_side):
+    # Jacobi-scaled CG takes 518 iterations at n_side 101 and 1,041 at 201
+    sys = assemble(build_mesh(n_side))
+    rhs = sys.M @ np.ones(sys.n_nodes)
+    _, report = cg_solve(sys.K_bar, rhs, tol=INNER_TOL,
+                         precondition=multigrid(sys.K_bar, sys.mesh))
+    assert report.converged and report.iterations <= 20
 
 
 def test_compose_shifted_annihilates_fundamental_mode(sys6, pair6):
