@@ -24,8 +24,8 @@ y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
 for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
 conjugate pole pair: a banded direct solve with a factor made once per
-run or, when that factor would exceed DIRECT_LIMIT_BYTES, CG preconditioned
-by multigrid on a coarsenable mesh and by Jacobi scaling otherwise.
+run or, above sparse.DIRECT_LIMIT_BYTES, CG preconditioned by multigrid on
+a coarsenable mesh and by Jacobi scaling otherwise.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -40,18 +40,13 @@ from fractions import Fraction
 import numpy as np
 
 from .assembly import FemSystem
-from .sparse import BandedSolver, ConvergenceError, cg_solve, multigrid
+from .sparse import ConvergenceError, cg_solve, choose_solver
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
 # Relative residual every stepper solve must reach (divided by 1 + |c0|,
 # see _RationalStepper); read when a stepper is made.
 OUTER_TOL = 1e-10
-# Largest band factor a pole system may keep; larger systems are solved by
-# CG, multigrid-preconditioned where the mesh coarsens.  The paper's grid
-# (676 nodes) needs 0.15 MB real, 0.9 MB complex; 40,401 nodes would need
-# 65 MB real.
-DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +203,12 @@ class _RationalStepper:
     OUTER_TOL / (1 + |c0|) because the c0 term cancels against the pole
     terms.
 
-    A pole system whose band factor fits in DIRECT_LIMIT_BYTES is factored
-    on the first step (so a failure still names level 1) and later steps
-    only back-substitute.  A larger one is solved by CG, warm-started from
-    the pole term's large-z limit, with a multigrid V-cycle of its real part
-    built once as preconditioner when the mesh coarsens (else Jacobi).
+    ``sparse.choose_solver`` picks each pole system's path.  A band factor
+    is made on the first step (so a failure still names level 1); later
+    steps substitute and check the true residual.  Above the budget, CG is
+    warm-started from the pole term's large-z limit and preconditioned by a
+    V-cycle of the system's real part when the mesh coarsens (else Jacobi).
+    ``step`` reuses M y when the caller has it (``run_scheme`` does).
     """
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
@@ -225,13 +221,11 @@ class _RationalStepper:
         self.poles = []
         for z, r, w in terms:
             A = tau * Kt - z * sys.M
-            direct, precondition = BandedSolver(A), None
-            if direct.nbytes > DIRECT_LIMIT_BYTES:
-                direct, precondition = None, multigrid(A, sys.mesh)
+            direct, precondition = choose_solver(A, sys.mesh)
             self.poles.append((z, self.scale * r, w, A, precondition, direct))
 
-    def step(self, y: np.ndarray) -> np.ndarray:
-        My = self.M @ y
+    def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
+        My = self.M @ y if My is None else My
         out = self.scale * self.c0 * y if self.c0 else None
         for z, sr, w, A, precondition, direct in self.poles:
             if direct is None:
@@ -253,8 +247,9 @@ class _ModalStepper:
         self.multipliers = math.exp(-lambda1 * tau) * pade_rational(l, m, shifted)
         self.basis = basis
 
-    def step(self, y: np.ndarray) -> np.ndarray:
-        coeffs = self.basis.eigenvectors.T @ (self.basis.mass @ y)
+    def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
+        My = self.basis.mass @ y if My is None else My
+        coeffs = self.basis.eigenvectors.T @ My
         return self.basis.eigenvectors @ (self.multipliers * coeffs)
 
 
@@ -337,15 +332,16 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
             amplitudes[level] = float(phi1 @ mv)
         if keep is None or level in keep:
             vectors[level] = vec
+        return mv
 
-    record(0, y)
+    My = record(0, y)
     for level in range(1, n_steps + 1):
         try:
-            y = stepper.step(y)
+            y = stepper.step(y, My)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"{spec.kind} step failed at level {level}: {err}",
                 report=err.report) from err
-        record(level, y)
+        My = record(level, y)
     return Trajectory(times=times, m_norms=m_norms,
                       amplitudes=amplitudes, vectors=vectors)

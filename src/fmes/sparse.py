@@ -1,25 +1,25 @@
 """Symmetric sparse solves.
 
-Three solve paths for a symmetric matrix A (real and positive definite, or
-complex-symmetric, A^T = A, with a positive definite Hermitian part).  All
-return x or raise ConvergenceError, but only ``BandedSolver`` checks its true
-residual ||A x - b|| <= tol ||b||.  ``cg_solve`` stops on its recurrence
-residual: asked for 1e-13 on K_bar (rhs M 1), its true residual was 3.8e-12,
-1.5e-11 and 5.8e-11 at n_side 51, 101 and 201 with multigrid, and 2.0e-12,
-7.2e-11 and 4.0e-10 at n_side 26, 101 and 201 with Jacobi scaling.
+One solve path per symmetric matrix A (real and positive definite, or
+complex-symmetric, A^T = A, with a positive definite Hermitian part), picked
+by ``choose_solver``:
 
-* ``BandedSolver`` factors A once in LAPACK band storage and then solves by
-  back-substitution.  Its memory is set by the bandwidth read from the
-  pattern (n_side + 1 on the row-by-row numbered structured mesh), so
-  callers compare its ``nbytes`` with a budget before using it.
-* ``cg_solve`` preconditioned by ``multigrid(A, mesh)`` when A lives on a
-  structured mesh that coarsens (iterations do not grow with the grid).
-* ``cg_solve`` with Jacobi scaling otherwise.  CG is written out explicitly
-  so that the iteration count, the reported residual and the failure
-  behaviour are fully under our control.  The same loop solves
-  complex-symmetric systems as conjugate orthogonal CG.
+* ``BandedSolver`` when its band factor fits in DIRECT_LIMIT_BYTES: A is
+  factored once in LAPACK band storage, then solved by substitution.  The
+  band is n_side + 1 wide on the row-by-row numbered structured mesh.
+* else ``cg_solve`` preconditioned by ``multigrid(A, mesh)`` when A lives
+  on a structured mesh that coarsens (iterations do not grow with the grid),
+* else ``cg_solve`` with Jacobi scaling.
 
-All are deterministic, so runs are bit-reproducible.
+Only ``BandedSolver`` checks its true residual ||A x - b|| <= tol ||b||, and
+a lone band solve of K_bar x = M 1 misses the eigensolve's 1e-13 (9.2e-13,
+5.7e-12 and 1.3e-11 at n_side 26, 51 and 101).  So the eigensolve runs CG
+with the band substitution as preconditioner: 1-2 iterations per solve.
+CG stops on its recurrence residual; asked for 1e-13 there, its true
+residual was 4.1e-13, 1.6e-12 and 7.1e-12 at n_side 26, 51 and 101, 5.8e-11
+with multigrid at 201, and 4.0e-10 with Jacobi at 201.  The same explicit CG
+loop solves complex-symmetric systems as conjugate orthogonal CG.  All paths
+are deterministic, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .mesh import Mesh
+
+# Largest band factor a matrix may keep; a larger one is solved by CG,
+# multigrid-preconditioned where the mesh coarsens.  The paper's grid (676
+# nodes) needs 0.15 MB real, 0.9 MB complex; real factors fit up to n_side
+# 127 (16.6 MB), and n_side 201 (40,401 nodes) would need 65 MB real.
+DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -72,9 +78,12 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
         residual ||A x - rhs|| / ||rhs|| is never computed and can be far
         larger (see the module docstring)
     max_iter : iteration cap (default scales with the dimension)
-    x0 : optional warm start
+    x0 : optional warm start (without one, no product A x0 is made)
     precondition : callable r -> z, a real SPD approximation of A^-1 such
-        as a ``Multigrid``; None (the default) is diagonal (Jacobi) scaling
+        as a ``Multigrid`` or ``BandedSolver.substitute``; None (the
+        default) is diagonal (Jacobi) scaling.  Each iteration tests the
+        residual before preconditioning it, so a converged solve applies
+        ``precondition`` once per iteration.
 
     Returns
     -------
@@ -113,10 +122,8 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
         return np.zeros_like(rhs), SolveReport(0, 0.0, True)
 
     x = np.zeros_like(rhs) if x0 is None else np.array(x0, dtype=dtype)
-    r = rhs - A @ x
-    z = precondition(r)
-    p = z.copy()
-    rz = r @ z
+    r = rhs if x0 is None else rhs - A @ x
+    p = rz = None
 
     for iterations in range(max_iter + 1):
         res = float(np.linalg.norm(r))
@@ -124,6 +131,10 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
             return x, SolveReport(iterations, res / b_norm, True)
         if iterations == max_iter:
             break
+        z = precondition(r)
+        rz_next = r @ z
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
         ap = A @ p
         pap = p @ ap
         # a real solve keeps one reduction; a complex one also needs p^H A p
@@ -134,10 +145,6 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
-        z = precondition(r)
-        rz_next = r @ z
-        p = z + (rz_next / rz) * p
-        rz = rz_next
 
     report = SolveReport(max_iter, float(np.linalg.norm(r)) / b_norm, False)
     raise ConvergenceError(
@@ -203,7 +210,8 @@ class BandedSolver:
         return lu, ipiv
 
     def substitute(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs from the factor (made on first use), residual unchecked."""
+        """A^-1 rhs from the factor (made on first use), residual unchecked.
+        A complex rhs on a real factor is solved as two real columns."""
         if self._factor is None:
             self._factor = self._factorize()
         if self.is_complex:
@@ -213,8 +221,12 @@ class BandedSolver:
             if info != 0:
                 raise ValueError(f"zgbtrs rejected its arguments (info={info})")
             return x
-        return scipy.linalg.cho_solve_banded((self._factor, False), rhs,
-                                             check_finite=False)
+        cols = (np.column_stack((rhs.real, rhs.imag))
+                if np.iscomplexobj(rhs) else rhs)
+        x, info = scipy.linalg.lapack.dpbtrs(self._factor, cols)
+        if info != 0:
+            raise ValueError(f"dpbtrs rejected its arguments (info={info})")
+        return x if cols is rhs else x[:, 0] + 1j * x[:, 1]
 
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
         """Solve A x = rhs; raise ConvergenceError unless the relative
@@ -297,3 +309,13 @@ def multigrid(A, mesh: Mesh | None) -> Multigrid | None:
     if mesh is None or not _coarsens(mesh.n_side):
         return None
     return Multigrid(A, mesh.n_side)
+
+
+def choose_solver(A, mesh: Mesh | None):
+    """The solve path of A: ``(BandedSolver(A), None)`` when its band factor
+    fits in DIRECT_LIMIT_BYTES, else ``(None, multigrid(A, mesh))``, the CG
+    preconditioner (None meaning Jacobi scaling)."""
+    direct = BandedSolver(A)
+    if direct.nbytes <= DIRECT_LIMIT_BYTES:
+        return direct, None
+    return None, multigrid(A, mesh)

@@ -16,7 +16,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import FemSystem, m_norm
-from .sparse import ConvergenceError, cg_solve, multigrid
+from .sparse import ConvergenceError, cg_solve, choose_solver
 
 # Largest system (in nodes) modal_decompose accepts.
 DENSE_LIMIT = 2500
@@ -61,8 +61,9 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
 
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG at
-    INNER_TOL, preconditioned by one multigrid hierarchy of K_bar when the
-    mesh coarsens (Jacobi otherwise), and stops once consecutive eigenvalue
+    INNER_TOL, preconditioned by K_bar's band factor where it fits (1-2
+    iterations per solve), else by a multigrid hierarchy or Jacobi scaling
+    (``sparse.choose_solver``), and stops once consecutive eigenvalue
     estimates agree to ``tol`` relative (never before ``min_iter``
     iterations, which lets callers force a fixed-length history).
 
@@ -81,7 +82,9 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     lam_prev: float | None = None
     lam = float("nan")
     warm: np.ndarray | None = None
-    precondition = multigrid(sys.K_bar, sys.mesh)
+    direct, precondition = choose_solver(sys.K_bar, sys.mesh)
+    if direct is not None:
+        precondition = direct.substitute
 
     for it in range(1, max_iter + 1):
         rhs = sys.M @ phi

@@ -52,3 +52,9 @@ def pair26(sys26):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def _no_output_dir_override(monkeypatch):
+    # FMES_OUTPUT_DIR overrides every output_dir; the tests that use it set it
+    monkeypatch.delenv("FMES_OUTPUT_DIR", raising=False)

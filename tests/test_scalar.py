@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fmes.schemes import (amplification_factor, fmes_weight,
                           pade_coefficients, pade_rational)
@@ -136,3 +137,28 @@ def test_pade_rational_approximates_exponential():
     for l, m in ((0, 1), (1, 1), (0, 2)):
         err = abs(pade_rational(l, m, z) - math.exp(-z))
         assert err < abs(z) ** (l + m + 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(eta=st.floats(1e-10, 100.0))
+def test_fmes_weight_is_exact_for_every_eta(eta):
+    # both branches of fmes_weight, the series below 1e-4 and the closed form
+    sigma = fmes_weight(eta)
+    assert abs(amplification_factor(sigma, eta) - math.exp(-eta)) <= 1e-15
+
+
+_PADE_INDICES = [(l, m) for m in range(1, 5) for l in range(m + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lm=st.sampled_from(_PADE_INDICES), frac=st.floats(0.5, 1.0))
+def test_pade_error_constant(lm, frac):
+    # R_lm(z) - e^-z = +-C_lm z^(l+m+1) (1 + O(z)); z_lm puts the error at
+    # 1e-10, far above roundoff and small enough for the leading term to rule
+    l, m = lm
+    order = l + m + 1
+    c_lm = (math.factorial(l) * math.factorial(m)
+            / (math.factorial(l + m) * math.factorial(order)))
+    z = frac * (1e-10 / c_lm) ** (1.0 / order)
+    ratio = abs(float(pade_rational(l, m, z)) - math.exp(-z)) / (c_lm * z ** order)
+    assert 0.5 <= ratio <= 1.5

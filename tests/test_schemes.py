@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from fmes import schemes
+from fmes import schemes, sparse
 from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
@@ -78,7 +78,7 @@ def test_tiny_theta_weight_refused(kind):
 def test_smallest_theta_weight_steps(sys6, basis6, rng, monkeypatch, direct):
     sigma, tau = 0.5, 0.01
     if not direct:
-        monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
+        monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     y = _generic_state(sys6, rng)
     stepped = _step(sys6, "theta_standard", tau, y, sigma=sigma)
     mult = np.array([amplification_factor(sigma, lam * tau)
@@ -358,10 +358,26 @@ def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
     y = _generic_state(sys6, rng)
     direct = make_stepper(spec, sys6)
     assert all(pole[-1] is not None for pole in direct.poles)
-    monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     cg = make_stepper(spec, sys6)
     assert all(pole[-2:] == (None, None) for pole in cg.poles)   # Jacobi
     assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
+
+
+@pytest.mark.parametrize("kind, params",
+                         _SPARSE_SPECS + [("pade_modal", dict(l=1, m=2))])
+def test_run_scheme_reuses_mass_product(sys6, pair6, basis6, rng, kind,
+                                        params):
+    # run_scheme hands each step the M y it recorded; the trajectory must be
+    # exactly that of bare .step(y) calls
+    lam1 = None if kind == "theta_standard" else pair6.lambda1
+    spec = SchemeSpec(kind, tau=0.01, n_steps=4, lambda1=lam1, **params)
+    y = _generic_state(sys6, rng)
+    traj = run_scheme(spec, sys6, y, basis=basis6)
+    stepper = make_stepper(spec, sys6, basis=basis6)
+    for level in range(1, spec.n_steps + 1):
+        y = stepper.step(y)
+        assert np.array_equal(traj.vector_at(level), y)
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +394,7 @@ def test_direct_and_multigrid_paths_agree(sys21, pair21, rng, monkeypatch,
     spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
     y = _generic_state(sys21, rng)
     direct = make_stepper(spec, sys21)
-    monkeypatch.setattr(schemes, "DIRECT_LIMIT_BYTES", 0)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     iterative = make_stepper(spec, sys21)
     assert all(isinstance(pole[-2], Multigrid) and pole[-1] is None
                for pole in iterative.poles)

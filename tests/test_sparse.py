@@ -3,9 +3,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fmes import ProblemCoefficients, assemble, build_mesh
-from fmes.sparse import (BandedSolver, ConvergenceError, bandwidth, cg_solve,
-                         multigrid, prolongation)
+from fmes import ProblemCoefficients, assemble, build_mesh, sparse
+from fmes.sparse import (BandedSolver, ConvergenceError, Multigrid, bandwidth,
+                         cg_solve, choose_solver, multigrid, prolongation)
 from fmes.spectral import INNER_TOL
 
 
@@ -95,6 +95,58 @@ def test_complex_indefinite_hermitian_part_raises(sys6):
     A = (sys6.K - (100.0 + 1.0j) * sys6.M).tocsr()
     with pytest.raises(ConvergenceError):
         cg_solve(A, np.ones(sys6.n_nodes), tol=1e-10)
+
+
+class _Counting:
+    """A matrix that counts its products with a vector."""
+
+    def __init__(self, A):
+        self.A, self.shape, self.dtype, self.products = A, A.shape, A.dtype, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.A @ v
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("jacobi", [True, False], ids=["jacobi", "band"])
+def test_cg_work_per_iteration(sys26, rng, warm, jacobi):
+    # one product with A per iteration, plus A x0 for a warm start only, and
+    # no preconditioning of the residual that met the tolerance
+    A = _Counting(sys26.K_bar)
+    applied = []
+    band = BandedSolver(sys26.K_bar)
+
+    def precondition(r):
+        applied.append(r)
+        return r / sys26.K_bar.diagonal() if jacobi else band.substitute(r)
+
+    x0 = rng.standard_normal(sys26.n_nodes) if warm else None
+    rhs = sys26.M @ np.ones(sys26.n_nodes)
+    _, report = cg_solve(A, rhs, tol=INNER_TOL, x0=x0,
+                         precondition=precondition)
+    assert report.converged and report.iterations >= 1
+    assert len(applied) == report.iterations
+    assert A.products == report.iterations + warm
+
+
+def test_substitute_complex_rhs_on_real_factor(sys6, rng):
+    # multigrid's coarsest level gets complex vectors for complex poles
+    solver = BandedSolver(sys6.K_bar + sys6.M)
+    re, im = rng.standard_normal((2, sys6.n_nodes))
+    x = solver.substitute(re + 1j * im)
+    assert np.array_equal(x.real, solver.substitute(re))
+    assert np.array_equal(x.imag, solver.substitute(im))
+
+
+def test_choose_solver_follows_the_budget(sys6, sys21, monkeypatch):
+    direct, precondition = choose_solver(sys21.K_bar, sys21.mesh)
+    assert isinstance(direct, BandedSolver) and precondition is None
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", direct.nbytes - 1)
+    direct, precondition = choose_solver(sys21.K_bar, sys21.mesh)
+    assert direct is None and isinstance(precondition, Multigrid)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    assert choose_solver(sys6.K_bar, sys6.mesh) == (None, None)   # Jacobi
 
 
 def test_bandwidth_of_structured_mesh(sys6):

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from fmes.assembly import FemSystem, ProblemCoefficients, assemble, m_norm
 from fmes.mesh import build_mesh
+from fmes import sparse, spectral
 from fmes.sparse import ConvergenceError
 from fmes.spectral import (exact_semidiscrete_solution, inverse_iteration,
                            modal_decompose)
@@ -87,6 +88,36 @@ def test_nonconvergence_carries_history(sys26):
         inverse_iteration(sys26, tol=1e-16, max_iter=3)
     assert exc.value.history is not None
     assert len(exc.value.history) == 3
+
+
+def test_band_preconditioned_inner_solves(sys26, monkeypatch):
+    # K_bar's band factor as preconditioner: at most two CG iterations per
+    # solve (Jacobi scaling took 87-127)
+    iterations = []
+
+    def recording(*args, **kwargs):
+        x, report = sparse.cg_solve(*args, **kwargs)
+        iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(spectral, "cg_solve", recording)
+    pair = inverse_iteration(sys26)
+    assert len(iterations) == pair.iterations
+    assert max(iterations) <= 2
+
+
+@pytest.mark.parametrize("name", ["sys21", "sys26"])
+def test_eigenpair_independent_of_solve_path(request, monkeypatch, name):
+    # n_side 21 falls back to multigrid CG, 26 to Jacobi CG
+    sys = request.getfixturevalue(name)
+    band = inverse_iteration(sys)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    other = inverse_iteration(sys)
+    assert other.iterations == band.iterations
+    assert np.allclose(other.history, band.history, rtol=1e-12, atol=0.0)
+    assert other.lambda1 == pytest.approx(band.lambda1, rel=1e-12)
+    assert (np.linalg.norm(other.phi1 - band.phi1)
+            <= 1e-12 * np.linalg.norm(band.phi1))
 
 
 def test_singular_operator_fails():
