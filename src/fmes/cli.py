@@ -81,7 +81,11 @@ def _cmd_eigens(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    result = run_experiment(config)
+    try:
+        result = run_experiment(config)
+    except ConvergenceError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     pair = result.eigenpair
     print(f"grid {config.n_side}, c = {config.coefficients.c:g}: "
           f"lambda1 = {pair.lambda1:.11f} "

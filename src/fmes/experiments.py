@@ -83,6 +83,8 @@ class ExperimentConfig:
             raise ValueError("T must be positive")
         if self.reference_steps < 1:
             raise ValueError("reference_steps must be >= 1")
+        if self.eig_tol <= 0.0 or self.eig_max_iter < 1:
+            raise ValueError("[eigen] needs tol > 0 and max_iter >= 1")
         for req in self.schemes:
             # SchemeSpec holds the scheme rules; 0.0 stands in for lambda1
             req.to_spec(self.T, self.reference_steps, 0.0)
@@ -254,17 +256,17 @@ def run_experiment(config: ExperimentConfig,
     remaining runs continue.  With an empty scheme list only the eigenpair
     summary is emitted.  ``output_dir`` bypasses the config/environment
     resolution (used by sweeps writing one subdirectory per variant).
-    pade_modal schemes share one dense modal basis, built (or refused
-    above 2500 nodes) before the output directory is made.
+    pade_modal schemes share one dense modal basis; it (refused above 2500
+    nodes) and the eigenpair are computed before the output directory is made.
     """
     mesh = build_mesh(config.n_side)
     sys = assemble(mesh, config.coefficients)
     basis = (modal_decompose(sys) if any(req.kind == "pade_modal"
                                          for req in config.schemes) else None)
-    outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
-    outdir.mkdir(parents=True, exist_ok=True)
     pair = inverse_iteration(sys, tol=config.eig_tol,
                              max_iter=config.eig_max_iter)
+    outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "eigenpair.csv",
                "n_side,c,lambda1_bar,lambda1,iterations,residual",
                [[str(config.n_side), _fmt(config.coefficients.c),

@@ -4,7 +4,9 @@ The inverse iteration solves K_bar phi_new = M phi with mass-weighted inner
 products throughout; the eigenvalue estimate after each solve is
 (phi, phi)_M / (phi_new, phi)_M.  The dense path computes the full
 generalized eigendecomposition of (K, M) and backs both the cross-validation
-tests and the modal time steppers.
+tests and the modal time steppers.  The model problem's K and M are
+invariant under the node swap (ix, iy) -> (iy, ix), so the dense path solves
+the even and odd subspaces of that swap apart: two problems of half the size.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from .sparse import ConvergenceError, cg_solve, choose_solver
 DENSE_LIMIT = 2500
 # Relative residual of each inverse-iteration solve.
 INNER_TOL = 1e-13
+# K and M count as mirror-symmetric when they match their mirror-permuted
+# copy to within MIRROR_TOL max|A| (the assembly's roundoff reaches 1.56 eps)
+MIRROR_TOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -46,8 +51,8 @@ class EigenPair:
 class ModalBasis:
     """Full generalized eigendecomposition of (K, M).
 
-    eigenvalues ascend; eigenvector columns are M-orthonormal.  The mass
-    matrix rides along so projections need no extra context.
+    eigenvalues ascend; eigenvector columns are M-orthonormal, also when
+    merged from the mirror blocks.  The mass matrix rides along.
     """
 
     eigenvalues: np.ndarray
@@ -119,19 +124,53 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
                      history=history)
 
 
+def _mirror_blocks(sys: FemSystem) -> list[sp.csc_matrix]:
+    """Orthonormal bases Q of the subspaces that (K, M) leaves invariant.
+
+    With a mesh, and K and M equal to their mirror-permuted copies
+    ``A[p][:, p]`` to within MIRROR_TOL max|A|: the even basis (e_d for
+    each diagonal node, then (e_a + e_b)/sqrt 2 for each mirrored pair) and
+    the odd one ((e_a - e_b)/sqrt 2).  Otherwise the identity, one block.
+    """
+    n = sys.n_nodes
+    eye, nodes = sp.identity(n, format="csc"), np.arange(n)
+    if sys.mesh is not None:
+        p = nodes.reshape(sys.mesh.n_side, -1).T.ravel()
+        if all(abs(A[p][:, p] - A).max() <= MIRROR_TOL * abs(A).max()
+               for A in (sys.K, sys.M)):
+            mirror, pairs, s = eye[p], p > nodes, np.sqrt(0.5)
+            return [sp.hstack([eye[:, p == nodes],
+                               s * (eye + mirror)[:, pairs]], format="csc"),
+                    s * (eye - mirror)[:, pairs]]
+    return [eye]
+
+
 def modal_decompose(sys: FemSystem) -> ModalBasis:
     """Dense generalized eigendecomposition of (K, M) for small systems.
 
-    Refuses systems above DENSE_LIMIT nodes; the dense path exists as an
-    oracle and as the engine of the modal steppers, not as a production
-    eigensolver.
+    One ``eigh(Q^T K Q, Q^T M Q)`` per ``_mirror_blocks`` basis Q (even and
+    odd mirror subspaces, else the identity: the plain problem bit for bit),
+    merged by a stable sort, each ``Q W`` into its sorted columns.  Refuses
+    systems above DENSE_LIMIT nodes; the dense path exists as an oracle and
+    as the engine of the modal steppers, not as a production eigensolver.
     """
     n = sys.n_nodes
     if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
-    evals, evecs = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
-    return ModalBasis(eigenvalues=evals, eigenvectors=evecs, mass=sys.M)
+    blocks = [(Q, *scipy.linalg.eigh((Q.T @ sys.K @ Q).toarray(),
+                                     (Q.T @ sys.M @ Q).toarray()))
+              for Q in _mirror_blocks(sys)]
+    evals = np.concatenate([lam for _, lam, _ in blocks])
+    order = np.argsort(evals, kind="stable")
+    column = np.argsort(order)              # sorted position of each value
+    evecs = np.empty((n, n), order="F")     # eigh's layout
+    start = 0
+    for Q, lam, W in blocks:
+        evecs[:, column[start:start + len(lam)]] = Q @ W
+        start += len(lam)
+    return ModalBasis(eigenvalues=evals[order], eigenvectors=evecs,
+                      mass=sys.M)
 
 
 def exact_semidiscrete_solution(basis: ModalBasis, w0: np.ndarray,

@@ -115,12 +115,23 @@ def _assert_refused(outdir, capsys):
     "[scheme.a]\nkind = theta_fmes\nsigma = 0.49\n",
     "[solver]\nouter_tol = 1e-10\n",
     "n_side = 6\n",
+    "[eigen]\ntol = 0\n",
+    "[eigen]\nmax_iter = 0\n",
     None,
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
-        "tiny_sigma", "sigma_below_half", "solver_section", "no_section", "missing_file"])
+        "tiny_sigma", "sigma_below_half", "solver_section", "no_section",
+        "eig_tol0", "eig_max_iter0", "missing_file"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:
         config.write_text(text)
     assert main(["run", "--config", str(config)]) == 2
+    _assert_refused(outdir, capsys)
+
+
+def test_run_verb_unconverged_eigensolve_is_one_line_error(outdir, tmp_path,
+                                                          capsys):
+    config = tmp_path / "short.ini"
+    config.write_text("[mesh]\nn_side = 6\n[eigen]\nmax_iter = 3\n")
+    assert main(["run", "--config", str(config)]) == 1
     _assert_refused(outdir, capsys)

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from fmes.assembly import FemSystem, ProblemCoefficients, assemble, m_norm
 from fmes.mesh import build_mesh
@@ -154,6 +158,86 @@ def test_modal_reconstruction(sys11, basis11, rng):
     coeffs = basis11.eigenvectors.T @ (sys11.M @ y)
     ricochet = basis11.eigenvectors @ coeffs
     assert np.linalg.norm(ricochet - y) <= 1e-9 * np.linalg.norm(y)
+
+
+def _drawn_system(n_side, rng):
+    coeffs = ProblemCoefficients(
+        k_inner=rng.uniform(0.1, 20.0), k_outer=rng.uniform(0.1, 5.0),
+        c=rng.uniform(0.1, 30.0), mu_right_top=rng.uniform(0.0, 20.0),
+        mu_left_bottom=rng.uniform(0.1, 20.0))
+    return assemble(build_mesh(n_side), coeffs)
+
+
+@pytest.mark.parametrize("n_side", [11, 21])
+def test_mirror_split_matches_full_eigh(n_side, rng):
+    sys = _drawn_system(n_side, rng)
+    basis = modal_decompose(sys)
+    lam, V = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
+    # backward-stable eigensolvers agree relative to the largest eigenvalue
+    # (measured <= 6.7e-16)
+    assert np.abs(basis.eigenvalues - lam).max() <= 1e-12 * lam.max()
+    # the propagator V diag(f(lam)) V^T M is independent of the basis chosen
+    # in a degenerate eigenspace, and of the eigenvector signs
+    tau = 1e-3
+    split = ((basis.eigenvectors * np.exp(-tau * basis.eigenvalues))
+             @ (basis.eigenvectors.T @ sys.M))
+    full = (V * np.exp(-tau * lam)) @ (V.T @ sys.M)
+    assert np.abs(split - full).max() <= 1e-12
+
+
+def test_mirror_split_is_deterministic(sys11):
+    first, second = modal_decompose(sys11), modal_decompose(sys11)
+    assert np.array_equal(first.eigenvalues, second.eigenvalues)
+    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+
+
+@pytest.mark.parametrize("name", ["sys6", "sys11"])
+def test_assembled_system_splits_into_even_and_odd_blocks(request, name):
+    sys = request.getfixturevalue(name)
+    n_side = sys.mesh.n_side
+    blocks = spectral._mirror_blocks(sys)
+    assert [Q.shape for Q in blocks] == [
+        (sys.n_nodes, n_side * (n_side + 1) // 2),
+        (sys.n_nodes, n_side * (n_side - 1) // 2)]
+    Q = sp.hstack(blocks).toarray()
+    assert np.abs(Q.T @ Q - np.eye(sys.n_nodes)).max() <= 1e-15
+
+
+def _off_mirror_perturbed(sys):
+    # node (1, 0) couples to (2, 0); the mirrored pair (0, 1)-(0, 2) keeps
+    # its value, so K is no longer invariant under the swap (c = 0: K_bar = K)
+    K = sys.K.tolil()
+    K[1, 2] += 1e-6
+    K[2, 1] += 1e-6
+    K = K.tocsr()
+    return replace(sys, K_bar=K, K=K)
+
+
+@pytest.mark.parametrize("case", ["no_mesh", "perturbed"])
+def test_one_block_equals_full_eigh_bit_for_bit(sys6, rng, case):
+    if case == "no_mesh":
+        A = rng.standard_normal((7, 7))
+        sys = _scalar_system(A @ A.T + 7.0 * np.eye(7), np.diag(rng.uniform(
+            0.5, 1.5, 7)))
+    else:
+        sys = _off_mirror_perturbed(sys6)
+    assert len(spectral._mirror_blocks(sys)) == 1
+    basis = modal_decompose(sys)
+    lam, V = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
+    assert np.array_equal(basis.eigenvalues, lam)
+    assert np.array_equal(basis.eigenvectors, V)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_side=st.integers(2, 31),
+       k_inner=st.floats(1e-3, 1e3), k_outer=st.floats(1e-3, 1e3),
+       c=st.floats(0.0, 1e3), mu_right_top=st.floats(0.0, 1e3),
+       mu_left_bottom=st.floats(0.0, 1e3))
+def test_every_assembled_system_passes_the_mirror_test(n_side, **coeffs):
+    # the split, and with it the dense path's speed, rests on assembly
+    # keeping K and M invariant under (ix, iy) -> (iy, ix)
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(**coeffs))
+    assert len(spectral._mirror_blocks(sys)) == 2
 
 
 def test_dense_limit_refusal():
