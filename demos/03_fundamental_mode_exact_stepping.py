@@ -39,8 +39,9 @@ def main():
             traj = run_scheme(spec, sys, w0, phi1=pair.phi1)
             eps_a = np.abs(traj.amplitudes - traj.amplitudes[0]
                            * np.exp(-pair.lambda1 * traj.times)).max()
+            stride = (len(reference.times) - 1) // n_steps
             eps_u = max(epsilon_u(traj.vector_at(n),
-                                  reference.at(n_steps, n), sys.M)
+                                  reference.vector_at(n * stride), sys.M)
                         for n in range(1, n_steps + 1))
             print(f"{kind:15s} {n_steps:4d} {eps_a:12.3e} {eps_u:12.3e}")
     print("\nThe shifted scheme reproduces the fundamental amplitude to "

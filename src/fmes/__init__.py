@@ -9,10 +9,10 @@ methods, together with the error studies comparing them.
 
 from .assembly import (FemSystem, ProblemCoefficients, assemble, m_inner,
                        m_norm)
-from .experiments import (ExperimentConfig, ExperimentResult, Reference,
-                          RunResult, SchemeRequest, epsilon_u,
-                          initial_state, make_reference, run_experiment,
-                          run_table1, sweep_reaction)
+from .experiments import (ExperimentConfig, ExperimentResult, RunResult,
+                          SchemeRequest, epsilon_u, initial_state,
+                          make_reference, run_experiment, run_table1,
+                          sweep_reaction)
 from .mesh import Mesh, build_mesh
 from .schemes import (SchemeSpec, Trajectory, amplification_factor,
                       fmes_weight, make_stepper, pade_coefficients,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "EigenPair", "ExperimentConfig", "ExperimentResult",
-    "FemSystem", "Mesh", "ModalBasis", "ProblemCoefficients", "Reference",
-    "RunResult", "SchemeRequest", "SchemeSpec", "SolveReport", "Trajectory",
+    "FemSystem", "Mesh", "ModalBasis", "ProblemCoefficients", "RunResult",
+    "SchemeRequest", "SchemeSpec", "SolveReport", "Trajectory",
     "amplification_factor", "assemble", "build_mesh", "cg_solve",
     "epsilon_u", "exact_semidiscrete_solution", "fmes_weight", "initial_state",
     "inverse_iteration", "m_inner", "m_norm", "make_reference",

@@ -9,7 +9,8 @@ interface cuts through cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,6 +41,9 @@ class ProblemCoefficients:
     mu_left_bottom: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"coefficient {f.name} must be finite")
         if self.k_inner <= 0.0 or self.k_outer <= 0.0:
             raise ValueError("diffusivities must be positive")
         if self.mu_right_top < 0.0 or self.mu_left_bottom < 0.0:

@@ -10,9 +10,11 @@ Each verb accepts ``--config PATH`` plus only the overrides it reads:
 ``--nside`` and ``--c`` for ``eigens`` and ``run``, ``--steps`` for ``run``.
 The output directory can also be overridden through the FMES_OUTPUT_DIR
 environment variable.  Exit status is 0 when every requested computation
-converged, 1 when one did not, and 2 on invalid input, a missing or
-malformed configuration file included (a one-line ``error:`` message on
-stderr; argparse adds a usage line for an unknown option).
+converged and 1 when one did not: an unconverged eigensolve is a one-line
+``error:`` message on stderr and writes nothing, a failed scheme run is
+listed as FAILED.  Invalid input, a missing or malformed configuration
+file included, is exit 2 with a one-line ``error:`` message and no output
+directory (argparse adds a usage line for an unknown option).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import load_config
+from .config import _int_list, load_config
 from .experiments import (ExperimentConfig, resolve_output_dir, run_experiment,
                           run_table1, _fmt, _write_csv)
 from .schemes import amplification_factor, fmes_weight, pade_rational
@@ -51,7 +53,7 @@ def _load(args) -> ExperimentConfig:
         config = replace(config,
                          coefficients=replace(config.coefficients, c=args.c))
     if args.steps is not None:
-        steps = tuple(int(s) for s in args.steps.replace(",", " ").split())
+        steps = _int_list(args.steps)
         config = replace(config, schemes=tuple(
             replace(req, steps=steps) for req in config.schemes))
     return config
@@ -59,11 +61,7 @@ def _load(args) -> ExperimentConfig:
 
 def _cmd_eigens(args) -> int:
     config = _load(args)
-    try:
-        pairs = run_table1(config)
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    pairs = run_table1(config)
     grids = config.eigen_grids
     print("m   " + "".join(f"nside {n:<18d}" for n in grids))
     for i in range(10):
@@ -81,11 +79,7 @@ def _cmd_eigens(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    try:
-        result = run_experiment(config)
-    except ConvergenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    result = run_experiment(config)
     pair = result.eigenpair
     print(f"grid {config.n_side}, c = {config.coefficients.c:g}: "
           f"lambda1 = {pair.lambda1:.11f} "
@@ -152,9 +146,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:    # OSError: unreadable --config
+    except (ConvergenceError, ValueError, OSError) as err:
+        # OSError: an unreadable --config
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(err, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import scipy.sparse as sp
 
 from .assembly import FemSystem, ProblemCoefficients, assemble
 from .mesh import build_mesh
-from .schemes import SchemeSpec, run_scheme
+from .schemes import SchemeSpec, Trajectory, run_scheme
 from .sparse import ConvergenceError
 from .spectral import EigenPair, inverse_iteration, modal_decompose
 
@@ -48,9 +48,9 @@ class SchemeRequest:
     steps: tuple[int, ...] = (10, 20, 40, 100)
 
     def to_spec(self, T: float, n_steps: int, lambda1: float) -> SchemeSpec:
-        lam = None if self.kind == "theta_standard" else lambda1
         return SchemeSpec(self.kind, tau=T / n_steps, n_steps=n_steps,
-                          sigma=self.sigma, l=self.l, m=self.m, lambda1=lam)
+                          sigma=self.sigma, l=self.l, m=self.m,
+                          lambda1=lambda1)
 
     # the label reads only kind, sigma, l and m, which both classes carry
     params_label = SchemeSpec.params_label
@@ -79,12 +79,17 @@ class ExperimentConfig:
     eig_max_iter: int = 50
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("T must be positive")
+        # written as 0 < x < inf so that nan fails too
+        if not 0.0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         if self.reference_steps < 1:
             raise ValueError("reference_steps must be >= 1")
-        if self.eig_tol <= 0.0 or self.eig_max_iter < 1:
-            raise ValueError("[eigen] needs tol > 0 and max_iter >= 1")
+        if not 0.0 < self.eig_tol < math.inf or self.eig_max_iter < 1:
+            raise ValueError(
+                "[eigen] needs a finite tol > 0 and max_iter >= 1")
+        if not self.eigen_grids:
+            raise ValueError("[eigen] grids must name at least one grid")
+        runs = set()
         for req in self.schemes:
             # SchemeSpec holds the scheme rules; 0.0 stands in for lambda1
             req.to_spec(self.T, self.reference_steps, 0.0)
@@ -95,6 +100,11 @@ class ExperimentConfig:
                     raise ValueError(
                         f"step count {n} must divide reference_steps "
                         f"{self.reference_steps}")
+                run = (req.kind, req.params_label(), n)
+                if run in runs:
+                    raise ValueError(f"run {req.kind} {run[1]} N={n} is "
+                                     f"requested twice")
+                runs.add(run)
 
 
 def resolve_output_dir(config: ExperimentConfig) -> Path:
@@ -120,28 +130,13 @@ def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix) -> float
 # reference trajectory
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Reference:
-    """Fully implicit fine-grid trajectory sampled where coarse runs need it."""
-
-    n_steps: int
-    vectors: dict[int, np.ndarray] = field(repr=False)
-
-    def at(self, coarse_steps: int, level: int) -> np.ndarray:
-        """Reference vector at time level ``level`` of a coarse run with
-        ``coarse_steps`` steps over the same interval."""
-        if self.n_steps % coarse_steps != 0:
-            raise ValueError(f"reference with {self.n_steps} steps cannot be "
-                             f"sampled at a {coarse_steps}-step run")
-        return self.vectors[level * (self.n_steps // coarse_steps)]
-
-
 def make_reference(sys: FemSystem, w0: np.ndarray, T: float,
                    n_steps: int = 1000,
                    coarse_steps: tuple[int, ...] = (10, 20, 40, 100),
-                   ) -> Reference:
+                   ) -> Trajectory:
     """Run the fully implicit scheme on the fine time grid and keep the
-    vectors at every sample time of the coarse runs.
+    vectors only at the sample times of the coarse runs: level n of an
+    N-step run is reference level ``n * (n_steps // N)``.
 
     Raises
     ------
@@ -154,12 +149,10 @@ def make_reference(sys: FemSystem, w0: np.ndarray, T: float,
         if n < 1 or n > n_steps or n_steps % n != 0:
             raise ValueError(
                 f"coarse step count {n} must divide reference n_steps {n_steps}")
-        stride = n_steps // n
-        needed.update(range(0, n_steps + 1, stride))
+        needed.update(range(0, n_steps + 1, n_steps // n))
     spec = SchemeSpec("theta_standard", tau=T / n_steps, n_steps=n_steps,
                       sigma=1.0)
-    traj = run_scheme(spec, sys, w0, store_levels=needed)
-    return Reference(n_steps=n_steps, vectors=traj.vectors)
+    return run_scheme(spec, sys, w0, store_levels=needed)
 
 
 # ---------------------------------------------------------------------------
@@ -194,10 +187,6 @@ def _write_csv(path: Path, header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def run_csv_name(kind: str, params: str, n_steps: int) -> str:
-    return f"{kind}_{params}_N{n_steps}.csv"
 
 
 def initial_state(sys: FemSystem) -> np.ndarray:
@@ -252,12 +241,16 @@ def run_experiment(config: ExperimentConfig,
                    output_dir: Path | str | None = None) -> ExperimentResult:
     """Assemble, eigensolve, run every scheme/step-count pair, write CSVs.
 
-    A failing run is recorded (its error message, nan metrics) and the
-    remaining runs continue.  With an empty scheme list only the eigenpair
-    summary is emitted.  ``output_dir`` bypasses the config/environment
-    resolution (used by sweeps writing one subdirectory per variant).
-    pade_modal schemes share one dense modal basis; it (refused above 2500
-    nodes) and the eigenpair are computed before the output directory is made.
+    eps_u at level n of an N-step run is measured against level
+    ``n * (reference_steps // N)`` of the make_reference trajectory.  A run
+    whose stepping fails is recorded (its error message, nan metrics) and
+    the remaining runs continue.  With an empty scheme list only the
+    eigenpair summary is emitted.  ``output_dir`` bypasses the
+    config/environment resolution (used by sweeps writing one subdirectory
+    per variant).  pade_modal schemes share one dense modal basis; it
+    (refused above 2500 nodes) and the eigenpair are computed before the
+    output directory is made, so an unconverged eigensolve raises
+    ConvergenceError and leaves no output behind.
     """
     mesh = build_mesh(config.n_side)
     sys = assemble(mesh, config.coefficients)
@@ -293,10 +286,12 @@ def run_experiment(config: ExperimentConfig,
                 continue
             eps_a = traj.amplitudes - traj.amplitudes[0] * np.exp(
                 -pair.lambda1 * traj.times)
+            stride = config.reference_steps // n_steps
             eps_u = np.array([
-                epsilon_u(traj.vector_at(n), reference.at(n_steps, n), sys.M)
+                epsilon_u(traj.vector_at(n), reference.vector_at(n * stride),
+                          sys.M)
                 for n in range(n_steps + 1)])
-            name = run_csv_name(req.kind, req.params_label(), n_steps)
+            name = f"{req.kind}_{req.params_label()}_N{n_steps}.csv"
             _write_csv(outdir / name, "t,norm_m,eps_a,eps_u",
                        ([_fmt(traj.times[n]), _fmt(traj.m_norms[n]),
                          _fmt(eps_a[n]), _fmt(eps_u[n])]

@@ -115,10 +115,11 @@ def pade_rational(l: int, m: int, z):
 class SchemeSpec:
     """Identity and parameters of one time-stepping run.
 
-    theta kinds need ``sigma``; pade kinds need ``l`` and ``m``; all shifted
-    (FMES) kinds need ``lambda1``, normally the discrete fundamental
-    eigenvalue from the spectral module.  ``n_steps = 0`` is allowed and
-    yields the degenerate one-entry trajectory.
+    theta kinds take only ``sigma``, pade kinds only ``l`` and ``m`` (valid
+    for ``pade_coefficients``); all shifted (FMES) kinds need ``lambda1``,
+    normally the discrete fundamental eigenvalue from the spectral module.
+    ``n_steps = 0`` is allowed and yields the degenerate one-entry
+    trajectory.
     """
 
     kind: str
@@ -133,11 +134,13 @@ class SchemeSpec:
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme kind {self.kind!r}; "
                              f"expected one of {SCHEME_KINDS}")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
         if self.kind in ("theta_standard", "theta_fmes"):
+            if self.l is not None or self.m is not None:
+                raise ValueError(f"{self.kind} takes no Pade indices l, m")
             if self.sigma is None or not (0.0 < self.sigma <= 1.0):
                 raise ValueError("theta schemes need a weight sigma in (0, 1]")
             if self.sigma < 0.5:
@@ -146,10 +149,11 @@ class SchemeSpec:
                     f"|r(sigma, eta)| > 1 for eta > 2/(1 - 2 sigma): stiff "
                     f"modes would blow up; use sigma >= 0.5")
         else:
+            if self.sigma is not None:
+                raise ValueError(f"{self.kind} takes no theta weight sigma")
             if self.l is None or self.m is None:
                 raise ValueError("Pade schemes need indices l and m")
-            if self.l < 0 or self.m < 0 or self.l + self.m < 1:
-                raise ValueError(f"invalid Pade indices ({self.l}, {self.m})")
+            pade_coefficients(self.l, self.m)   # refuses invalid indices
             if self.l > self.m:
                 raise ValueError(
                     f"Pade indices ({self.l}, {self.m}) need l <= m: R_lm is "

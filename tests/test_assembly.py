@@ -124,6 +124,15 @@ def test_coefficient_validation():
         ProblemCoefficients(mu_right_top=-0.5)
 
 
+@pytest.mark.parametrize("name", ["k_inner", "k_outer", "c", "mu_right_top",
+                                  "mu_left_bottom"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_coefficients_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"coefficient {name} must be finite"):
+        ProblemCoefficients(**{name: value})
+
+
 def test_diffusivity_placement():
     coeffs = ProblemCoefficients()
     assert coeffs.diffusivity_at(0.25, 0.25) == 10.0

@@ -118,9 +118,22 @@ def _assert_refused(outdir, capsys):
     "[eigen]\ntol = 0\n",
     "[eigen]\nmax_iter = 0\n",
     None,
+    "[mesh]\nn_side = 6\n[time]\nT = nan\n",
+    "[mesh]\nn_side = 6\n[time]\nT = inf\n",
+    "[mesh]\nn_side = 6\n[coefficients]\nc = inf\n",
+    "[mesh]\nn_side = 6\n[coefficients]\nk_outer = inf\n",
+    "[mesh]\nn_side = 6\n[eigen]\ntol = nan\n",
+    "[eigen]\ngrids =\n",
+    "[scheme.a]\nkind = theta_fmes\nsigma = 1\nl = 3\n",
+    "[scheme.a]\nkind = pade_fmes\nl = 0\nm = 2\nsigma = 0.7\n",
+    "[scheme.a]\nkind = theta_fmes\nsigma = 1\n"
+    "[scheme.b]\nkind = theta_fmes\nsigma = 1\n",
+    "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps = 4 4\n",
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
         "tiny_sigma", "sigma_below_half", "solver_section", "no_section",
-        "eig_tol0", "eig_max_iter0", "missing_file"])
+        "eig_tol0", "eig_max_iter0", "missing_file", "T_nan", "T_inf",
+        "c_inf", "k_outer_inf", "eig_tol_nan", "empty_grids", "theta_with_l",
+        "pade_with_sigma", "same_section_twice", "same_steps_twice"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:
@@ -134,4 +147,32 @@ def test_run_verb_unconverged_eigensolve_is_one_line_error(outdir, tmp_path,
     config = tmp_path / "short.ini"
     config.write_text("[mesh]\nn_side = 6\n[eigen]\nmax_iter = 3\n")
     assert main(["run", "--config", str(config)]) == 1
+    _assert_refused(outdir, capsys)
+
+
+def test_eigens_verb_unconverged_eigensolve_is_one_line_error(outdir,
+                                                             tmp_path, capsys):
+    config = tmp_path / "short.ini"
+    config.write_text("[eigen]\ngrids = 6 11\nmax_iter = 3\n")
+    assert main(["eigens", "--config", str(config)]) == 1
+    _assert_refused(outdir, capsys)
+
+
+@pytest.mark.parametrize("verb", ["run", "eigens"])
+@pytest.mark.parametrize("c", ["inf", "nan"])
+def test_non_finite_reaction_override_is_one_line_error(outdir, capsys, verb,
+                                                        c):
+    assert main([verb, "--nside", "6", "--c", c]) == 2
+    _assert_refused(outdir, capsys)
+
+
+def test_eigens_verb_refuses_empty_grid_list(outdir, tmp_path, capsys):
+    config = tmp_path / "nogrids.ini"
+    config.write_text("[eigen]\ngrids =\n")
+    assert main(["eigens", "--config", str(config)]) == 2
+    _assert_refused(outdir, capsys)
+
+
+def test_run_verb_refuses_repeated_step_override(outdir, capsys):
+    assert main(["run", "--nside", "6", "--steps", "4,8,4"]) == 2
     _assert_refused(outdir, capsys)

@@ -68,8 +68,18 @@ def test_epsilon_u_basics(sys6, rng):
 def test_reference_starts_at_initial_state(sys6):
     w0 = initial_state(sys6)
     ref = make_reference(sys6, w0, 0.1, 50, (5, 10))
-    assert ref.at(5, 0) == pytest.approx(w0, abs=0)
-    assert ref.at(10, 0) == pytest.approx(w0, abs=0)
+    assert ref.vector_at(0) == pytest.approx(w0, abs=0)
+
+
+def test_reference_stores_only_sample_levels(sys6):
+    # levels 0 and n_steps plus every multiple of 50 // 5 and 50 // 25
+    ref = make_reference(sys6, initial_state(sys6), 0.1, 50, (5, 25))
+    assert set(ref.vectors) == set(range(0, 51, 2))
+    ref = make_reference(sys6, initial_state(sys6), 0.1, 50, (5,))
+    assert set(ref.vectors) == {0, 10, 20, 30, 40, 50}
+    ref = make_reference(sys6, initial_state(sys6), 0.1, 50, ())
+    assert set(ref.vectors) == {0, 50}
+    assert len(ref.m_norms) == 51
 
 
 def test_reference_rejects_nondivisible_steps(sys6):
@@ -91,7 +101,8 @@ def test_reference_first_order_against_modal_oracle(sys6, basis6):
         ds = []
         for lvl in range(1, coarse + 1):
             exact = exact_semidiscrete_solution(basis6, w0, lvl * T / coarse)
-            ds.append(epsilon_u(exact, ref.at(coarse, lvl), sys6.M))
+            ds.append(epsilon_u(exact, ref.vector_at(lvl * n_ref // coarse),
+                                sys6.M))
         worst[n_ref] = max(ds)
     assert 1.7 <= worst[250] / worst[500] <= 2.3
 
@@ -275,6 +286,32 @@ def test_config_rejects_unknown_names():
         parse_config("[scheme:a]\nkind = theta_standard\nsigma = 1\n")
     with pytest.raises(ValueError):
         parse_config("[scheme.a]\nsigma = 1\n")     # kind missing
+
+
+@pytest.mark.parametrize("overrides, match", [
+    (dict(T=float("nan")), "T must be positive"),
+    (dict(T=float("inf")), "T must be positive"),
+    (dict(eig_tol=float("nan")), "finite tol"),
+    (dict(eig_tol=float("inf")), "finite tol"),
+    (dict(eigen_grids=()), "at least one grid"),
+    (dict(schemes=(SchemeRequest("theta_fmes", sigma=1.0, steps=(4, 4)),)),
+     "requested twice"),
+    (dict(schemes=(SchemeRequest("pade_fmes", l=0, m=1, steps=(4,)),
+                   SchemeRequest("pade_fmes", l=0, m=1, steps=(2, 4)))),
+     "pade_fmes l0m1 N=4 is requested twice"),
+], ids=["T_nan", "T_inf", "tol_nan", "tol_inf", "no_grids", "steps_twice",
+        "section_twice"])
+def test_config_refusals(overrides, match):
+    with pytest.raises(ValueError, match=match):
+        ExperimentConfig(**overrides)
+
+
+def test_same_scheme_at_other_steps_or_weights_is_not_a_duplicate():
+    ExperimentConfig(schemes=(
+        SchemeRequest("theta_fmes", sigma=1.0, steps=(10,)),
+        SchemeRequest("theta_fmes", sigma=1.0, steps=(20,)),
+        SchemeRequest("theta_fmes", sigma=0.5, steps=(10,)),
+        SchemeRequest("theta_standard", sigma=1.0, steps=(10,))))
 
 
 def test_load_config_from_file(tmp_path):

@@ -52,6 +52,32 @@ def test_spec_validation():
     assert spec.params_label() == "l0m3"
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("theta_standard", dict(sigma=1.0, l=3)),
+    ("theta_fmes", dict(sigma=1.0, m=1)),
+    ("pade_fmes", dict(l=0, m=1, sigma=0.7)),
+    ("pade_modal", dict(l=1, m=2, sigma=1.0)),
+])
+def test_spec_refuses_parameters_its_kind_does_not_read(kind, params):
+    with pytest.raises(ValueError, match="takes no"):
+        SchemeSpec(kind, tau=0.1, n_steps=1, lambda1=1.0, **params)
+
+
+@pytest.mark.parametrize("l, m", [(1.5, 2), (-1, 2), (0, 0)])
+def test_spec_refuses_indices_pade_coefficients_refuses(l, m):
+    # l = 1.5 used to pass the spec and fail only in make_stepper
+    with pytest.raises(ValueError):
+        pade_coefficients(l, m)
+    with pytest.raises(ValueError):
+        SchemeSpec("pade_modal", tau=0.1, n_steps=1, l=l, m=m, lambda1=1.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf")])
+def test_spec_refuses_non_finite_step(tau):
+    with pytest.raises(ValueError, match="tau"):
+        SchemeSpec("theta_standard", tau=tau, n_steps=1, sigma=1.0)
+
+
 def test_sparse_pade_rejects_general_indices():
     for l, m in ((0, 5), (3, 5)):
         with pytest.raises(ValueError, match="modal"):
