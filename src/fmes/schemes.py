@@ -169,7 +169,7 @@ class SchemeSpec:
 
     def params_label(self) -> str:
         if self.kind in ("theta_standard", "theta_fmes"):
-            return f"sigma{self.sigma:g}"
+            return f"sigma{np.format_float_positional(self.sigma, trim='-')}"
         return f"l{self.l}m{self.m}"
 
 
@@ -224,8 +224,8 @@ class _RationalStepper:
         self.tol = OUTER_TOL / (1.0 + abs(self.c0))
         self.poles = []
         for z, r, w in terms:
-            A = tau * Kt - z * sys.M
-            direct, precondition = choose_solver(A, sys.mesh)
+            direct, A, precondition = choose_solver(tau * Kt - z * sys.M,
+                                                    sys.mesh)
             self.poles.append((z, self.scale * r, w, A, precondition, direct))
 
     def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:

@@ -87,14 +87,14 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     lam_prev: float | None = None
     lam = float("nan")
     warm: np.ndarray | None = None
-    direct, precondition = choose_solver(sys.K_bar, sys.mesh)
+    direct, K_bar, precondition = choose_solver(sys.K_bar, sys.mesh)
     if direct is not None:
         precondition = direct.substitute
 
     for it in range(1, max_iter + 1):
         rhs = sys.M @ phi
         try:
-            psi, _ = cg_solve(sys.K_bar, rhs, tol=INNER_TOL, x0=warm,
+            psi, _ = cg_solve(K_bar, rhs, tol=INNER_TOL, x0=warm,
                               precondition=precondition)
         except ConvergenceError as err:
             raise ConvergenceError(

@@ -314,6 +314,20 @@ def test_same_scheme_at_other_steps_or_weights_is_not_a_duplicate():
         SchemeRequest("theta_standard", sigma=1.0, steps=(10,))))
 
 
+def test_close_theta_weights_get_their_own_runs(tmp_path):
+    # sigma is labelled by its shortest round-tripping digits, not by :g
+    near = (SchemeRequest("theta_fmes", sigma=0.5, steps=(5,)),
+            SchemeRequest("theta_fmes", sigma=0.5000001, steps=(5,)))
+    assert [req.params_label() for req in near] == ["sigma0.5",
+                                                     "sigma0.5000001"]
+    result = run_experiment(_small_config(tmp_path, schemes=near))
+    assert result.all_converged
+    for label in ("sigma0.5", "sigma0.5000001"):
+        run = result.find_run("theta_fmes", label, 5)
+        assert (result.output_dir / run.csv_name).exists()
+    assert SchemeRequest("theta_fmes", sigma=1.0).params_label() == "sigma1"
+
+
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[mesh]\nn_side = 9\n")

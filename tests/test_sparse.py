@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -140,13 +142,54 @@ def test_substitute_complex_rhs_on_real_factor(sys6, rng):
 
 
 def test_choose_solver_follows_the_budget(sys6, sys21, monkeypatch):
-    direct, precondition = choose_solver(sys21.K_bar, sys21.mesh)
+    direct, A, precondition = choose_solver(sys21.K_bar, sys21.mesh)
     assert isinstance(direct, BandedSolver) and precondition is None
+    assert A is sys21.K_bar
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", direct.nbytes - 1)
-    direct, precondition = choose_solver(sys21.K_bar, sys21.mesh)
+    direct, A, precondition = choose_solver(sys21.K_bar, sys21.mesh)
     assert direct is None and isinstance(precondition, Multigrid)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
-    assert choose_solver(sys6.K_bar, sys6.mesh) == (None, None)   # Jacobi
+    direct, A, precondition = choose_solver(sys6.K_bar, sys6.mesh)
+    assert direct is None and precondition is None   # Jacobi
+    assert A.format == "dia"
+
+
+def _mesh_offsets(n_side):
+    # row-by-row numbering: x neighbours, y neighbours, the cell diagonal
+    return [-(n_side + 1), -n_side, -1, 0, 1, n_side, n_side + 1]
+
+
+def test_cg_operator_is_stored_by_diagonals(sys21, monkeypatch):
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    for z in (-1.0, -1.0 + 1.0j):           # a real and a complex pole system
+        A = 0.01 * sys21.K - z * sys21.M
+        _, op, mg = choose_solver(A, sys21.mesh)
+        assert op.format == "dia"
+        assert sorted(op.offsets) == _mesh_offsets(21)
+        assert abs(op - A).max() == 0.0
+        # a real matrix is its V-cycle's level-0 operator, converted once
+        assert (op is mg.levels[0][0]) == (z.imag == 0.0)
+    # without a mesh the sparsity can be arbitrary: the format is kept
+    A = sys21.K_bar.tocsc()
+    assert choose_solver(A, None) == (None, A, None)
+
+
+def test_multigrid_levels_are_stored_by_diagonals(rng):
+    sys = assemble(build_mesh(41))
+    mg = multigrid(sys.K_bar + sys.M, sys.mesh)
+    assert [level[0].shape[0] for level in mg.levels] == [41 ** 2, 21 ** 2]
+    for (A, _, P, R), n_side in zip(mg.levels, (41, 21)):
+        assert A.format == "dia"
+        assert sorted(A.offsets) == _mesh_offsets(n_side)
+        assert R.format == "csr" and abs(R - P.T).max() == 0.0
+    # the same V-cycle on CSR operators and the CSC transposed view P.T
+    reference = copy.copy(mg)
+    reference.levels = [(A.tocsr(), jacobi, P, P.T)
+                        for A, jacobi, P, _ in mg.levels]
+    r = rng.standard_normal(sys.n_nodes)
+    expected = reference(r)
+    eps = np.finfo(float).eps
+    assert np.abs(mg(r) - expected).max() <= 4 * eps * np.abs(expected).max()
 
 
 def test_bandwidth_of_structured_mesh(sys6):

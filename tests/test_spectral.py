@@ -110,6 +110,19 @@ def test_band_preconditioned_inner_solves(sys26, monkeypatch):
     assert max(iterations) <= 2
 
 
+def test_iterative_eigensolve_multiplies_by_diagonals(sys21, monkeypatch):
+    formats = []
+
+    def recording(A, *args, **kwargs):
+        formats.append(A.format)
+        return sparse.cg_solve(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "cg_solve", recording)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    pair = inverse_iteration(sys21)
+    assert formats == ["dia"] * pair.iterations
+
+
 @pytest.mark.parametrize("name", ["sys21", "sys26"])
 def test_eigenpair_independent_of_solve_path(request, monkeypatch, name):
     # n_side 21 falls back to multigrid CG, 26 to Jacobi CG
