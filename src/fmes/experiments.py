@@ -93,6 +93,9 @@ class ExperimentConfig:
         for req in self.schemes:
             # SchemeSpec holds the scheme rules; 0.0 stands in for lambda1
             req.to_spec(self.T, self.reference_steps, 0.0)
+            if not req.steps:
+                raise ValueError(f"scheme {req.kind} {req.params_label()} "
+                                 "needs at least one step count")
             for n in req.steps:
                 if n < 1:
                     raise ValueError(f"step count must be >= 1, got {n}")

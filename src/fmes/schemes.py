@@ -24,8 +24,7 @@ y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
 for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
 conjugate pole pair: a banded direct solve with a factor made once per
-run or, above sparse.DIRECT_LIMIT_BYTES, CG preconditioned by multigrid on
-a coarsenable mesh and by Jacobi scaling otherwise.
+run or, above sparse.DIRECT_LIMIT_BYTES, multigrid-preconditioned CG.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -211,7 +210,7 @@ class _RationalStepper:
     is made on the first step (so a failure still names level 1); later
     steps substitute and check the true residual.  Above the budget, CG is
     warm-started from the pole term's large-z limit and preconditioned by a
-    V-cycle of the system's real part when the mesh coarsens (else Jacobi).
+    V-cycle of the system's real part.
     ``step`` reuses M y when the caller has it (``run_scheme`` does).
     """
 

@@ -7,9 +7,9 @@ by ``choose_solver``:
 * ``BandedSolver`` when its band factor fits in DIRECT_LIMIT_BYTES: A is
   factored once in LAPACK band storage, then solved by substitution.  The
   band is n_side + 1 wide on the row-by-row numbered structured mesh.
-* else ``cg_solve`` preconditioned by ``multigrid(A, mesh)`` when A lives
-  on a structured mesh that coarsens (iterations do not grow with the grid),
-* else ``cg_solve`` with Jacobi scaling.
+* else ``cg_solve`` preconditioned by a ``Multigrid`` V-cycle of Re(A) on
+  A's structured mesh, of either parity of n_side: 12-20 iterations per
+  solve of K_bar from n_side 27 to 256.
 
 On a mesh, CG and the V-cycle multiply by matrices in DIA storage: the
 row-by-row numbering puts every entry of a P1 operator on one of the 7
@@ -25,10 +25,10 @@ a lone band solve of K_bar x = M 1 misses the eigensolve's 1e-13 (9.2e-13,
 5.7e-12 and 1.3e-11 at n_side 26, 51 and 101).  So the eigensolve runs CG
 with the band substitution as preconditioner: 1-2 iterations per solve.
 CG stops on its recurrence residual; asked for 1e-13 there, its true
-residual was 4.1e-13, 1.6e-12 and 7.1e-12 at n_side 26, 51 and 101, 5.8e-11
-with multigrid at 201, and 4.0e-10 with Jacobi at 201.  The same explicit CG
-loop solves complex-symmetric systems as conjugate orthogonal CG.  All paths
-are deterministic, so runs are bit-reproducible.
+residual was 4.1e-13, 1.6e-12 and 7.1e-12 at n_side 26, 51 and 101, and
+5.8e-11 with multigrid at 201.  The same explicit CG loop solves
+complex-symmetric systems as conjugate orthogonal CG.  All paths are
+deterministic, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import scipy.sparse as sp
 
 from .mesh import Mesh
 
-# Largest band factor a matrix may keep; a larger one is solved by CG,
-# multigrid-preconditioned where the mesh coarsens.  The paper's grid (676
-# nodes) needs 0.15 MB real, 0.9 MB complex; real factors fit up to n_side
-# 127 (16.6 MB), and n_side 201 (40,401 nodes) would need 65 MB real.
+# Largest band factor a matrix may keep; a larger one is solved by
+# multigrid-preconditioned CG.  The paper's grid (676 nodes) needs 0.15 MB
+# real, 0.9 MB complex; real factors fit up to n_side 127 (16.6 MB), and
+# n_side 201 (40,401 nodes) would need 65 MB real.
 DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 
 
@@ -71,7 +71,7 @@ class ConvergenceError(RuntimeError):
 
 def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
              *, x0: np.ndarray | None = None,
-             precondition=None) -> tuple[np.ndarray, SolveReport]:
+             precondition) -> tuple[np.ndarray, SolveReport]:
     """Preconditioned conjugate gradients for a symmetric matrix.
 
     A real ``A`` must be positive definite.  A complex ``A`` must be
@@ -89,10 +89,9 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
     max_iter : iteration cap (default scales with the dimension)
     x0 : optional warm start (without one, no product A x0 is made)
     precondition : callable r -> z, a real SPD approximation of A^-1 such
-        as a ``Multigrid`` or ``BandedSolver.substitute``; None (the
-        default) is diagonal (Jacobi) scaling.  Each iteration tests the
-        residual before preconditioning it, so a converged solve applies
-        ``precondition`` once per iteration.
+        as a ``Multigrid`` or ``BandedSolver.substitute``.  Each iteration
+        tests the residual before preconditioning it, so a converged solve
+        applies ``precondition`` once per iteration.
 
     Returns
     -------
@@ -119,13 +118,6 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
     rhs = rhs.astype(dtype, copy=False)
     if max_iter is None:
         max_iter = max(1000, 20 * n)
-    if precondition is None:
-        diagonal = A.diagonal()
-        inv_diag = 1.0 / np.where(diagonal == 0.0, 1.0, diagonal)
-
-        def precondition(r):
-            return inv_diag * r
-
     b_norm = float(np.linalg.norm(rhs))
     if b_norm == 0.0:
         return np.zeros_like(rhs), SolveReport(0, 0.0, True)
@@ -254,37 +246,48 @@ class BandedSolver:
 
 
 def prolongation(n_side: int) -> sp.csr_matrix:
-    """P1 interpolation from the structured mesh with (n_side + 1) / 2 nodes
-    per side to the one with n_side (odd) nodes per side.
+    """P1 interpolation from the structured mesh with ceil(n_side / 2) nodes
+    per side to the one with n_side nodes per side.
 
-    A fine node on a coarse node keeps its value; every other fine node is
-    the midpoint of a coarse edge (horizontal, vertical, or the lower-left
-    to upper-right diagonal) and takes the mean of the edge's two ends.
+    A fine node at (sx, sy) inside its coarse cell takes the barycentric
+    weights of the coarse triangle that contains it: 1 - max(sx, sy) on the
+    lower-left corner, min(sx, sy) on the upper-right one and |sx - sy| on
+    the lower-right (sx > sy) or upper-left one.  On odd n_side the meshes
+    are nested and every weight is 1 or 1/2; on even n_side they are not.
     """
     nc = (n_side + 1) // 2
-    fine = np.arange(n_side ** 2).reshape(n_side, n_side)
-    coarse = np.arange(nc ** 2).reshape(nc, nc)
-    ends = [(fine[::2, ::2], [coarse]),
-            (fine[::2, 1::2], [coarse[:, :-1], coarse[:, 1:]]),
-            (fine[1::2, ::2], [coarse[:-1], coarse[1:]]),
-            (fine[1::2, 1::2], [coarse[:-1, :-1], coarse[1:, 1:]])]
-    rows, cols, vals = map(np.concatenate, zip(*[
-        (f.ravel(), c.ravel(), np.full(f.size, 1.0 / len(cs)))
-        for f, cs in ends for c in cs]))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n_side ** 2, nc ** 2))
+    t = np.arange(n_side) * (nc - 1) / (n_side - 1)
+    cell = np.minimum(np.floor(t).astype(int), nc - 2)
+    sy, sx = (t - cell)[:, None], (t - cell)[None, :]
+    ll = cell[:, None] * nc + cell[None, :]
+    # per fine node in column order: lower-left, lower-right or upper-left,
+    # upper-right
+    cols = np.stack([ll, np.where(sx > sy, ll + 1, ll + nc), ll + nc + 1], -1)
+    vals = np.stack([1.0 - np.maximum(sx, sy), np.abs(sx - sy),
+                     np.minimum(sx, sy)], -1)
+    keep = vals != 0.0
+    indptr = np.append(0, np.cumsum(keep.sum(axis=-1)))
+    return sp.csr_matrix((vals[keep], cols[keep], indptr),
+                         shape=(n_side ** 2, nc ** 2))
 
 
-def _coarsens(n_side: int) -> bool:
-    return (n_side - 1) % 2 == 0 and n_side > 20
+# Meshes with more nodes per side than this are coarsened; the coarsest
+# level is band-factored.  26 gives n_side 201 the hierarchy 201 -> 101 ->
+# 51 -> 26 (a 676-node coarsest factor); going on to 13 was no faster.
+COARSEST_N_SIDE = 26
 
 
 class Multigrid:
     """Geometric multigrid V(2,2)-cycle: a symmetric positive definite
     preconditioner for the real part of a matrix on a structured mesh.
 
-    Levels halve the mesh by ``prolongation`` while n_side - 1 is even and
-    n_side > 20, with Galerkin coarse operators P^T A P and a banded
-    Cholesky factor on the coarsest.  Each level smooths twice before and
+    Levels coarsen the mesh to ceil(n_side / 2) nodes per side by
+    ``prolongation`` while n_side > COARSEST_N_SIDE, with Galerkin coarse
+    operators P^T A P and a banded Cholesky factor on the coarsest (the
+    only part on a mesh that does not coarsen).  Galerkin operators stay
+    SPD, so the V-cycle is a valid CG preconditioner on non-nested levels
+    too (Bramble, Pasciak & Xu, Math. Comp. 56, 1991); there they have
+    17-19 diagonals instead of 7.  Each level smooths twice before and
     twice after the coarse correction by damped Jacobi (weight 0.8).  Every
     operator is real, so a complex vector's real and imaginary parts are
     preconditioned alike.
@@ -297,7 +300,7 @@ class Multigrid:
     def __init__(self, A, n_side: int):
         A = sp.csr_matrix(A.real if np.iscomplexobj(A) else A)
         self.levels = []
-        while _coarsens(n_side):
+        while n_side > COARSEST_N_SIDE:
             P = prolongation(n_side)
             self.levels.append((A.todia(), 0.8 / A.diagonal(), P, P.T.tocsr()))
             A = (P.T @ A @ P).tocsr()
@@ -316,29 +319,22 @@ class Multigrid:
         return x
 
 
-def multigrid(A, mesh: Mesh | None) -> Multigrid | None:
-    """The V-cycle of Re(A) if A lives on ``mesh`` and the mesh coarsens at
-    least once, else None (``cg_solve`` then scales by Jacobi)."""
-    if mesh is None or not _coarsens(mesh.n_side):
-        return None
-    return Multigrid(A, mesh.n_side)
-
-
 def choose_solver(A, mesh: Mesh | None):
     """The solve path of A as ``(direct, operator, precondition)``.
 
     ``(BandedSolver(A), A, None)`` when the band factor fits in
-    DIRECT_LIMIT_BYTES.  Else ``(None, operator, multigrid(A, mesh))``: the
-    matrix CG multiplies by, in DIA storage when A lives on ``mesh`` (as
-    given without one, whose sparsity can be arbitrary), and the CG
-    preconditioner (None meaning Jacobi scaling).
+    DIRECT_LIMIT_BYTES.  Else ``(None, operator, Multigrid(A, n_side))``:
+    the matrix CG multiplies by, in DIA storage, and the V-cycle that
+    preconditions it.  A matrix without a mesh has no other path than its
+    band factor, so a larger one is refused (ValueError).
     """
     direct = BandedSolver(A)
     if direct.nbytes <= DIRECT_LIMIT_BYTES:
         return direct, A, None
     if mesh is None:
-        return None, A, None
-    precondition = multigrid(A, mesh)
-    if precondition is None or direct.is_complex:
-        return None, direct.A.todia(), precondition
-    return None, precondition.levels[0][0], precondition    # Re(A) is A
+        raise ValueError(f"band factor of {direct.nbytes} bytes exceeds "
+                         "DIRECT_LIMIT_BYTES and the matrix has no mesh")
+    precondition = Multigrid(A, mesh.n_side)
+    if precondition.levels and not direct.is_complex:
+        return None, precondition.levels[0][0], precondition   # Re(A) is A
+    return None, direct.A.todia(), precondition

@@ -67,7 +67,7 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG at
     INNER_TOL, preconditioned by K_bar's band factor where it fits (1-2
-    iterations per solve), else by a multigrid hierarchy or Jacobi scaling
+    iterations per solve), else by a multigrid V-cycle
     (``sparse.choose_solver``), and stops once consecutive eigenvalue
     estimates agree to ``tol`` relative (never before ``min_iter``
     iterations, which lets callers force a fixed-length history).

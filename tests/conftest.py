@@ -35,8 +35,14 @@ def basis11(sys11):
 
 
 @pytest.fixture(scope="session")
-def sys21():
-    return assemble(build_mesh(21))
+def sys28():
+    # the smallest multigrid grids: one level each, to 14 and 16 nodes a side
+    return assemble(build_mesh(28))      # not nested in its coarse mesh
+
+
+@pytest.fixture(scope="session")
+def sys31():
+    return assemble(build_mesh(31))      # nested
 
 
 @pytest.fixture(scope="session")

@@ -90,8 +90,9 @@ def test_verb_refuses_overrides_it_does_not_read(outdir, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [["--nside", "1"], ["--steps", "0"],
-                                  ["--nside", "6", "--steps", "7"]],
-                         ids=["nside1", "steps0", "steps7"])
+                                  ["--nside", "6", "--steps", "7"],
+                                  ["--steps", ""]],
+                         ids=["nside1", "steps0", "steps7", "steps_empty"])
 def test_run_verb_bad_input_is_one_line_error(outdir, capsys, argv):
     assert main(["run"] + argv) == 2
     _assert_refused(outdir, capsys)
@@ -129,11 +130,13 @@ def _assert_refused(outdir, capsys):
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\n"
     "[scheme.b]\nkind = theta_fmes\nsigma = 1\n",
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps = 4 4\n",
+    "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps =\n",
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
         "tiny_sigma", "sigma_below_half", "solver_section", "no_section",
         "eig_tol0", "eig_max_iter0", "missing_file", "T_nan", "T_inf",
         "c_inf", "k_outer_inf", "eig_tol_nan", "empty_grids", "theta_with_l",
-        "pade_with_sigma", "same_section_twice", "same_steps_twice"])
+        "pade_with_sigma", "same_section_twice", "same_steps_twice",
+        "empty_steps"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from fmes import schemes, sparse
+from fmes import assemble, build_mesh, schemes, sparse
 from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
@@ -386,7 +386,9 @@ def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
     assert all(pole[-1] is not None for pole in direct.poles)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     cg = make_stepper(spec, sys6)
-    assert all(pole[-2:] == (None, None) for pole in cg.poles)   # Jacobi
+    # n_side 6 does not coarsen: CG preconditioned by Re(A)'s band factor
+    assert all(isinstance(pole[-2], Multigrid) and not pole[-2].levels
+               and pole[-1] is None for pole in cg.poles)
     assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
 
 
@@ -407,25 +409,47 @@ def test_run_scheme_reuses_mass_product(sys6, pair6, basis6, rng, kind,
 
 
 @pytest.fixture(scope="module")
-def pair21(sys21):
-    return inverse_iteration(sys21)
+def pair28(sys28):
+    return inverse_iteration(sys28)
 
 
 @pytest.mark.parametrize("kind, params", _SPARSE_SPECS)
-def test_direct_and_multigrid_paths_agree(sys21, pair21, rng, monkeypatch,
+def test_direct_and_multigrid_paths_agree(sys28, pair28, rng, monkeypatch,
                                           kind, params):
-    # n_side 21 coarsens once, so without the band path every pole system,
-    # complex ones included, runs multigrid-preconditioned CG
-    lam1 = None if kind == "theta_standard" else pair21.lambda1
+    # n_side 28 coarsens once, to a mesh it is not nested in; without the
+    # band path every pole system, complex ones included, runs
+    # multigrid-preconditioned CG
+    lam1 = None if kind == "theta_standard" else pair28.lambda1
     spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
-    y = _generic_state(sys21, rng)
-    direct = make_stepper(spec, sys21)
+    y = _generic_state(sys28, rng)
+    direct = make_stepper(spec, sys28)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
-    iterative = make_stepper(spec, sys21)
-    assert all(isinstance(pole[-2], Multigrid) and pole[-1] is None
-               and pole[3].format == "dia" for pole in iterative.poles)
-    error = m_norm(sys21, direct.step(y) - iterative.step(y))
-    assert error <= 1e-9 * m_norm(sys21, y)
+    iterative = make_stepper(spec, sys28)
+    assert all(isinstance(pole[-2], Multigrid) and len(pole[-2].levels) == 1
+               and pole[-1] is None and pole[3].format == "dia"
+               for pole in iterative.poles)
+    error = m_norm(sys28, direct.step(y) - iterative.step(y))
+    assert error <= 1e-9 * m_norm(sys28, y)
+
+
+def test_complex_pole_solves_on_an_even_grid_take_few_iterations(monkeypatch):
+    # at n_side 72 the (0,2) pole pair's complex band factor (18 MB) is over
+    # the budget; its mesh is not nested in the coarse one (diagonal scaling
+    # took 229 iterations per solve on average)
+    sys = assemble(build_mesh(72))
+    spec = SchemeSpec("pade_fmes", tau=0.01, n_steps=3, l=0, m=2,
+                      lambda1=inverse_iteration(sys).lambda1)
+    iterations = []
+
+    def recording(A, *args, **kwargs):
+        assert np.iscomplexobj(A)
+        x, report = sparse.cg_solve(A, *args, **kwargs)
+        iterations.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(schemes, "cg_solve", recording)
+    run_scheme(spec, sys, np.ones(sys.n_nodes))
+    assert len(iterations) == 3 and max(iterations) <= 20
 
 
 _SPD_KINDS = ([(kind, dict(sigma=s))

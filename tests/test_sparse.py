@@ -7,13 +7,20 @@ import scipy.sparse.linalg as spla
 
 from fmes import ProblemCoefficients, assemble, build_mesh, sparse
 from fmes.sparse import (BandedSolver, ConvergenceError, Multigrid, bandwidth,
-                         cg_solve, choose_solver, multigrid, prolongation)
+                         cg_solve, choose_solver, prolongation)
 from fmes.spectral import INNER_TOL
+
+
+def _scaling(A):
+    """Diagonal scaling, a weak preconditioner that leaves CG many steps."""
+    diagonal = A.diagonal()
+    return lambda r: r / diagonal
 
 
 def test_identity_converges_in_one_iteration(rng):
     b = rng.standard_normal(12)
-    x, report = cg_solve(sp.eye(12, format="csr"), b, tol=1e-12)
+    A = sp.eye(12, format="csr")
+    x, report = cg_solve(A, b, tol=1e-12, precondition=_scaling(A))
     assert x == pytest.approx(b, rel=1e-12)
     assert report.iterations == 1
     assert report.converged
@@ -22,7 +29,8 @@ def test_identity_converges_in_one_iteration(rng):
 def test_diagonal_solve():
     n = 9
     d = np.arange(1.0, n + 1)
-    x, report = cg_solve(sp.diags(d), np.ones(n), tol=1e-13)
+    A = sp.diags(d)
+    x, report = cg_solve(A, np.ones(n), tol=1e-13, precondition=_scaling(A))
     assert x == pytest.approx(1.0 / d, rel=1e-12)
     assert report.converged
 
@@ -30,13 +38,15 @@ def test_diagonal_solve():
 def test_mass_solve_recovers_ones(sys6):
     ones = np.ones(sys6.n_nodes)
     rhs = sys6.M @ ones
-    x, report = cg_solve(sys6.M, rhs, tol=1e-12)
+    x, report = cg_solve(sys6.M, rhs, tol=1e-12,
+                         precondition=_scaling(sys6.M))
     assert x == pytest.approx(ones, rel=1e-9)
     assert report.converged and report.relative_residual <= 1e-12
 
 
 def test_zero_rhs():
-    x, report = cg_solve(sp.eye(5, format="csr"), np.zeros(5), tol=1e-10)
+    A = sp.eye(5, format="csr")
+    x, report = cg_solve(A, np.zeros(5), tol=1e-10, precondition=_scaling(A))
     assert np.all(x == 0.0)
     assert report.converged and report.iterations == 0
 
@@ -44,7 +54,8 @@ def test_zero_rhs():
 def test_warm_start_already_converged(sys6):
     ones = np.ones(sys6.n_nodes)
     rhs = sys6.M @ ones
-    x, report = cg_solve(sys6.M, rhs, tol=1e-8, x0=ones)
+    x, report = cg_solve(sys6.M, rhs, tol=1e-8, x0=ones,
+                         precondition=_scaling(sys6.M))
     assert report.iterations == 0
     assert x == pytest.approx(ones, abs=0)
 
@@ -52,7 +63,8 @@ def test_warm_start_already_converged(sys6):
 def test_converged_reports_satisfy_tolerance(sys26, rng):
     for tol in (1e-6, 1e-10, 1e-12):
         rhs = rng.standard_normal(sys26.n_nodes)
-        _, report = cg_solve(sys26.K, rhs, tol=tol)
+        _, report = cg_solve(sys26.K, rhs, tol=tol,
+                             precondition=_scaling(sys26.K))
         assert report.converged
         assert report.relative_residual <= tol
 
@@ -60,7 +72,8 @@ def test_converged_reports_satisfy_tolerance(sys26, rng):
 def test_nonconvergence_raises_with_report(sys26, rng):
     rhs = rng.standard_normal(sys26.n_nodes)
     with pytest.raises(ConvergenceError) as exc:
-        cg_solve(sys26.K, rhs, tol=1e-12, max_iter=3)
+        cg_solve(sys26.K, rhs, tol=1e-12, max_iter=3,
+                 precondition=_scaling(sys26.K))
     report = exc.value.report
     assert report is not None
     assert not report.converged
@@ -71,14 +84,15 @@ def test_nonconvergence_raises_with_report(sys26, rng):
 def test_indefinite_operator_raises():
     A = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(ConvergenceError):
-        cg_solve(A, np.array([0.0, 1.0]), tol=1e-10)
+        cg_solve(A, np.array([0.0, 1.0]), tol=1e-10, precondition=_scaling(A))
 
 
 def test_rhs_shape_validation(sys6):
     with pytest.raises(ValueError):
-        cg_solve(sys6.M, np.ones(3), tol=1e-10)
+        cg_solve(sys6.M, np.ones(3), tol=1e-10, precondition=_scaling(sys6.M))
     with pytest.raises(ValueError):
-        cg_solve(sys6.M, np.ones(sys6.n_nodes), tol=0.0)
+        cg_solve(sys6.M, np.ones(sys6.n_nodes), tol=0.0,
+                 precondition=_scaling(sys6.M))
 
 
 def test_complex_symmetric_solve(sys6, rng):
@@ -86,7 +100,7 @@ def test_complex_symmetric_solve(sys6, rng):
     # matrix with a positive definite Hermitian part
     A = (sys6.K + (1.0 - 1.0j) * sys6.M).tocsr()
     b = rng.standard_normal(sys6.n_nodes)
-    x, report = cg_solve(A, b, tol=1e-12)
+    x, report = cg_solve(A, b, tol=1e-12, precondition=_scaling(A))
     assert report.converged
     expected = spla.spsolve(A.tocsc(), b.astype(complex))
     assert np.abs(x - expected).max() <= 1e-9 * np.abs(expected).max()
@@ -96,7 +110,8 @@ def test_complex_indefinite_hermitian_part_raises(sys6):
     # symmetric, but the Hermitian part K - 100 M is indefinite
     A = (sys6.K - (100.0 + 1.0j) * sys6.M).tocsr()
     with pytest.raises(ConvergenceError):
-        cg_solve(A, np.ones(sys6.n_nodes), tol=1e-10)
+        cg_solve(A, np.ones(sys6.n_nodes), tol=1e-10,
+                 precondition=_scaling(A))
 
 
 class _Counting:
@@ -141,17 +156,32 @@ def test_substitute_complex_rhs_on_real_factor(sys6, rng):
     assert np.array_equal(x.imag, solver.substitute(im))
 
 
-def test_choose_solver_follows_the_budget(sys6, sys21, monkeypatch):
-    direct, A, precondition = choose_solver(sys21.K_bar, sys21.mesh)
+def test_choose_solver_follows_the_budget(sys6, sys28, monkeypatch):
+    direct, A, precondition = choose_solver(sys28.K_bar, sys28.mesh)
     assert isinstance(direct, BandedSolver) and precondition is None
-    assert A is sys21.K_bar
+    assert A is sys28.K_bar
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", direct.nbytes - 1)
-    direct, A, precondition = choose_solver(sys21.K_bar, sys21.mesh)
+    direct, A, precondition = choose_solver(sys28.K_bar, sys28.mesh)
     assert direct is None and isinstance(precondition, Multigrid)
+    assert len(precondition.levels) == 1
+    # a mesh that does not coarsen gets a V-cycle of one band factor
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     direct, A, precondition = choose_solver(sys6.K_bar, sys6.mesh)
-    assert direct is None and precondition is None   # Jacobi
+    assert direct is None and isinstance(precondition, Multigrid)
+    assert precondition.levels == []
     assert A.format == "dia"
+
+
+def test_choose_solver_refuses_a_large_matrix_without_mesh(sys6,
+                                                           monkeypatch):
+    # its band factor fits: the band path, format kept
+    A = sys6.K_bar.tocsc()
+    direct, op, precondition = choose_solver(A, None)
+    assert isinstance(direct, BandedSolver) and op is A
+    # above the budget it has no other path
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    with pytest.raises(ValueError, match="no mesh"):
+        choose_solver(A, None)
 
 
 def _mesh_offsets(n_side):
@@ -159,37 +189,42 @@ def _mesh_offsets(n_side):
     return [-(n_side + 1), -n_side, -1, 0, 1, n_side, n_side + 1]
 
 
-def test_cg_operator_is_stored_by_diagonals(sys21, monkeypatch):
+def test_cg_operator_is_stored_by_diagonals(sys28, sys31, monkeypatch):
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
-    for z in (-1.0, -1.0 + 1.0j):           # a real and a complex pole system
-        A = 0.01 * sys21.K - z * sys21.M
-        _, op, mg = choose_solver(A, sys21.mesh)
-        assert op.format == "dia"
-        assert sorted(op.offsets) == _mesh_offsets(21)
-        assert abs(op - A).max() == 0.0
-        # a real matrix is its V-cycle's level-0 operator, converted once
-        assert (op is mg.levels[0][0]) == (z.imag == 0.0)
-    # without a mesh the sparsity can be arbitrary: the format is kept
-    A = sys21.K_bar.tocsc()
-    assert choose_solver(A, None) == (None, A, None)
+    for sys in (sys28, sys31):
+        for z in (-1.0, -1.0 + 1.0j):       # a real and a complex pole system
+            A = 0.01 * sys.K - z * sys.M
+            _, op, mg = choose_solver(A, sys.mesh)
+            assert op.format == "dia"
+            assert sorted(op.offsets) == _mesh_offsets(sys.mesh.n_side)
+            assert abs(op - A).max() == 0.0
+            # a real matrix is its V-cycle's level-0 operator, converted once
+            assert (op is mg.levels[0][0]) == (z.imag == 0.0)
 
 
 def test_multigrid_levels_are_stored_by_diagonals(rng):
-    sys = assemble(build_mesh(41))
-    mg = multigrid(sys.K_bar + sys.M, sys.mesh)
-    assert [level[0].shape[0] for level in mg.levels] == [41 ** 2, 21 ** 2]
-    for (A, _, P, R), n_side in zip(mg.levels, (41, 21)):
-        assert A.format == "dia"
-        assert sorted(A.offsets) == _mesh_offsets(n_side)
-        assert R.format == "csr" and abs(R - P.T).max() == 0.0
-    # the same V-cycle on CSR operators and the CSC transposed view P.T
-    reference = copy.copy(mg)
-    reference.levels = [(A.tocsr(), jacobi, P, P.T)
-                        for A, jacobi, P, _ in mg.levels]
-    r = rng.standard_normal(sys.n_nodes)
-    expected = reference(r)
-    eps = np.finfo(float).eps
-    assert np.abs(mg(r) - expected).max() <= 4 * eps * np.abs(expected).max()
+    for n_side in (53, 54):
+        sys = assemble(build_mesh(n_side))
+        mg = Multigrid(sys.K_bar + sys.M, n_side)
+        assert [A.shape[0] for A, *_ in mg.levels] == [n_side ** 2, 27 ** 2]
+        for (A, _, P, R), n in zip(mg.levels, (n_side, 27)):
+            assert A.format == "dia"
+            if n_side == 54 and n == 27:
+                # the non-nested Galerkin operator couples more neighbours
+                assert set(_mesh_offsets(n)) < set(A.offsets)
+                assert 17 <= len(A.offsets) <= 19
+            else:
+                assert sorted(A.offsets) == _mesh_offsets(n)
+            assert R.format == "csr" and abs(R - P.T).max() == 0.0
+        # the same V-cycle on CSR operators and the CSC transposed view P.T
+        reference = copy.copy(mg)
+        reference.levels = [(A.tocsr(), jacobi, P, P.T)
+                            for A, jacobi, P, _ in mg.levels]
+        r = rng.standard_normal(sys.n_nodes)
+        expected = reference(r)
+        eps = np.finfo(float).eps
+        assert (np.abs(mg(r) - expected).max()
+                <= 4 * eps * np.abs(expected).max())
 
 
 def test_bandwidth_of_structured_mesh(sys6):
@@ -242,33 +277,77 @@ def test_prolongation_is_exact_for_nested_meshes(n_side):
         assert abs(P.T @ A @ P - B).max() <= 1e-13 * abs(B).max(), name
 
 
-def test_multigrid_needs_a_coarsenable_mesh(sys6, sys11, sys21, sys26):
-    # n_side - 1 must be even and n_side above 20 for one coarsening
-    for sys in (sys6, sys11, sys26):
-        assert multigrid(sys.K_bar, sys.mesh) is None
-    assert multigrid(sys21.K_bar, None) is None
-    assert len(multigrid(sys21.K_bar, sys21.mesh).levels) == 1
+def _barycentric_interpolation(coarse, u, points):
+    """Evaluate the P1 function u on mesh ``coarse`` at ``points``, one
+    triangle at a time."""
+    values = np.full(len(points), np.nan)
+    for tri in coarse.triangles:
+        corners = coarse.nodes[tri]
+        T = np.column_stack([corners[1] - corners[0], corners[2] - corners[0]])
+        lam12 = np.linalg.solve(T, (points - corners[0]).T).T
+        lam = np.column_stack([1.0 - lam12.sum(axis=1), lam12])
+        inside = (lam >= -1e-12).all(axis=1)
+        values[inside] = lam[inside] @ u[tri]
+    return values
 
 
-def test_vcycle_is_symmetric_positive_definite(sys21):
-    # CG needs a symmetric positive definite preconditioner
-    mg = multigrid(sys21.K_bar, sys21.mesh)
-    B = np.column_stack([mg(e) for e in np.eye(sys21.n_nodes)])
-    assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
-    assert np.linalg.eigvalsh(B).min() > 0.0
-    # a complex vector gets the same real matrix
-    r = np.arange(sys21.n_nodes) * (1.0 - 2.0j)
-    expected = B @ r
-    assert np.abs(mg(r) - expected).max() <= 1e-12 * np.abs(expected).max()
+@pytest.mark.parametrize("n_side", [4, 10, 12])
+def test_prolongation_interpolates_on_non_nested_meshes(n_side, rng):
+    coarse = build_mesh(n_side // 2)
+    u = rng.standard_normal(coarse.n_nodes)
+    expected = _barycentric_interpolation(coarse, u, build_mesh(n_side).nodes)
+    assert np.abs(prolongation(n_side) @ u - expected).max() <= 1e-14
 
 
-@pytest.mark.parametrize("n_side", [41, 101, 201])
+@pytest.mark.parametrize("n_side", [128, 200])
+def test_prolongation_reproduces_linear_functions(n_side):
+    def linear(nodes):
+        return 0.3 - 1.7 * nodes[:, 0] + 2.9 * nodes[:, 1]
+
+    coarse = linear(build_mesh(n_side // 2).nodes)
+    fine = linear(build_mesh(n_side).nodes)
+    assert np.abs(prolongation(n_side) @ coarse - fine).max() <= 1e-14
+
+
+def test_multigrid_coarsens_above_26_nodes_per_side():
+    # ceil(n_side / 2) nodes per side a level, either parity, down to 26
+    def sides(n_side):
+        mg = Multigrid(sp.identity(n_side ** 2, format="csr"), n_side)
+        return ([round(A.shape[0] ** 0.5) for A, *_ in mg.levels],
+                round(mg.coarsest.A.shape[0] ** 0.5))
+
+    for n_side in (6, 11, 21, 26):
+        assert sides(n_side) == ([], n_side)
+    assert sides(27) == ([27], 14)
+    assert sides(28) == ([28], 14)
+    assert sides(41) == ([41], 21)
+    assert sides(199) == ([199, 100, 50], 25)
+    assert sides(200) == ([200, 100, 50], 25)
+    assert sides(201) == ([201, 101, 51], 26)
+
+
+def test_vcycle_is_symmetric_positive_definite(sys28, sys31):
+    # CG needs a symmetric positive definite preconditioner, on non-nested
+    # (28 -> 14) and nested (31 -> 16) levels alike
+    for sys in (sys28, sys31):
+        mg = Multigrid(sys.K_bar, sys.mesh.n_side)
+        B = np.column_stack([mg(e) for e in np.eye(sys.n_nodes)])
+        assert np.abs(B - B.T).max() <= 1e-14 * np.abs(B).max()
+        assert np.linalg.eigvalsh(B).min() > 0.0
+        # a complex vector gets the same real matrix
+        r = np.arange(sys.n_nodes) * (1.0 - 2.0j)
+        expected = B @ r
+        assert np.abs(mg(r) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n_side", [40, 41, 100, 101, 128, 200, 201, 256])
 def test_multigrid_cg_iterations_are_mesh_independent(n_side):
-    # Jacobi-scaled CG takes 518 iterations at n_side 101 and 1,041 at 201
+    # 12-16 iterations at both parities; diagonal scaling (_scaling) needs
+    # 518 at n_side 101 and 1,203 at 201
     sys = assemble(build_mesh(n_side))
     rhs = sys.M @ np.ones(sys.n_nodes)
     _, report = cg_solve(sys.K_bar, rhs, tol=INNER_TOL,
-                         precondition=multigrid(sys.K_bar, sys.mesh))
+                         precondition=Multigrid(sys.K_bar, n_side))
     assert report.converged and report.iterations <= 20
 
 

@@ -110,7 +110,7 @@ def test_band_preconditioned_inner_solves(sys26, monkeypatch):
     assert max(iterations) <= 2
 
 
-def test_iterative_eigensolve_multiplies_by_diagonals(sys21, monkeypatch):
+def test_iterative_eigensolve_multiplies_by_diagonals(sys28, monkeypatch):
     formats = []
 
     def recording(A, *args, **kwargs):
@@ -119,13 +119,14 @@ def test_iterative_eigensolve_multiplies_by_diagonals(sys21, monkeypatch):
 
     monkeypatch.setattr(spectral, "cg_solve", recording)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
-    pair = inverse_iteration(sys21)
+    pair = inverse_iteration(sys28)
     assert formats == ["dia"] * pair.iterations
 
 
-@pytest.mark.parametrize("name", ["sys21", "sys26"])
+@pytest.mark.parametrize("name", ["sys26", "sys28", "sys31"])
 def test_eigenpair_independent_of_solve_path(request, monkeypatch, name):
-    # n_side 21 falls back to multigrid CG, 26 to Jacobi CG
+    # above the budget n_side 26 runs CG on its band factor alone (no level
+    # coarsens), 28 and 31 multigrid CG on a non-nested and a nested level
     sys = request.getfixturevalue(name)
     band = inverse_iteration(sys)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
