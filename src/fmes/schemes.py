@@ -23,8 +23,9 @@ The three sparse kinds share one stepper: each is
 y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
 for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
-conjugate pole pair: a banded direct solve with a factor made once per
-run or, above sparse.DIRECT_LIMIT_BYTES, multigrid-preconditioned CG.
+conjugate pole pair by ``sparse.choose_solver``'s solver: a band factor
+made once per run or, above sparse.DIRECT_LIMIT_BYTES, CG preconditioned
+by a real multigrid V-cycle.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .assembly import FemSystem
-from .sparse import ConvergenceError, cg_solve, choose_solver
+from .sparse import BandedSolver, ConvergenceError, cg_solve, choose_solver
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
@@ -165,6 +166,8 @@ class SchemeSpec:
                     f"path (pade_modal) for ({self.l}, {self.m})")
         if self.kind != "theta_standard" and self.lambda1 is None:
             raise ValueError(f"{self.kind} needs lambda1 (fundamental eigenvalue)")
+        if self.lambda1 is not None and not math.isfinite(self.lambda1):
+            raise ValueError(f"lambda1 must be finite, got {self.lambda1}")
 
     def params_label(self) -> str:
         if self.kind in ("theta_standard", "theta_fmes"):
@@ -206,11 +209,11 @@ class _RationalStepper:
     OUTER_TOL / (1 + |c0|) because the c0 term cancels against the pole
     terms.
 
-    ``sparse.choose_solver`` picks each pole system's path.  A band factor
-    is made on the first step (so a failure still names level 1); later
-    steps substitute and check the true residual.  Above the budget, CG is
-    warm-started from the pole term's large-z limit and preconditioned by a
-    V-cycle of the system's real part.
+    Each pole is ``(z, s r, w, solver)``, with ``sparse.choose_solver``'s
+    solver of its system.  A ``BandedSolver`` factors on the first step (so
+    a failure still names level 1), and every step checks the true
+    residual.  A ``Multigrid`` preconditions CG on its ``operator``,
+    warm-started from the pole term's large-z limit.
     ``step`` reuses M y when the caller has it (``run_scheme`` does).
     """
 
@@ -221,21 +224,19 @@ class _RationalStepper:
         self.scale = math.exp(-mu * tau)
         self.c0, terms = _partial_fractions(p, q)
         self.tol = OUTER_TOL / (1.0 + abs(self.c0))
-        self.poles = []
-        for z, r, w in terms:
-            direct, A, precondition = choose_solver(tau * Kt - z * sys.M,
-                                                    sys.mesh)
-            self.poles.append((z, self.scale * r, w, A, precondition, direct))
+        self.poles = [(z, self.scale * r, w,
+                       choose_solver(tau * Kt - z * sys.M, sys.mesh))
+                      for z, r, w in terms]
 
     def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
         My = self.M @ y if My is None else My
         out = self.scale * self.c0 * y if self.c0 else None
-        for z, sr, w, A, precondition, direct in self.poles:
-            if direct is None:
-                x, _ = cg_solve(A, sr * My, tol=self.tol, x0=(sr / -z) * y,
-                                precondition=precondition)
+        for z, sr, w, solver in self.poles:
+            if isinstance(solver, BandedSolver):
+                x, _ = solver.solve(sr * My, self.tol)
             else:
-                x, _ = direct.solve(sr * My, self.tol)
+                x, _ = cg_solve(solver.operator, sr * My, tol=self.tol,
+                                x0=(sr / -z) * y, precondition=solver)
             x = w * x.real
             out = x if out is None else out + x
         return out

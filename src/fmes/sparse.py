@@ -1,38 +1,38 @@
 """Symmetric sparse solves.
 
-One solve path per symmetric matrix A (real and positive definite, or
-complex-symmetric, A^T = A, with a positive definite Hermitian part), picked
-by ``choose_solver``:
-
-* ``BandedSolver`` when its band factor fits in DIRECT_LIMIT_BYTES: A is
-  factored once in LAPACK band storage, then solved by substitution.  The
-  band is n_side + 1 wide on the row-by-row numbered structured mesh.
-* else ``cg_solve`` preconditioned by a ``Multigrid`` V-cycle of Re(A) on
-  A's structured mesh, of either parity of n_side: 12-20 iterations per
-  solve of K_bar from n_side 27 to 256.
+``choose_solver`` gives each symmetric matrix A (real and positive
+definite, or complex-symmetric, A^T = A, with a positive definite Hermitian
+part) one solver object: a ``BandedSolver`` (one LAPACK band factor, n_side
++ 1 wide on the row-by-row numbered mesh) when it fits in
+DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A) on A's
+structured mesh, of either parity of n_side (12-20 CG iterations per solve
+of K_bar from n_side 27 to 256).  Both are preconditioners
+``solver(r) -> ~A^-1 r`` that carry ``solver.operator``, the matrix CG
+multiplies by: ``cg_solve(solver.operator, b, precondition=solver)``.
 
 On a mesh, CG and the V-cycle multiply by matrices in DIA storage: the
 row-by-row numbering puts every entry of a P1 operator on one of the 7
 diagonals {0, +-1, +-n_side, +-(n_side + 1)}, so a product reads 8 bytes
 per stored entry where CSR reads 12 (value and column index).  These
 products are memory-bound: at n_side 201 a level-0 product took 0.16 ms
-instead of 0.22 ms on one Xeon core.  ``choose_solver`` converts each such
-matrix once, and ``Multigrid`` each level operator.  DIA sums each row in
-the column order of sorted CSR, so the results are bit-identical.
+instead of 0.22 ms on one Xeon core.  ``Multigrid`` converts A once, and
+each coarse level operator once.  DIA sums each row in the column order of
+sorted CSR, so the results are bit-identical.
 
-Only ``BandedSolver`` checks its true residual ||A x - b|| <= tol ||b||, and
-a lone band solve of K_bar x = M 1 misses the eigensolve's 1e-13 (9.2e-13,
-5.7e-12 and 1.3e-11 at n_side 26, 51 and 101).  So the eigensolve runs CG
-with the band substitution as preconditioner: 1-2 iterations per solve.
-CG stops on its recurrence residual; asked for 1e-13 there, its true
-residual was 4.1e-13, 1.6e-12 and 7.1e-12 at n_side 26, 51 and 101, and
-5.8e-11 with multigrid at 201.  The same explicit CG loop solves
-complex-symmetric systems as conjugate orthogonal CG.  All paths are
-deterministic, so runs are bit-reproducible.
+Only ``BandedSolver.solve`` checks its true residual
+||A x - b|| <= tol ||b||, and a lone band solve of K_bar x = M 1 misses the
+eigensolve's 1e-13 (9.2e-13, 5.7e-12 and 1.3e-11 at n_side 26, 51 and
+101).  So the eigensolve runs CG with the band substitution as
+preconditioner: 1-2 iterations per solve.  CG stops on its recurrence
+residual; asked for 1e-13 there, its true residual was 4.1e-13, 1.6e-12
+and 7.1e-12 at n_side 26, 51 and 101, and 5.8e-11 with multigrid at 201.
+The same explicit CG loop solves complex-symmetric systems as conjugate
+orthogonal CG.  All paths are deterministic, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,9 +88,9 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
         larger (see the module docstring)
     max_iter : iteration cap (default scales with the dimension)
     x0 : optional warm start (without one, no product A x0 is made)
-    precondition : callable r -> z, a real SPD approximation of A^-1 such
-        as a ``Multigrid`` or ``BandedSolver.substitute``.  Each iteration
-        tests the residual before preconditioning it, so a converged solve
+    precondition : callable r -> z, an SPD approximation of A^-1: the
+        ``Multigrid`` or the ``BandedSolver`` of A.  Each iteration tests
+        the residual before preconditioning it, so a converged solve
         applies ``precondition`` once per iteration.
 
     Returns
@@ -105,8 +105,8 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
         part, is not positive definite).  The partial solution is not
         returned; the report rides on the exception.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"operator must be square, got shape {A.shape}")
@@ -178,22 +178,23 @@ class BandedSolver:
     bandwidth u.  A complex-symmetric A gets a banded LU factor with
     partial pivoting (LAPACK zgbtrf), (3u + 1) n complex numbers; its
     Hermitian part Re(A) is Cholesky-factored once as well, only to prove
-    it positive definite.  The factorization runs on the first ``solve``,
-    and every solve checks its true residual.
+    it positive definite.  The factorization runs on first use.
+    ``solver(r)`` is the bare substitution A^-1 r, a CG preconditioner;
+    ``solve`` also checks its true residual.  ``operator`` is A in CSR.
     """
 
     def __init__(self, A):
-        self.A = sp.csr_matrix(A)
-        self.bandwidth = bandwidth(self.A)
-        n, u = self.A.shape[0], self.bandwidth
-        self.is_complex = np.iscomplexobj(self.A)
+        self.operator = sp.csr_matrix(A)
+        self.bandwidth = bandwidth(self.operator)
+        n, u = self.operator.shape[0], self.bandwidth
+        self.is_complex = np.iscomplexobj(self.operator)
         self.nbytes = ((3 * u + 1) * n * 16 if self.is_complex
                        else (u + 1) * n * 8)
         self._factor = None
 
     def _factorize(self):
         u = self.bandwidth
-        coo = self.A.tocoo()
+        coo = self.operator.tocoo()
         coo.sum_duplicates()
         try:
             chol = scipy.linalg.cholesky_banded(
@@ -210,33 +211,28 @@ class BandedSolver:
             raise ConvergenceError(f"banded LU failed (zgbtrf info={info})")
         return lu, ipiv
 
-    def substitute(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs from the factor (made on first use), residual unchecked.
-        A complex rhs on a real factor is solved as two real columns."""
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        """A^-1 rhs from the factor (made on first use), residual unchecked."""
         if self._factor is None:
             self._factor = self._factorize()
         if self.is_complex:
             lu, ipiv = self._factor
             u = self.bandwidth
             x, info = scipy.linalg.lapack.zgbtrs(lu, u, u, rhs, ipiv)
-            if info != 0:
-                raise ValueError(f"zgbtrs rejected its arguments (info={info})")
-            return x
-        cols = (np.column_stack((rhs.real, rhs.imag))
-                if np.iscomplexobj(rhs) else rhs)
-        x, info = scipy.linalg.lapack.dpbtrs(self._factor, cols)
+        else:
+            x, info = scipy.linalg.lapack.dpbtrs(self._factor, rhs)
         if info != 0:
-            raise ValueError(f"dpbtrs rejected its arguments (info={info})")
-        return x if cols is rhs else x[:, 0] + 1j * x[:, 1]
+            raise ValueError(f"band substitution failed (info={info})")
+        return x
 
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
         """Solve A x = rhs; raise ConvergenceError unless the relative
         residual ||A x - rhs|| / ||rhs|| is at most ``tol``."""
-        x = self.substitute(rhs)
+        x = self(rhs)
         b_norm = float(np.linalg.norm(rhs))
         if b_norm == 0.0:
             return np.zeros_like(rhs), SolveReport(0, 0.0, True)
-        residual = float(np.linalg.norm(self.A @ x - rhs)) / b_norm
+        residual = float(np.linalg.norm(self.operator @ x - rhs)) / b_norm
         report = SolveReport(0, residual, residual <= tol)
         if not report.converged:
             raise ConvergenceError(
@@ -278,8 +274,8 @@ COARSEST_N_SIDE = 26
 
 
 class Multigrid:
-    """Geometric multigrid V(2,2)-cycle: a symmetric positive definite
-    preconditioner for the real part of a matrix on a structured mesh.
+    """Geometric multigrid V(2,2)-cycle: a real symmetric positive definite
+    preconditioner for a matrix A on a structured mesh, built from Re(A).
 
     Levels coarsen the mesh to ceil(n_side / 2) nodes per side by
     ``prolongation`` while n_side > COARSEST_N_SIDE, with Galerkin coarse
@@ -288,9 +284,11 @@ class Multigrid:
     SPD, so the V-cycle is a valid CG preconditioner on non-nested levels
     too (Bramble, Pasciak & Xu, Math. Comp. 56, 1991); there they have
     17-19 diagonals instead of 7.  Each level smooths twice before and
-    twice after the coarse correction by damped Jacobi (weight 0.8).  Every
-    operator is real, so a complex vector's real and imaginary parts are
-    preconditioned alike.
+    twice after the coarse correction by damped Jacobi (weight 0.8).
+
+    ``operator`` is A in DIA storage, converted once: the level-0 operator
+    of a real A, and of a complex A a contiguous copy of its real part.  The
+    cycle is real: a complex r gets ``self(r.real) + 1j * self(r.imag)``.
 
     ``levels`` holds per level the operator in DIA storage, the Jacobi
     weights, the prolongation P and the restriction P^T, both CSR: the
@@ -298,18 +296,24 @@ class Multigrid:
     """
 
     def __init__(self, A, n_side: int):
-        A = sp.csr_matrix(A.real if np.iscomplexobj(A) else A)
+        A = sp.csr_matrix(A)
+        self.operator = smooth = A.todia()
+        if np.iscomplexobj(A):
+            A, smooth = A.real, smooth.real.copy()
         self.levels = []
         while n_side > COARSEST_N_SIDE:
             P = prolongation(n_side)
-            self.levels.append((A.todia(), 0.8 / A.diagonal(), P, P.T.tocsr()))
+            self.levels.append((A.todia() if self.levels else smooth,
+                                0.8 / A.diagonal(), P, P.T.tocsr()))
             A = (P.T @ A @ P).tocsr()
             n_side = (n_side + 1) // 2
         self.coarsest = BandedSolver(A)
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        if np.iscomplexobj(r):
+            return self(r.real) + 1j * self(r.imag)
         if level == len(self.levels):
-            return self.coarsest.substitute(r)
+            return self.coarsest(r)
         A, jacobi, P, R = self.levels[level]
         x = jacobi * r
         x += jacobi * (r - A @ x)
@@ -319,22 +323,17 @@ class Multigrid:
         return x
 
 
-def choose_solver(A, mesh: Mesh | None):
-    """The solve path of A as ``(direct, operator, precondition)``.
-
-    ``(BandedSolver(A), A, None)`` when the band factor fits in
-    DIRECT_LIMIT_BYTES.  Else ``(None, operator, Multigrid(A, n_side))``:
-    the matrix CG multiplies by, in DIA storage, and the V-cycle that
-    preconditions it.  A matrix without a mesh has no other path than its
-    band factor, so a larger one is refused (ValueError).
+def choose_solver(A, mesh: Mesh | None) -> BandedSolver | Multigrid:
+    """The solver of A: ``BandedSolver(A)`` when its band factor fits in
+    DIRECT_LIMIT_BYTES, else ``Multigrid(A, mesh.n_side)``.  Both are
+    preconditioners ``solver(r) -> ~A^-1 r`` and carry ``operator``, the
+    matrix CG multiplies by.  A matrix without a mesh has no other path
+    than its band factor, so a larger one is refused (ValueError).
     """
     direct = BandedSolver(A)
     if direct.nbytes <= DIRECT_LIMIT_BYTES:
-        return direct, A, None
+        return direct
     if mesh is None:
         raise ValueError(f"band factor of {direct.nbytes} bytes exceeds "
                          "DIRECT_LIMIT_BYTES and the matrix has no mesh")
-    precondition = Multigrid(A, mesh.n_side)
-    if precondition.levels and not direct.is_complex:
-        return None, precondition.levels[0][0], precondition   # Re(A) is A
-    return None, direct.A.todia(), precondition
+    return Multigrid(A, mesh.n_side)

@@ -11,6 +11,7 @@ the even and odd subspaces of that swap apart: two problems of half the size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,11 +67,11 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
 
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG at
-    INNER_TOL, preconditioned by K_bar's band factor where it fits (1-2
-    iterations per solve), else by a multigrid V-cycle
-    (``sparse.choose_solver``), and stops once consecutive eigenvalue
-    estimates agree to ``tol`` relative (never before ``min_iter``
-    iterations, which lets callers force a fixed-length history).
+    INNER_TOL, preconditioned by K_bar's ``sparse.choose_solver`` solver:
+    its band factor where it fits (1-2 iterations per solve), else a
+    multigrid V-cycle.  It stops once consecutive eigenvalue estimates
+    agree to ``tol`` relative (never before ``min_iter`` iterations, which
+    lets callers force a fixed-length history).
 
     Raises
     ------
@@ -79,23 +80,21 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
         settled within ``max_iter`` iterations; the partial history rides on
         the exception.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = sys.n_nodes
     phi = np.ones(n) / m_norm(sys, np.ones(n))
     history: list[float] = []
     lam_prev: float | None = None
     lam = float("nan")
     warm: np.ndarray | None = None
-    direct, K_bar, precondition = choose_solver(sys.K_bar, sys.mesh)
-    if direct is not None:
-        precondition = direct.substitute
+    solver = choose_solver(sys.K_bar, sys.mesh)
 
     for it in range(1, max_iter + 1):
         rhs = sys.M @ phi
         try:
-            psi, _ = cg_solve(K_bar, rhs, tol=INNER_TOL, x0=warm,
-                              precondition=precondition)
+            psi, _ = cg_solve(solver.operator, rhs, tol=INNER_TOL, x0=warm,
+                              precondition=solver)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"inner solve failed at iteration {it} "

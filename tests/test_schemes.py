@@ -78,6 +78,20 @@ def test_spec_refuses_non_finite_step(tau):
         SchemeSpec("theta_standard", tau=tau, n_steps=1, sigma=1.0)
 
 
+@pytest.mark.parametrize("lambda1", [float("nan"), float("inf"),
+                                     float("-inf")])
+@pytest.mark.parametrize("kind, params", [
+    ("theta_standard", dict(sigma=1.0)),
+    ("theta_fmes", dict(sigma=1.0)),
+    ("pade_fmes", dict(l=0, m=2)),
+    ("pade_modal", dict(l=0, m=2)),
+])
+def test_spec_refuses_non_finite_lambda1(kind, params, lambda1):
+    # it used to reach LAPACK, whose error does not name lambda1
+    with pytest.raises(ValueError, match="^lambda1 must be finite"):
+        SchemeSpec(kind, tau=0.1, n_steps=1, lambda1=lambda1, **params)
+
+
 def test_sparse_pade_rejects_general_indices():
     for l, m in ((0, 5), (3, 5)):
         with pytest.raises(ValueError, match="modal"):
@@ -383,12 +397,13 @@ def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
     spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
     y = _generic_state(sys6, rng)
     direct = make_stepper(spec, sys6)
-    assert all(pole[-1] is not None for pole in direct.poles)
+    assert all(isinstance(solver, BandedSolver)
+               for *_, solver in direct.poles)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     cg = make_stepper(spec, sys6)
     # n_side 6 does not coarsen: CG preconditioned by Re(A)'s band factor
-    assert all(isinstance(pole[-2], Multigrid) and not pole[-2].levels
-               and pole[-1] is None for pole in cg.poles)
+    assert all(isinstance(solver, Multigrid) and not solver.levels
+               for *_, solver in cg.poles)
     assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
 
 
@@ -425,9 +440,9 @@ def test_direct_and_multigrid_paths_agree(sys28, pair28, rng, monkeypatch,
     direct = make_stepper(spec, sys28)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     iterative = make_stepper(spec, sys28)
-    assert all(isinstance(pole[-2], Multigrid) and len(pole[-2].levels) == 1
-               and pole[-1] is None and pole[3].format == "dia"
-               for pole in iterative.poles)
+    assert all(isinstance(solver, Multigrid) and len(solver.levels) == 1
+               and solver.operator.format == "dia"
+               for *_, solver in iterative.poles)
     error = m_norm(sys28, direct.step(y) - iterative.step(y))
     assert error <= 1e-9 * m_norm(sys28, y)
 

@@ -95,6 +95,14 @@ def test_rhs_shape_validation(sys6):
                  precondition=_scaling(sys6.M))
 
 
+@pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])
+def test_cg_refuses_a_non_finite_tolerance(sys11, tol):
+    # tol = nan used to end as "operator is not positive definite"
+    rhs = sys11.M @ np.ones(sys11.n_nodes)
+    with pytest.raises(ValueError, match="^tol must be positive and finite"):
+        cg_solve(sys11.K_bar, rhs, tol=tol, precondition=_scaling(sys11.K_bar))
+
+
 def test_complex_symmetric_solve(sys6, rng):
     # conjugate orthogonal CG on (K + (1 - 1j) M), a complex-symmetric
     # matrix with a positive definite Hermitian part
@@ -136,7 +144,7 @@ def test_cg_work_per_iteration(sys26, rng, warm, jacobi):
 
     def precondition(r):
         applied.append(r)
-        return r / sys26.K_bar.diagonal() if jacobi else band.substitute(r)
+        return r / sys26.K_bar.diagonal() if jacobi else band(r)
 
     x0 = rng.standard_normal(sys26.n_nodes) if warm else None
     rhs = sys26.M @ np.ones(sys26.n_nodes)
@@ -147,37 +155,28 @@ def test_cg_work_per_iteration(sys26, rng, warm, jacobi):
     assert A.products == report.iterations + warm
 
 
-def test_substitute_complex_rhs_on_real_factor(sys6, rng):
-    # multigrid's coarsest level gets complex vectors for complex poles
-    solver = BandedSolver(sys6.K_bar + sys6.M)
-    re, im = rng.standard_normal((2, sys6.n_nodes))
-    x = solver.substitute(re + 1j * im)
-    assert np.array_equal(x.real, solver.substitute(re))
-    assert np.array_equal(x.imag, solver.substitute(im))
-
-
 def test_choose_solver_follows_the_budget(sys6, sys28, monkeypatch):
-    direct, A, precondition = choose_solver(sys28.K_bar, sys28.mesh)
-    assert isinstance(direct, BandedSolver) and precondition is None
-    assert A is sys28.K_bar
+    direct = choose_solver(sys28.K_bar, sys28.mesh)
+    assert isinstance(direct, BandedSolver)
+    assert abs(direct.operator - sys28.K_bar).max() == 0.0
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", direct.nbytes - 1)
-    direct, A, precondition = choose_solver(sys28.K_bar, sys28.mesh)
-    assert direct is None and isinstance(precondition, Multigrid)
-    assert len(precondition.levels) == 1
+    mg = choose_solver(sys28.K_bar, sys28.mesh)
+    assert isinstance(mg, Multigrid) and len(mg.levels) == 1
     # a mesh that does not coarsen gets a V-cycle of one band factor
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
-    direct, A, precondition = choose_solver(sys6.K_bar, sys6.mesh)
-    assert direct is None and isinstance(precondition, Multigrid)
-    assert precondition.levels == []
-    assert A.format == "dia"
+    mg = choose_solver(sys6.K_bar, sys6.mesh)
+    assert isinstance(mg, Multigrid) and mg.levels == []
+    assert mg.operator.format == "dia"
 
 
 def test_choose_solver_refuses_a_large_matrix_without_mesh(sys6,
                                                            monkeypatch):
-    # its band factor fits: the band path, format kept
+    # its band factor fits: the band path, multiplying by A in CSR
     A = sys6.K_bar.tocsc()
-    direct, op, precondition = choose_solver(A, None)
-    assert isinstance(direct, BandedSolver) and op is A
+    direct = choose_solver(A, None)
+    assert isinstance(direct, BandedSolver)
+    assert direct.operator.format == "csr"
+    assert abs(direct.operator - A).max() == 0.0
     # above the budget it has no other path
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     with pytest.raises(ValueError, match="no mesh"):
@@ -194,12 +193,44 @@ def test_cg_operator_is_stored_by_diagonals(sys28, sys31, monkeypatch):
     for sys in (sys28, sys31):
         for z in (-1.0, -1.0 + 1.0j):       # a real and a complex pole system
             A = 0.01 * sys.K - z * sys.M
-            _, op, mg = choose_solver(A, sys.mesh)
+            mg = choose_solver(A, sys.mesh)
+            op = mg.operator
             assert op.format == "dia"
             assert sorted(op.offsets) == _mesh_offsets(sys.mesh.n_side)
             assert abs(op - A).max() == 0.0
             # a real matrix is its V-cycle's level-0 operator, converted once
             assert (op is mg.levels[0][0]) == (z.imag == 0.0)
+
+
+def test_complex_system_is_converted_once(sys28, monkeypatch):
+    # one DIA conversion of A, the operator CG multiplies by; the V-cycle's
+    # real level 0 is a contiguous copy of its real part
+    conversions = []
+    todia = sp.csr_matrix.todia
+
+    def counting(self, *args, **kwargs):
+        conversions.append(self.dtype)
+        return todia(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.csr_matrix, "todia", counting)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    mg = choose_solver(0.01 * sys28.K - (-1.0 + 1.0j) * sys28.M, sys28.mesh)
+    assert [dtype.kind for dtype in conversions] == ["c"]
+    level0 = mg.levels[0][0]
+    assert level0.dtype == float and level0.data.flags.c_contiguous
+    assert np.array_equal(level0.offsets, mg.operator.offsets)
+    assert np.array_equal(level0.data, mg.operator.data.real)
+
+
+@pytest.mark.parametrize("name", ["sys28", "sys31"])
+def test_multigrid_splits_a_complex_vector(request, rng, name):
+    # the cycle is real: a complex vector's halves go through it one by one
+    sys = request.getfixturevalue(name)
+    mg = Multigrid(0.01 * sys.K + (1.0 + 1.0j) * sys.M, sys.mesh.n_side)
+    assert len(mg.levels) == 1
+    r = rng.standard_normal(sys.n_nodes) + 1j * rng.standard_normal(
+        sys.n_nodes)
+    assert np.array_equal(mg(r), mg(r.real) + 1j * mg(r.imag))
 
 
 def test_multigrid_levels_are_stored_by_diagonals(rng):
@@ -314,7 +345,7 @@ def test_multigrid_coarsens_above_26_nodes_per_side():
     def sides(n_side):
         mg = Multigrid(sp.identity(n_side ** 2, format="csr"), n_side)
         return ([round(A.shape[0] ** 0.5) for A, *_ in mg.levels],
-                round(mg.coarsest.A.shape[0] ** 0.5))
+                round(mg.coarsest.operator.shape[0] ** 0.5))
 
     for n_side in (6, 11, 21, 26):
         assert sides(n_side) == ([], n_side)

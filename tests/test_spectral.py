@@ -94,6 +94,13 @@ def test_nonconvergence_carries_history(sys26):
     assert len(exc.value.history) == 3
 
 
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
+def test_inverse_iteration_refuses_a_non_finite_tolerance(sys6, tol):
+    # tol = nan used to run 50 sweeps, and tol = inf stopped after two
+    with pytest.raises(ValueError, match="^tol must be positive and finite"):
+        inverse_iteration(sys6, tol=tol)
+
+
 def test_band_preconditioned_inner_solves(sys26, monkeypatch):
     # K_bar's band factor as preconditioner: at most two CG iterations per
     # solve (Jacobi scaling took 87-127)
