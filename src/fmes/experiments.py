@@ -207,9 +207,13 @@ def run_table1(config: ExperimentConfig) -> dict[int, EigenPair]:
     for n_side in config.eigen_grids:
         mesh = build_mesh(n_side)
         sys = assemble(mesh, config.coefficients)
-        pairs[n_side] = inverse_iteration(sys, tol=config.eig_tol,
-                                          max_iter=config.eig_max_iter,
-                                          min_iter=10)
+        pair = inverse_iteration(sys, tol=config.eig_tol,
+                                 max_iter=config.eig_max_iter,
+                                 min_iter=min(10, config.eig_max_iter))
+        if pair.iterations < 10:
+            raise ValueError(f"eigen_iterations.csv needs 10 sweeps, but "
+                             f"[eigen] max_iter is {config.eig_max_iter}")
+        pairs[n_side] = pair
     outdir = resolve_output_dir(config)
     outdir.mkdir(parents=True, exist_ok=True)
     header = "m," + ",".join(f"nside_{n}" for n in config.eigen_grids)

@@ -243,26 +243,34 @@ class _RationalStepper:
 
 
 class _ModalStepper:
-    """Apply exp(-lambda1 tau) R_lm((lambda_k - lambda1) tau) mode by mode."""
+    """Apply exp(-lambda1 tau) R_lm((lambda_k - lambda1) tau) mode by mode,
+    with the multipliers of each mirror block made once (ModalBasis.apply)."""
 
     def __init__(self, basis: ModalBasis, l: int, m: int, tau: float,
                  lambda1: float):
-        shifted = (basis.eigenvalues - lambda1) * tau
-        self.multipliers = math.exp(-lambda1 * tau) * pade_rational(l, m, shifted)
+        scale = math.exp(-lambda1 * tau)
+        self.multipliers = [scale * pade_rational(l, m, (lam - lambda1) * tau)
+                            for _, lam, _ in basis.blocks]
         self.basis = basis
 
     def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
         My = self.basis.mass @ y if My is None else My
-        coeffs = self.basis.eigenvectors.T @ My
-        return self.basis.eigenvectors @ (self.multipliers * coeffs)
+        return self.basis.apply(self.multipliers, My)
 
 
 def make_stepper(spec: SchemeSpec, sys: FemSystem, *,
                  basis: ModalBasis | None = None):
-    """Build the cached stepper object for a scheme specification."""
+    """Build the cached stepper object for a scheme specification.
+
+    pade_modal reads only ``basis``, whose node count must match ``sys``
+    when one is given.
+    """
     if spec.kind == "pade_modal":
         if basis is None:
             raise ValueError("pade_modal needs a ModalBasis")
+        if sys is not None and basis.mass.shape[0] != sys.n_nodes:
+            raise ValueError(f"ModalBasis has {basis.mass.shape[0]} nodes, "
+                             f"the system {sys.n_nodes}")
         return _ModalStepper(basis, spec.l, spec.m, spec.tau, spec.lambda1)
     if spec.kind == "pade_fmes":
         p, q = pade_coefficients(spec.l, spec.m)
@@ -314,12 +322,17 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
 
     Raises
     ------
+    ValueError
+        If w0 is not a finite vector of one value per node, or the basis
+        does not fit the system.
     ConvergenceError
         If a step's solve fails; the message carries the level index.
     """
     y = np.array(w0, dtype=float)
     if y.shape != (sys.n_nodes,):
         raise ValueError(f"w0 has shape {y.shape}, expected ({sys.n_nodes},)")
+    if not np.isfinite(y).all():
+        raise ValueError("w0 has non-finite entries")
     stepper = make_stepper(spec, sys, basis=basis)
 
     n_steps = spec.n_steps

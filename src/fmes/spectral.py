@@ -6,7 +6,8 @@ products throughout; the eigenvalue estimate after each solve is
 generalized eigendecomposition of (K, M) and backs both the cross-validation
 tests and the modal time steppers.  The model problem's K and M are
 invariant under the node swap (ix, iy) -> (iy, ix), so the dense path solves
-the even and odd subspaces of that swap apart: two problems of half the size.
+the even and odd subspaces of that swap apart: two problems of half the size,
+kept apart so that a modal product reads half the data of an n x n matrix.
 """
 
 from __future__ import annotations
@@ -50,15 +51,38 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class ModalBasis:
-    """Full generalized eigendecomposition of (K, M).
+    """Full generalized eigendecomposition of (K, M), by mirror block.
 
-    eigenvalues ascend; eigenvector columns are M-orthonormal, also when
-    merged from the mirror blocks.  The mass matrix rides along.
+    ``blocks`` holds one ``(Q, lam, W)`` per ``_mirror_blocks`` basis Q:
+    lam ascends and W's columns are the M-orthonormal eigenvectors of
+    ``(Q^T K Q, Q^T M Q)``, so the eigenvectors of (K, M) are the columns of
+    each ``Q W``.  eigenvalues is the ascending merge of every lam.  The
+    mass matrix rides along.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    blocks: tuple[tuple[sp.csc_matrix, np.ndarray, np.ndarray], ...]
     mass: sp.csr_matrix = field(repr=False)
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """The n x n eigenvectors in eigenvalue order, built on each call."""
+        order = np.argsort(np.concatenate([lam for _, lam, _ in self.blocks]),
+                           kind="stable")
+        column = np.argsort(order)              # sorted position of each value
+        evecs = np.empty((len(order), len(order)), order="F")  # eigh's layout
+        start = 0
+        for Q, lam, W in self.blocks:
+            evecs[:, column[start:start + len(lam)]] = Q @ W
+            start += len(lam)
+        return evecs
+
+    def apply(self, multipliers: list[np.ndarray],
+              My: np.ndarray) -> np.ndarray:
+        """sum_b Q_b W_b (f_b * (W_b^T (Q_b^T M y))), with f_b the b-th of
+        ``multipliers`` (one value per entry of that block's lam)."""
+        return sum(Q @ (W @ (f * (W.T @ (Q.T @ My))))
+                   for (Q, _, W), f in zip(self.blocks, multipliers))
 
 
 def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
@@ -75,6 +99,9 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive and finite, ``max_iter < 1`` or
+        ``min_iter > max_iter``.
     ConvergenceError
         If an inner solve fails (singular operator) or the estimate has not
         settled within ``max_iter`` iterations; the partial history rides on
@@ -82,6 +109,11 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if min_iter > max_iter:
+        raise ValueError(f"min_iter {min_iter} exceeds max_iter {max_iter}: "
+                         "the iteration could never stop")
     n = sys.n_nodes
     phi = np.ones(n) / m_norm(sys, np.ones(n))
     history: list[float] = []
@@ -149,7 +181,7 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
 
     One ``eigh(Q^T K Q, Q^T M Q)`` per ``_mirror_blocks`` basis Q (even and
     odd mirror subspaces, else the identity: the plain problem bit for bit),
-    merged by a stable sort, each ``Q W`` into its sorted columns.  Refuses
+    kept by block; only the eigenvalues are merged, by a stable sort.  Refuses
     systems above DENSE_LIMIT nodes; the dense path exists as an oracle and
     as the engine of the modal steppers, not as a production eigensolver.
     """
@@ -157,23 +189,22 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
     if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
-    blocks = [(Q, *scipy.linalg.eigh((Q.T @ sys.K @ Q).toarray(),
-                                     (Q.T @ sys.M @ Q).toarray()))
-              for Q in _mirror_blocks(sys)]
+    blocks = tuple((Q, *scipy.linalg.eigh((Q.T @ sys.K @ Q).toarray(),
+                                          (Q.T @ sys.M @ Q).toarray()))
+                   for Q in _mirror_blocks(sys))
     evals = np.concatenate([lam for _, lam, _ in blocks])
-    order = np.argsort(evals, kind="stable")
-    column = np.argsort(order)              # sorted position of each value
-    evecs = np.empty((n, n), order="F")     # eigh's layout
-    start = 0
-    for Q, lam, W in blocks:
-        evecs[:, column[start:start + len(lam)]] = Q @ W
-        start += len(lam)
-    return ModalBasis(eigenvalues=evals[order], eigenvectors=evecs,
-                      mass=sys.M)
+    return ModalBasis(eigenvalues=evals[np.argsort(evals, kind="stable")],
+                      blocks=blocks, mass=sys.M)
 
 
 def exact_semidiscrete_solution(basis: ModalBasis, w0: np.ndarray,
                                 t: float) -> np.ndarray:
     """Evaluate the semi-discrete solution sum_k (w0, phi_k)_M e^{-lam_k t} phi_k."""
-    coeffs = basis.eigenvectors.T @ (basis.mass @ np.asarray(w0, dtype=float))
-    return basis.eigenvectors @ (coeffs * np.exp(-basis.eigenvalues * t))
+    w0 = np.asarray(w0, dtype=float)
+    n = basis.mass.shape[0]
+    if w0.shape != (n,):
+        raise ValueError(f"w0 has shape {w0.shape}, expected ({n},)")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    return basis.apply([np.exp(-lam * t) for _, lam, _ in basis.blocks],
+                       basis.mass @ w0)

@@ -161,6 +161,15 @@ def test_eigens_verb_unconverged_eigensolve_is_one_line_error(outdir,
     _assert_refused(outdir, capsys)
 
 
+def test_eigens_verb_refuses_fewer_sweeps_than_its_table(outdir, tmp_path,
+                                                        capsys):
+    # the estimate settles to 1e-3 within 5 sweeps, but the table needs 10
+    config = tmp_path / "loose.ini"
+    config.write_text("[eigen]\ngrids = 6 11\ntol = 1e-3\nmax_iter = 5\n")
+    assert main(["eigens", "--config", str(config)]) == 2
+    _assert_refused(outdir, capsys)
+
+
 @pytest.mark.parametrize("verb", ["run", "eigens"])
 @pytest.mark.parametrize("c", ["inf", "nan"])
 def test_non_finite_reaction_override_is_one_line_error(outdir, capsys, verb,

@@ -547,6 +547,30 @@ def test_modal_kind_requires_basis(sys6, pair6):
         make_stepper(spec, sys6)
 
 
+def test_modal_basis_of_another_grid_is_refused(basis6, pair6):
+    sys7 = assemble(build_mesh(7))
+    spec = SchemeSpec("pade_modal", tau=0.01, n_steps=1, l=0, m=2,
+                      lambda1=pair6.lambda1)
+    with pytest.raises(ValueError,
+                       match="^ModalBasis has 36 nodes, the system 49$"):
+        run_scheme(spec, sys7, np.ones(sys7.n_nodes), basis=basis6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind, params", [
+    ("theta_fmes", dict(sigma=0.5)), ("pade_fmes", dict(l=0, m=2)),
+    ("pade_modal", dict(l=0, m=2))], ids=["theta_fmes", "pade_fmes",
+                                          "pade_modal"])
+def test_run_scheme_refuses_a_non_finite_start(sys6, pair6, basis6, kind,
+                                               params, bad):
+    spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=pair6.lambda1,
+                      **params)
+    w0 = np.ones(sys6.n_nodes)
+    w0[3] = bad
+    with pytest.raises(ValueError, match="^w0 has non-finite entries$"):
+        run_scheme(spec, sys6, w0, basis=basis6)
+
+
 def test_run_scheme_modal_path(sys6, basis6, pair6):
     # general indices go through the modal basis
     T, N = 0.05, 5

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fmes.assembly import FemSystem, ProblemCoefficients, assemble, m_norm
 from fmes.mesh import build_mesh
 from fmes import sparse, spectral
+from fmes.schemes import SchemeSpec, make_stepper, pade_rational
 from fmes.sparse import ConvergenceError
 from fmes.spectral import (exact_semidiscrete_solution, inverse_iteration,
                            modal_decompose)
@@ -99,6 +100,16 @@ def test_inverse_iteration_refuses_a_non_finite_tolerance(sys6, tol):
     # tol = nan used to run 50 sweeps, and tol = inf stopped after two
     with pytest.raises(ValueError, match="^tol must be positive and finite"):
         inverse_iteration(sys6, tol=tol)
+
+
+@pytest.mark.parametrize("min_iter, max_iter, match", [
+    (1, 0, "^max_iter must be at least 1"),
+    (100, 50, "^min_iter 100 exceeds max_iter 50")],
+    ids=["max_iter0", "min_iter_above_max_iter"])
+def test_inverse_iteration_refuses_an_impossible_iteration_count(
+        sys6, min_iter, max_iter, match):
+    with pytest.raises(ValueError, match=match):
+        inverse_iteration(sys6, max_iter=max_iter, min_iter=min_iter)
 
 
 def test_band_preconditioned_inner_solves(sys26, monkeypatch):
@@ -206,6 +217,38 @@ def test_mirror_split_matches_full_eigh(n_side, rng):
     assert np.abs(split - full).max() <= 1e-12
 
 
+@pytest.mark.parametrize("case", ["11", "21", "no_mesh"])
+def test_blocked_modal_step_matches_the_full_product(case, rng):
+    if case == "no_mesh":
+        A = rng.standard_normal((7, 7))
+        sys = _scalar_system(A @ A.T + 7.0 * np.eye(7), np.diag(rng.uniform(
+            0.5, 1.5, 7)))
+    else:
+        sys = _drawn_system(int(case), rng)
+    basis = modal_decompose(sys)
+    lam1, tau = basis.eigenvalues[0], 1e-3
+    spec = SchemeSpec("pade_modal", tau=tau, n_steps=1, l=0, m=2,
+                      lambda1=lam1)
+    y = rng.standard_normal(sys.n_nodes)
+    V = basis.eigenvectors
+    f = np.exp(-lam1 * tau) * pade_rational(0, 2, (basis.eigenvalues - lam1)
+                                            * tau)
+    full = V @ (f * (V.T @ (sys.M @ y)))
+    assert np.abs(make_stepper(spec, sys, basis=basis).step(y)
+                  - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["sys6", "sys11"])
+def test_blocks_store_half_size_eigenvectors(request, name):
+    sys = request.getfixturevalue(name)
+    n_side = sys.mesh.n_side
+    n_even, n_odd = n_side * (n_side + 1) // 2, n_side * (n_side - 1) // 2
+    basis = modal_decompose(sys)
+    assert [W.shape for _, _, W in basis.blocks] == [(n_even, n_even),
+                                                    (n_odd, n_odd)]
+    assert sum(W.size for _, _, W in basis.blocks) == n_even ** 2 + n_odd ** 2
+
+
 def test_mirror_split_is_deterministic(sys11):
     first, second = modal_decompose(sys11), modal_decompose(sys11)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
@@ -289,3 +332,14 @@ def test_exact_solution_decay_bound(sys6, basis6, rng):
     for t in (0.01, 0.05, 0.1):
         wt = exact_semidiscrete_solution(basis6, w0, t)
         assert m_norm(sys6, wt) <= np.exp(-lam1 * t) * n0 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n, t, match", [
+    (49, 0.01, r"^w0 has shape \(49,\), expected \(36,\)"),
+    (36, -1.0, "^t must be finite and nonnegative"),
+    (36, float("nan"), "^t must be finite and nonnegative"),
+    (36, float("inf"), "^t must be finite and nonnegative")],
+    ids=["w0_of_49_nodes", "t_negative", "t_nan", "t_inf"])
+def test_exact_solution_refuses_bad_input(basis6, n, t, match):
+    with pytest.raises(ValueError, match=match):
+        exact_semidiscrete_solution(basis6, np.ones(n), t)
