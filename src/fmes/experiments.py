@@ -89,6 +89,9 @@ class ExperimentConfig:
                 "[eigen] needs a finite tol > 0 and max_iter >= 1")
         if not self.eigen_grids:
             raise ValueError("[eigen] grids must name at least one grid")
+        if len(set(self.eigen_grids)) < len(self.eigen_grids):
+            raise ValueError("[eigen] grids names a grid twice: "
+                             + " ".join(map(str, self.eigen_grids)))
         runs = set()
         for req in self.schemes:
             # SchemeSpec holds the scheme rules; 0.0 stands in for lambda1
@@ -319,10 +322,11 @@ def run_experiment(config: ExperimentConfig,
 def sweep_reaction(config: ExperimentConfig, c_values: tuple[float, ...] = (0.0, 10.0, 30.0),
                    ) -> dict[float, ExperimentResult]:
     """Re-run the experiment for several reaction constants, one output
-    subdirectory per value."""
+    subdirectory per value, labelled like ``SchemeSpec.params_label``."""
     results: dict[float, ExperimentResult] = {}
     base_out = resolve_output_dir(config)
     for c in c_values:
         cfg = replace(config, coefficients=replace(config.coefficients, c=c))
-        results[c] = run_experiment(cfg, output_dir=base_out / f"c{c:g}")
+        label = "c" + np.format_float_positional(c, trim="-")
+        results[c] = run_experiment(cfg, output_dir=base_out / label)
     return results

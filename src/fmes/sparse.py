@@ -10,14 +10,13 @@ of K_bar from n_side 27 to 256).  Both are preconditioners
 ``solver(r) -> ~A^-1 r`` that carry ``solver.operator``, the matrix CG
 multiplies by: ``cg_solve(solver.operator, b, precondition=solver)``.
 
-On a mesh, CG and the V-cycle multiply by matrices in DIA storage: the
-row-by-row numbering puts every entry of a P1 operator on one of the 7
-diagonals {0, +-1, +-n_side, +-(n_side + 1)}, so a product reads 8 bytes
-per stored entry where CSR reads 12 (value and column index).  These
-products are memory-bound: at n_side 201 a level-0 product took 0.16 ms
-instead of 0.22 ms on one Xeon core.  ``Multigrid`` converts A once, and
-each coarse level operator once.  DIA sums each row in the column order of
-sorted CSR, so the results are bit-identical.
+Every solver keeps A once, in DIA storage: on the row-by-row numbered mesh
+every entry of a P1 operator lies on one of the 7 diagonals {0, +-1,
++-n_side, +-(n_side + 1)}.  The rows of DIA are LAPACK's band storage
+(LAPACK Users' Guide, 3rd ed., 5.3.3), and a product reads 8 bytes per
+stored entry where CSR reads 12: at n_side 201 a level-0 product took
+0.16 ms instead of 0.22 ms on one Xeon core.  DIA sums each row in the
+column order of sorted CSR, so the results are bit-identical.
 
 Only ``BandedSolver.solve`` checks its true residual
 ||A x - b|| <= tol ||b||, and a lone band solve of K_bar x = M 1 misses the
@@ -153,39 +152,22 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int | None = None
         f"(relative residual {report.relative_residual:.3e})", report=report)
 
 
-def bandwidth(A) -> int:
-    """Largest |i - j| over the stored entries of sparse A."""
-    A = sp.csr_matrix(A)
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    return int(np.abs(rows - A.indices).max(initial=0))
-
-
-def _band_storage(coo: sp.coo_matrix, offset: int, n_rows: int) -> np.ndarray:
-    """LAPACK band storage ab[offset + i - j, j] = a[i, j]; entries that fall
-    outside the n_rows rows (the lower triangle, for the upper Cholesky
-    form) are dropped."""
-    diag = offset + coo.row - coo.col
-    keep = diag < n_rows
-    ab = np.zeros((n_rows, coo.shape[1]), dtype=coo.dtype)
-    ab[diag[keep], coo.col[keep]] = coo.data[keep]
-    return ab
-
-
 class BandedSolver:
     """Direct solves of one symmetric sparse matrix through a band factor.
 
-    A real A gets a banded Cholesky factor, (u + 1) n doubles for
-    bandwidth u.  A complex-symmetric A gets a banded LU factor with
-    partial pivoting (LAPACK zgbtrf), (3u + 1) n complex numbers; its
-    Hermitian part Re(A) is Cholesky-factored once as well, only to prove
-    it positive definite.  The factorization runs on first use.
-    ``solver(r)`` is the bare substitution A^-1 r, a CG preconditioner;
-    ``solve`` also checks its true residual.  ``operator`` is A in CSR.
+    ``operator`` is A in DIA storage, and its rows are the LAPACK band
+    storage of the factor, so u, the bandwidth, is its largest |offset|.  A
+    real A gets a banded Cholesky factor, (u + 1) n doubles.  A
+    complex-symmetric A gets a banded LU factor with partial pivoting
+    (LAPACK zgbtrf), (3u + 1) n complex numbers; its Hermitian part Re(A) is
+    Cholesky-factored once as well, only to prove it positive definite.  The
+    factorization runs on first use.  ``solver(r)`` is the bare substitution
+    A^-1 r, a CG preconditioner; ``solve`` also checks its true residual.
     """
 
     def __init__(self, A):
-        self.operator = sp.csr_matrix(A)
-        self.bandwidth = bandwidth(self.operator)
+        self.operator = sp.dia_matrix(A)
+        self.bandwidth = int(np.abs(self.operator.offsets).max(initial=0))
         n, u = self.operator.shape[0], self.bandwidth
         self.is_complex = np.iscomplexobj(self.operator)
         self.nbytes = ((3 * u + 1) * n * 16 if self.is_complex
@@ -193,20 +175,24 @@ class BandedSolver:
         self._factor = None
 
     def _factorize(self):
-        u = self.bandwidth
-        coo = self.operator.tocoo()
-        coo.sum_duplicates()
+        u, n = self.bandwidth, self.operator.shape[0]
+        offsets, data = self.operator.offsets, self.operator.data[:, :n]
+        # upper Cholesky form ab[u + i - j, j] = A[i, j]: the diagonals j >= i
+        up = offsets >= 0
+        ab = np.zeros((u + 1, n))
+        ab[u - offsets[up], :data.shape[1]] = data[up].real
         try:
-            chol = scipy.linalg.cholesky_banded(
-                _band_storage(coo.real if self.is_complex else coo, u, u + 1))
+            chol = scipy.linalg.cholesky_banded(ab)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError(
                 "operator is not positive definite (banded Cholesky of its "
                 f"Hermitian part failed: {err})") from err
         if not self.is_complex:
             return chol
-        lu, ipiv, info = scipy.linalg.lapack.zgbtrf(
-            _band_storage(coo, 2 * u, 3 * u + 1), u, u)
+        # zgbtrf's ab[2u + i - j, j] = A[i, j]; its first u rows are for fill
+        ab = np.zeros((3 * u + 1, n), dtype=complex)
+        ab[2 * u - offsets, :data.shape[1]] = data
+        lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, u, u)
         if info != 0:
             raise ConvergenceError(f"banded LU failed (zgbtrf info={info})")
         return lu, ipiv
@@ -286,9 +272,10 @@ class Multigrid:
     17-19 diagonals instead of 7.  Each level smooths twice before and
     twice after the coarse correction by damped Jacobi (weight 0.8).
 
-    ``operator`` is A in DIA storage, converted once: the level-0 operator
-    of a real A, and of a complex A a contiguous copy of its real part.  The
-    cycle is real: a complex r gets ``self(r.real) + 1j * self(r.imag)``.
+    ``operator`` is A in DIA storage, as given or converted once, and the
+    Galerkin products read its CSR: the level-0 operator is A, or of a
+    complex A a contiguous copy of its real part.  The cycle is real: a
+    complex r gets ``self(r.real) + 1j * self(r.imag)``.
 
     ``levels`` holds per level the operator in DIA storage, the Jacobi
     weights, the prolongation P and the restriction P^T, both CSR: the
@@ -296,8 +283,8 @@ class Multigrid:
     """
 
     def __init__(self, A, n_side: int):
-        A = sp.csr_matrix(A)
-        self.operator = smooth = A.todia()
+        self.operator = smooth = sp.dia_matrix(A)
+        A = smooth.tocsr()
         if np.iscomplexobj(A):
             A, smooth = A.real, smooth.real.copy()
         self.levels = []
@@ -325,10 +312,11 @@ class Multigrid:
 
 def choose_solver(A, mesh: Mesh | None) -> BandedSolver | Multigrid:
     """The solver of A: ``BandedSolver(A)`` when its band factor fits in
-    DIRECT_LIMIT_BYTES, else ``Multigrid(A, mesh.n_side)``.  Both are
-    preconditioners ``solver(r) -> ~A^-1 r`` and carry ``operator``, the
-    matrix CG multiplies by.  A matrix without a mesh has no other path
-    than its band factor, so a larger one is refused (ValueError).
+    DIRECT_LIMIT_BYTES, else a ``Multigrid`` of that solver's DIA copy of A
+    on ``mesh.n_side``.  Both are preconditioners ``solver(r) -> ~A^-1 r``
+    and carry ``operator``, A in DIA, the matrix CG multiplies by.  A
+    matrix without a mesh has no other path than its band factor, so a
+    larger one is refused (ValueError).
     """
     direct = BandedSolver(A)
     if direct.nbytes <= DIRECT_LIMIT_BYTES:
@@ -336,4 +324,4 @@ def choose_solver(A, mesh: Mesh | None) -> BandedSolver | Multigrid:
     if mesh is None:
         raise ValueError(f"band factor of {direct.nbytes} bytes exceeds "
                          "DIRECT_LIMIT_BYTES and the matrix has no mesh")
-    return Multigrid(A, mesh.n_side)
+    return Multigrid(direct.operator, mesh.n_side)

@@ -125,6 +125,7 @@ def _assert_refused(outdir, capsys):
     "[mesh]\nn_side = 6\n[coefficients]\nk_outer = inf\n",
     "[mesh]\nn_side = 6\n[eigen]\ntol = nan\n",
     "[eigen]\ngrids =\n",
+    "[mesh]\nn_side = 6\n[eigen]\ngrids = 6 6\n",
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\nl = 3\n",
     "[scheme.a]\nkind = pade_fmes\nl = 0\nm = 2\nsigma = 0.7\n",
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\n"
@@ -134,9 +135,9 @@ def _assert_refused(outdir, capsys):
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
         "tiny_sigma", "sigma_below_half", "solver_section", "no_section",
         "eig_tol0", "eig_max_iter0", "missing_file", "T_nan", "T_inf",
-        "c_inf", "k_outer_inf", "eig_tol_nan", "empty_grids", "theta_with_l",
-        "pade_with_sigma", "same_section_twice", "same_steps_twice",
-        "empty_steps"])
+        "c_inf", "k_outer_inf", "eig_tol_nan", "empty_grids",
+        "same_grid_twice", "theta_with_l", "pade_with_sigma",
+        "same_section_twice", "same_steps_twice", "empty_steps"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:

@@ -7,7 +7,7 @@ from fmes import experiments
 from fmes.config import default_config_text, load_config, parse_config
 from fmes.experiments import (ExperimentConfig, SchemeRequest, epsilon_u,
                               initial_state, make_reference, run_experiment,
-                              run_table1)
+                              run_table1, sweep_reaction)
 from fmes.schemes import SchemeSpec, run_scheme
 from fmes.sparse import ConvergenceError
 from fmes.spectral import exact_semidiscrete_solution
@@ -294,13 +294,14 @@ def test_config_rejects_unknown_names():
     (dict(eig_tol=float("nan")), "finite tol"),
     (dict(eig_tol=float("inf")), "finite tol"),
     (dict(eigen_grids=()), "at least one grid"),
+    (dict(eigen_grids=(6, 11, 6)), "names a grid twice: 6 11 6"),
     (dict(schemes=(SchemeRequest("theta_fmes", sigma=1.0, steps=(4, 4)),)),
      "requested twice"),
     (dict(schemes=(SchemeRequest("pade_fmes", l=0, m=1, steps=(4,)),
                    SchemeRequest("pade_fmes", l=0, m=1, steps=(2, 4)))),
      "pade_fmes l0m1 N=4 is requested twice"),
-], ids=["T_nan", "T_inf", "tol_nan", "tol_inf", "no_grids", "steps_twice",
-        "section_twice"])
+], ids=["T_nan", "T_inf", "tol_nan", "tol_inf", "no_grids", "grid_twice",
+        "steps_twice", "section_twice"])
 def test_config_refusals(overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**overrides)
@@ -326,6 +327,16 @@ def test_close_theta_weights_get_their_own_runs(tmp_path):
         run = result.find_run("theta_fmes", label, 5)
         assert (result.output_dir / run.csv_name).exists()
     assert SchemeRequest("theta_fmes", sigma=1.0).params_label() == "sigma1"
+
+
+def test_sweep_reaction_gives_each_constant_its_own_directory(tmp_path):
+    # c is labelled by its shortest round-tripping digits, not by :g
+    c_values = (0.0, 10.0, 30.0, 0.5, 0.5000001)
+    results = sweep_reaction(_small_config(tmp_path), c_values)
+    assert [results[c].output_dir.name for c in c_values] == [
+        "c0", "c10", "c30", "c0.5", "c0.5000001"]
+    for c in c_values:
+        assert (results[c].output_dir / "summary.csv").exists()
 
 
 def test_load_config_from_file(tmp_path):

@@ -6,8 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fmes import ProblemCoefficients, assemble, build_mesh, sparse
-from fmes.sparse import (BandedSolver, ConvergenceError, Multigrid, bandwidth,
-                         cg_solve, choose_solver, prolongation)
+from fmes.sparse import (BandedSolver, ConvergenceError, Multigrid, cg_solve,
+                         choose_solver, prolongation)
 from fmes.spectral import INNER_TOL
 
 
@@ -171,11 +171,11 @@ def test_choose_solver_follows_the_budget(sys6, sys28, monkeypatch):
 
 def test_choose_solver_refuses_a_large_matrix_without_mesh(sys6,
                                                            monkeypatch):
-    # its band factor fits: the band path, multiplying by A in CSR
+    # its band factor fits: the band path, multiplying by A in DIA
     A = sys6.K_bar.tocsc()
     direct = choose_solver(A, None)
     assert isinstance(direct, BandedSolver)
-    assert direct.operator.format == "csr"
+    assert direct.operator.format == "dia"
     assert abs(direct.operator - A).max() == 0.0
     # above the budget it has no other path
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
@@ -203,8 +203,10 @@ def test_cg_operator_is_stored_by_diagonals(sys28, sys31, monkeypatch):
 
 
 def test_complex_system_is_converted_once(sys28, monkeypatch):
-    # one DIA conversion of A, the operator CG multiplies by; the V-cycle's
-    # real level 0 is a contiguous copy of its real part
+    # one DIA conversion per input matrix on either path: A, the operator CG
+    # multiplies by, and on the multigrid path the real coarsest operator of
+    # its band factor; the V-cycle's real level 0 is a contiguous copy of
+    # A's real part
     conversions = []
     todia = sp.csr_matrix.todia
 
@@ -213,9 +215,13 @@ def test_complex_system_is_converted_once(sys28, monkeypatch):
         return todia(self, *args, **kwargs)
 
     monkeypatch.setattr(sp.csr_matrix, "todia", counting)
-    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
-    mg = choose_solver(0.01 * sys28.K - (-1.0 + 1.0j) * sys28.M, sys28.mesh)
+    A = 0.01 * sys28.K - (-1.0 + 1.0j) * sys28.M
+    assert isinstance(choose_solver(A, sys28.mesh), BandedSolver)
     assert [dtype.kind for dtype in conversions] == ["c"]
+    conversions.clear()
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    mg = choose_solver(A, sys28.mesh)
+    assert [dtype.kind for dtype in conversions] == ["c", "f"]
     level0 = mg.levels[0][0]
     assert level0.dtype == float and level0.data.flags.c_contiguous
     assert np.array_equal(level0.offsets, mg.operator.offsets)
@@ -258,10 +264,29 @@ def test_multigrid_levels_are_stored_by_diagonals(rng):
                 <= 4 * eps * np.abs(expected).max())
 
 
-def test_bandwidth_of_structured_mesh(sys6):
-    # row-by-row numbering: the farthest neighbour is one row up, one right
-    assert bandwidth(sys6.K + sys6.M) == sys6.mesh.n_side + 1
-    assert bandwidth(sp.eye(4)) == 0
+@pytest.mark.parametrize("shift", [-1.0, -1.0 + 1.0j])
+def test_banded_solver_reads_any_sparse_format(sys6, rng, shift):
+    # the band arrays are the DIA rows, whatever format A comes in; the
+    # out-of-matrix slots of a diagonal are padding that LAPACK never reads
+    A = (0.01 * sys6.K - shift * sys6.M).tocsr()
+    padded = A.todia()
+    for k, offset in enumerate(padded.offsets):
+        out = (slice(offset) if offset > 0
+               else slice(sys6.n_nodes + offset, None))
+        padded.data[k, out] = 7.0 * shift
+    # slots past the last column are padding too (sp.spdiags makes them)
+    wide = sp.dia_matrix((np.pad(padded.data, ((0, 0), (0, 3)),
+                                 constant_values=5.0), padded.offsets),
+                         shape=A.shape)
+    assert abs(padded - A).max() == abs(wide - A).max() == 0.0
+    b = rng.standard_normal(sys6.n_nodes) * (1.0 - 2.0j if shift.imag else 1.0)
+    expected = BandedSolver(A)(b)
+    for same in (A.tocsc(), A.todia(), padded, wide):
+        solver = BandedSolver(same)
+        # row-by-row numbering: the farthest neighbour is one row up, one right
+        assert solver.bandwidth == sys6.mesh.n_side + 1
+        assert np.array_equal(solver(b), expected)
+    assert BandedSolver(sp.eye(4)).bandwidth == 0
 
 
 @pytest.mark.parametrize("shift", [-1.0, -1.0 + 1.0j])
