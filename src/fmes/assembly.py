@@ -60,13 +60,13 @@ class FemSystem:
 
     M is the mass matrix, K_bar the stiffness of the diffusion + boundary
     terms, and K = K_bar + c M the full operator matrix.  All three are
-    symmetric CSR matrices.
+    symmetric DIA matrices, converted once after all CSR sums.
     """
 
     mesh: Mesh | None
-    M: sp.csr_matrix
-    K_bar: sp.csr_matrix
-    K: sp.csr_matrix
+    M: sp.dia_matrix
+    K_bar: sp.dia_matrix
+    K: sp.dia_matrix
     coeffs: ProblemCoefficients
 
     @property
@@ -76,7 +76,8 @@ class FemSystem:
 
 def _scatter(conn: np.ndarray, n: int, *blocks) -> list[sp.csr_matrix]:
     """Sum each array of local (E, k, k) blocks on connectivity (E, k) into
-    an n x n CSR matrix; the COO index arrays are built once for all."""
+    an n x n CSR matrix (COO indices built once for all).  No scatter into
+    the diagonals keeps CSR's order of sums, so ``assemble`` converts after."""
     k = conn.shape[1]
     rows = np.repeat(conn, k, axis=1).ravel()
     cols = np.tile(conn, k).ravel()
@@ -121,8 +122,9 @@ def assemble(mesh: Mesh,
         blocks = (mu_edge * length)[:, None, None] * EDGE_MASS
         K_bar = K_bar + _scatter(edges, n, blocks)[0]
 
-    K = (K_bar + coeffs.c * M).tocsr()
-    return FemSystem(mesh=mesh, M=M, K_bar=K_bar, K=K, coeffs=coeffs)
+    # after the Robin add, which drops K_bar's zero +-(n_side + 1) diagonals
+    M, K_bar = M.todia(), K_bar.todia()
+    return FemSystem(mesh, M, K_bar, K_bar + coeffs.c * M, coeffs)
 
 
 def m_inner(sys: FemSystem, u: np.ndarray, v: np.ndarray) -> float:

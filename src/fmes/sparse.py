@@ -10,13 +10,13 @@ of K_bar from n_side 27 to 256).  Both are preconditioners
 ``solver(r) -> ~A^-1 r`` that carry ``solver.operator``, the matrix CG
 multiplies by: ``cg_solve(solver.operator, b, precondition=solver)``.
 
-Every solver keeps A once, in DIA storage: on the row-by-row numbered mesh
-every entry of a P1 operator lies on one of the 7 diagonals {0, +-1,
-+-n_side, +-(n_side + 1)}.  The rows of DIA are LAPACK's band storage
-(LAPACK Users' Guide, 3rd ed., 5.3.3), and a product reads 8 bytes per
-stored entry where CSR reads 12: at n_side 201 a level-0 product took
-0.16 ms instead of 0.22 ms on one Xeon core.  DIA sums each row in the
-column order of sorted CSR, so the results are bit-identical.
+Every solver keeps A once, in DIA storage as assembled (``sp.dia_matrix``
+shares the arrays): every entry of a P1 operator on the row-by-row mesh
+lies on one of the 7 diagonals {0, +-1, +-n_side, +-(n_side + 1)}.  DIA
+rows are LAPACK's band storage (LAPACK Users' Guide, 3rd ed., 5.3.3), and
+a product reads 8 bytes per stored entry where CSR reads 12: at n_side 201
+a level-0 product took 0.16 ms instead of 0.22 ms on one Xeon core.  DIA
+sums each row in the column order of sorted CSR: results are bit-identical.
 
 Only ``BandedSolver.solve`` checks its true residual
 ||A x - b|| <= tol ||b||, and a lone band solve of K_bar x = M 1 misses the
@@ -272,27 +272,25 @@ class Multigrid:
     17-19 diagonals instead of 7.  Each level smooths twice before and
     twice after the coarse correction by damped Jacobi (weight 0.8).
 
-    ``operator`` is A in DIA storage, as given or converted once, and the
-    Galerkin products read its CSR: the level-0 operator is A, or of a
-    complex A a contiguous copy of its real part.  The cycle is real: a
+    ``operator`` is A in DIA storage, as given or converted once.  Each
+    level keeps one DIA operator: A, or of a complex A a contiguous copy of
+    its real part, then each Galerkin product.  The cycle is real: a
     complex r gets ``self(r.real) + 1j * self(r.imag)``.
 
-    ``levels`` holds per level the operator in DIA storage, the Jacobi
-    weights, the prolongation P and the restriction P^T, both CSR: the
-    transposed view ``P.T`` is CSC, and its product takes twice as long.
+    ``levels`` holds per level the operator, the Jacobi weights, P and the
+    restriction P^T as CSR (the CSC view ``P.T`` takes twice as long per
+    product, but the Galerkin product keeps it: CSR P^T sums differently).
     """
 
     def __init__(self, A, n_side: int):
-        self.operator = smooth = sp.dia_matrix(A)
-        A = smooth.tocsr()
+        self.operator = A = sp.dia_matrix(A)
         if np.iscomplexobj(A):
-            A, smooth = A.real, smooth.real.copy()
+            A = A.real.copy()
         self.levels = []
         while n_side > COARSEST_N_SIDE:
             P = prolongation(n_side)
-            self.levels.append((A.todia() if self.levels else smooth,
-                                0.8 / A.diagonal(), P, P.T.tocsr()))
-            A = (P.T @ A @ P).tocsr()
+            self.levels.append((A, 0.8 / A.diagonal(), P, P.T.tocsr()))
+            A = (P.T @ A.tocsr() @ P).todia()
             n_side = (n_side + 1) // 2
         self.coarsest = BandedSolver(A)
 
@@ -312,7 +310,7 @@ class Multigrid:
 
 def choose_solver(A, mesh: Mesh | None) -> BandedSolver | Multigrid:
     """The solver of A: ``BandedSolver(A)`` when its band factor fits in
-    DIRECT_LIMIT_BYTES, else a ``Multigrid`` of that solver's DIA copy of A
+    DIRECT_LIMIT_BYTES, else a ``Multigrid`` of that solver's DIA operator
     on ``mesh.n_side``.  Both are preconditioners ``solver(r) -> ~A^-1 r``
     and carry ``operator``, A in DIA, the matrix CG multiplies by.  A
     matrix without a mesh has no other path than its band factor, so a

@@ -62,7 +62,7 @@ class ModalBasis:
 
     eigenvalues: np.ndarray
     blocks: tuple[tuple[sp.csc_matrix, np.ndarray, np.ndarray], ...]
-    mass: sp.csr_matrix = field(repr=False)
+    mass: sp.dia_matrix = field(repr=False)
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -159,17 +159,17 @@ def _mirror_blocks(sys: FemSystem) -> list[sp.csc_matrix]:
     """Orthonormal bases Q of the subspaces that (K, M) leaves invariant.
 
     With a mesh, and K and M equal to their mirror-permuted copies
-    ``A[p][:, p]`` to within MIRROR_TOL max|A|: the even basis (e_d for
-    each diagonal node, then (e_a + e_b)/sqrt 2 for each mirrored pair) and
-    the odd one ((e_a - e_b)/sqrt 2).  Otherwise the identity, one block.
+    ``mirror @ A @ mirror.T`` to within MIRROR_TOL max|A|: the even basis
+    (e_d for each diagonal node, then (e_a + e_b)/sqrt 2 for each mirrored
+    pair) and the odd one ((e_a - e_b)/sqrt 2).  Otherwise the identity.
     """
     n = sys.n_nodes
     eye, nodes = sp.identity(n, format="csc"), np.arange(n)
     if sys.mesh is not None:
         p = nodes.reshape(sys.mesh.n_side, -1).T.ravel()
-        if all(abs(A[p][:, p] - A).max() <= MIRROR_TOL * abs(A).max()
-               for A in (sys.K, sys.M)):
-            mirror, pairs, s = eye[p], p > nodes, np.sqrt(0.5)
+        mirror, pairs, s = eye[p], p > nodes, np.sqrt(0.5)
+        if all(abs(mirror @ A @ mirror.T - A).max()
+               <= MIRROR_TOL * abs(A.data).max() for A in (sys.K, sys.M)):
             return [sp.hstack([eye[:, p == nodes],
                                s * (eye + mirror)[:, pairs]], format="csc"),
                     s * (eye - mirror)[:, pairs]]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fmes import assemble, build_mesh, inverse_iteration, modal_decompose
 
@@ -53,6 +54,21 @@ def sys26():
 @pytest.fixture(scope="session")
 def pair26(sys26):
     return inverse_iteration(sys26)
+
+
+@pytest.fixture
+def todia_calls(monkeypatch):
+    """The dtype of every matrix converted to DIA while the test runs: each
+    format's ``todia`` goes through COO's, and a DIA matrix converts none."""
+    calls = []
+    todia = sp.coo_matrix.todia
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.dtype)
+        return todia(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.coo_matrix, "todia", counting)
+    return calls
 
 
 @pytest.fixture

@@ -1,11 +1,46 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from fmes import assembly
 from fmes.assembly import ProblemCoefficients, assemble, m_inner, m_norm
 from fmes.mesh import build_mesh
 from fmes.spectral import inverse_iteration
 
 UNIT_COEFFS = ProblemCoefficients(k_inner=1.0, k_outer=1.0, mu_right_top=0.0)
+
+
+@pytest.mark.parametrize("n_side", [2, 5, 26])
+@pytest.mark.parametrize("coeffs", [
+    ProblemCoefficients(),
+    ProblemCoefficients(mu_right_top=0.0),
+    ProblemCoefficients(c=2.5, mu_left_bottom=3.0)],
+    ids=["robin", "no_robin", "reaction"])
+def test_system_matrices_are_the_csr_sums_by_diagonals(monkeypatch, n_side,
+                                                      coeffs):
+    # M and K_bar are converted once, after the CSR sums and the Robin add,
+    # and K = K_bar + c M is formed by diagonals from them
+    sums = []
+    scatter = assembly._scatter
+
+    def recording(conn, n, *blocks):
+        out = scatter(conn, n, *blocks)
+        sums.extend(out)
+        return out
+
+    monkeypatch.setattr(assembly, "_scatter", recording)
+    sys = assemble(build_mesh(n_side), coeffs)
+    M, K_bar, *robin = sums
+    assert len(robin) == (coeffs.mu_right_top != 0.0)
+    if robin:
+        K_bar = K_bar + robin[0]
+    for stored, csr in ((sys.M, M), (sys.K_bar, K_bar)):
+        assert stored.format == "dia"
+        expected = sp.dia_matrix(csr)
+        assert np.array_equal(stored.offsets, expected.offsets)
+        assert stored.data.tobytes() == expected.data.tobytes()
+    assert sys.K.format == "dia"
+    assert np.array_equal(sys.K.toarray(), (K_bar + coeffs.c * M).toarray())
 
 
 def test_mass_sums_to_domain_area(sys26):

@@ -1,6 +1,8 @@
 import pytest
 
+from fmes import experiments
 from fmes.cli import main
+from fmes.sparse import ConvergenceError
 
 
 @pytest.fixture
@@ -28,6 +30,21 @@ def test_run_verb_with_overrides(outdir, capsys):
     assert (outdir / "theta_standard_sigma1_N4.csv").exists()
     summary = (outdir / "summary.csv").read_text().splitlines()
     assert len(summary) == 5
+
+
+def test_run_verb_reports_a_failed_run(outdir, capsys, monkeypatch):
+    run_scheme = experiments.run_scheme
+
+    def failing(spec, *args, **kwargs):
+        if spec.kind == "theta_fmes":
+            raise ConvergenceError("forced failure")
+        return run_scheme(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_scheme", failing)
+    assert main(["run", "--nside", "6", "--steps", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "  theta_fmes sigma1 N=4: FAILED (forced failure)\n" in out
+    assert "  theta_standard sigma1 N=4: max|eps_a| = " in out
 
 
 def test_run_verb_reaction_override(outdir):

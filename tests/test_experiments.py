@@ -178,6 +178,8 @@ def test_failed_run_is_a_nan_summary_row(tmp_path, monkeypatch):
     failed = result.find_run("theta_fmes", "sigma1", 5)
     assert not failed.converged and failed.error == "forced failure"
     assert result.find_run("theta_standard", "sigma1", 5).converged
+    with pytest.raises(KeyError, match="no run theta_fmes/sigma1/N7"):
+        result.find_run("theta_fmes", "sigma1", 7)
     summary = (result.output_dir / "summary.csv").read_text().splitlines()
     assert "theta_fmes,sigma1,5,nan,nan,nan" in summary
     assert not (result.output_dir / "theta_fmes_sigma1_N5.csv").exists()
@@ -291,6 +293,7 @@ def test_config_rejects_unknown_names():
 @pytest.mark.parametrize("overrides, match", [
     (dict(T=float("nan")), "T must be positive"),
     (dict(T=float("inf")), "T must be positive"),
+    (dict(reference_steps=0), "^reference_steps must be >= 1$"),
     (dict(eig_tol=float("nan")), "finite tol"),
     (dict(eig_tol=float("inf")), "finite tol"),
     (dict(eigen_grids=()), "at least one grid"),
@@ -300,8 +303,8 @@ def test_config_rejects_unknown_names():
     (dict(schemes=(SchemeRequest("pade_fmes", l=0, m=1, steps=(4,)),
                    SchemeRequest("pade_fmes", l=0, m=1, steps=(2, 4)))),
      "pade_fmes l0m1 N=4 is requested twice"),
-], ids=["T_nan", "T_inf", "tol_nan", "tol_inf", "no_grids", "grid_twice",
-        "steps_twice", "section_twice"])
+], ids=["T_nan", "T_inf", "no_reference_steps", "tol_nan", "tol_inf",
+        "no_grids", "grid_twice", "steps_twice", "section_twice"])
 def test_config_refusals(overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**overrides)

@@ -40,6 +40,8 @@ def test_spec_validation():
         SchemeSpec("nonsense", tau=0.1, n_steps=1)
     with pytest.raises(ValueError):
         SchemeSpec("theta_standard", tau=-0.1, n_steps=1, sigma=1.0)
+    with pytest.raises(ValueError, match="^n_steps must be nonnegative$"):
+        SchemeSpec("theta_standard", tau=0.1, n_steps=-1, sigma=1.0)
     with pytest.raises(ValueError):
         SchemeSpec("theta_standard", tau=0.1, n_steps=1, sigma=0.0)
     with pytest.raises(ValueError):
@@ -63,7 +65,8 @@ def test_spec_refuses_parameters_its_kind_does_not_read(kind, params):
         SchemeSpec(kind, tau=0.1, n_steps=1, lambda1=1.0, **params)
 
 
-@pytest.mark.parametrize("l, m", [(1.5, 2), (-1, 2), (0, 0)])
+@pytest.mark.parametrize("l, m", [(1.5, 2), (-1, 2), (0, 0), (None, 2),
+                                  (0, None)])
 def test_spec_refuses_indices_pade_coefficients_refuses(l, m):
     # l = 1.5 used to pass the spec and fail only in make_stepper
     with pytest.raises(ValueError):
@@ -518,6 +521,16 @@ def test_each_pole_system_factored_once(sys6, pair6, monkeypatch, l, m):
     assert len(calls) == len(set(map(id, calls))) == (m + 1) // 2
 
 
+@pytest.mark.parametrize("l, m", [(0, 1), (0, 2)])
+def test_band_path_stepping_converts_no_matrix(sys26, pair26, todia_calls,
+                                               l, m):
+    # every pole matrix is a DIA sum of the assembled DIA matrices
+    spec = SchemeSpec("pade_fmes", tau=0.01, n_steps=2, l=l, m=m,
+                      lambda1=pair26.lambda1)
+    run_scheme(spec, sys26, np.ones(sys26.n_nodes), store_levels=())
+    assert todia_calls == []
+
+
 @pytest.mark.parametrize("sigma, delta", [(1.0, 1e-3), (1.0, 1e-2),
                                           (1.0, 1e-1), (0.5, 1e-1)])
 def test_eigenvalue_error_amplitude_defect(sys6, pair6, sigma, delta):
@@ -556,18 +569,26 @@ def test_modal_basis_of_another_grid_is_refused(basis6, pair6):
         run_scheme(spec, sys7, np.ones(sys7.n_nodes), basis=basis6)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad, match", [
+    (np.nan, "^w0 has non-finite entries$"),
+    (np.inf, "^w0 has non-finite entries$"),
+    (None, r"^w0 has shape \(35,\), expected \(36,\)$")],
+    ids=["nan", "inf", "short"])
 @pytest.mark.parametrize("kind, params", [
     ("theta_fmes", dict(sigma=0.5)), ("pade_fmes", dict(l=0, m=2)),
     ("pade_modal", dict(l=0, m=2))], ids=["theta_fmes", "pade_fmes",
                                           "pade_modal"])
 def test_run_scheme_refuses_a_non_finite_start(sys6, pair6, basis6, kind,
-                                               params, bad):
+                                               params, bad, match):
+    # a start one entry short (bad = None) is refused too
     spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=pair6.lambda1,
                       **params)
     w0 = np.ones(sys6.n_nodes)
-    w0[3] = bad
-    with pytest.raises(ValueError, match="^w0 has non-finite entries$"):
+    if bad is None:
+        w0 = w0[1:]
+    else:
+        w0[3] = bad
+    with pytest.raises(ValueError, match=match):
         run_scheme(spec, sys6, w0, basis=basis6)
 
 

@@ -88,6 +88,12 @@ def test_cross_validation_against_dense_oracle(sys11, basis11):
     assert pair.lambda1_bar == pytest.approx(basis11.eigenvalues[0], rel=1e-9)
 
 
+def test_eigensolve_converts_no_matrix(sys26, todia_calls):
+    # the assembled matrices are DIA, so K_bar's band factor takes them as is
+    inverse_iteration(sys26)
+    assert todia_calls == []
+
+
 def test_nonconvergence_carries_history(sys26):
     with pytest.raises(ConvergenceError) as exc:
         inverse_iteration(sys26, tol=1e-16, max_iter=3)
