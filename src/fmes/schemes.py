@@ -212,8 +212,9 @@ class _RationalStepper:
     Each pole is ``(z, s r, w, solver)``, with ``sparse.choose_solver``'s
     solver of its system.  A ``BandedSolver`` factors on the first step (so
     a failure still names level 1), and every step checks the true
-    residual.  A ``Multigrid`` preconditions CG on its ``operator``,
-    warm-started from the pole term's large-z limit.
+    residual.  A ``Multigrid``, with float32 levels, preconditions
+    float64 CG on its ``operator``, warm-started from the pole term's
+    large-z limit.
     ``step`` reuses M y when the caller has it (``run_scheme`` does).
     """
 
@@ -224,8 +225,11 @@ class _RationalStepper:
         self.scale = math.exp(-mu * tau)
         self.c0, terms = _partial_fractions(p, q)
         self.tol = OUTER_TOL / (1.0 + abs(self.c0))
+        # float32 V-cycle levels: the same CG iterations, a step's solve
+        # 24 ms instead of 35 ms at n_side 201 (sparse.Multigrid)
         self.poles = [(z, self.scale * r, w,
-                       choose_solver(tau * Kt - z * sys.M, sys.mesh))
+                       choose_solver(tau * Kt - z * sys.M, sys.mesh,
+                                     dtype=np.float32))
                       for z, r, w in terms]
 
     def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:

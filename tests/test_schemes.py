@@ -450,6 +450,27 @@ def test_direct_and_multigrid_paths_agree(sys28, pair28, rng, monkeypatch,
     assert error <= 1e-9 * m_norm(sys28, y)
 
 
+def test_only_pole_systems_get_float32_levels(sys28, monkeypatch):
+    # the eigensolve keeps float64 V-cycle levels: its stop test sits on
+    # roundoff noise, so a float32 cycle could change its sweep count
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    built = []
+
+    class Recording(Multigrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append({a.dtype for level in self.levels for a in level})
+
+    monkeypatch.setattr(sparse, "Multigrid", Recording)
+    lambda1 = inverse_iteration(sys28).lambda1
+    assert built == [{np.dtype(np.float64)}]
+    built.clear()
+    # (0,3) has one real pole and one conjugate pair
+    make_stepper(SchemeSpec("pade_fmes", tau=0.01, n_steps=1, l=0, m=3,
+                            lambda1=lambda1), sys28)
+    assert built == [{np.dtype(np.float32)}] * 2
+
+
 def test_complex_pole_solves_on_an_even_grid_take_few_iterations(monkeypatch):
     # at n_side 72 the (0,2) pole pair's complex band factor (18 MB) is over
     # the budget; its mesh is not nested in the coarse one (diagonal scaling

@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 from fmes import ProblemCoefficients, assemble, build_mesh, sparse
 from fmes.sparse import (BandedSolver, ConvergenceError, Multigrid,
                          SolveReport, cg_solve, choose_solver, prolongation)
+from fmes.schemes import OUTER_TOL
 from fmes.spectral import INNER_TOL
 
 
@@ -82,6 +83,17 @@ def test_nonconvergence_raises_with_report(sys26, rng):
     assert not report.converged
     assert report.iterations == 3
     assert report.relative_residual > 1e-12
+
+
+def test_stagnating_solve_stops_at_the_default_cap():
+    # unpreconditioned CG on a spectrum spread over 12 decades stagnates
+    # (its residual still exceeds ||b|| after 100,000 iterations); the
+    # default cap is 1000 whatever the dimension, not 20 n (here 40,000)
+    A = sp.diags(np.geomspace(1.0, 1e12, 2000)).tocsr()
+    with pytest.raises(ConvergenceError) as exc:
+        cg_solve(A, np.ones(2000), tol=1e-14, precondition=lambda r: r)
+    assert exc.value.report.iterations == 1000
+    assert not exc.value.report.converged
 
 
 def test_indefinite_operator_raises():
@@ -260,6 +272,66 @@ def test_multigrid_levels_are_stored_by_diagonals(rng):
         eps = np.finfo(float).eps
         assert (np.abs(mg(r) - expected).max()
                 <= 4 * eps * np.abs(expected).max())
+
+
+def _out_of_place_cycle(mg, r, level=0):
+    """The V(2,2)-cycle with every sweep written x += jacobi * (r - A @ x)."""
+    if level == len(mg.levels):
+        return mg.coarsest(r)
+    A, jacobi, P, R = mg.levels[level]
+    x = jacobi * r
+    x += jacobi * (r - A @ x)
+    x += P @ _out_of_place_cycle(mg, R @ (r - A @ x), level + 1)
+    for _ in range(2):
+        x += jacobi * (r - A @ x)
+    return x
+
+
+@pytest.mark.parametrize("n_side", [53, 54])
+def test_float64_cycle_equals_the_out_of_place_cycle(n_side, rng):
+    # the in-place sweeps make the same operations in the same order
+    sys = assemble(build_mesh(n_side))
+    mg = Multigrid(sys.K_bar + sys.M, n_side)
+    r = rng.standard_normal(sys.n_nodes)
+    assert np.array_equal(mg(r), _out_of_place_cycle(mg, r))
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
+def test_float32_levels_keep_float64_at_the_ends(sys28, rng, z):
+    A = 0.01 * sys28.K - z * sys28.M
+    mg = Multigrid(A, sys28.mesh.n_side, np.float32)
+    assert {a.dtype for level in mg.levels for a in level} == {
+        np.dtype(np.float32)}
+    assert mg.operator.dtype == np.result_type(z, float)
+    assert mg.coarsest.operator.dtype == np.float64
+    r = rng.standard_normal(sys28.n_nodes)
+    expected = Multigrid(A, sys28.mesh.n_side)(r)
+    assert mg(r).dtype == np.float64
+    assert np.abs(mg(r) - expected).max() <= 1e-5 * np.abs(expected).max()
+    assert mg(r + 1j * r).dtype == np.complex128
+    # r is scaled by a power of 2 into float32's range (1e-60 would flush
+    # to zero, 1e60 overflow), and the scale is exact
+    for k in (-200, 200):
+        assert np.array_equal(mg(np.ldexp(r, k)), np.ldexp(mg(r), k))
+
+
+@pytest.mark.parametrize("n_side", [72, 128])
+def test_float32_levels_keep_the_cg_iterations(n_side):
+    # iterations with float64 / float32 levels, tol OUTER_TOL: 9/9 (real
+    # pole) and 16/16 (complex) at n_side 72, 10/10 and 16/16 at 128
+    sys = assemble(build_mesh(n_side))
+    rhs = sys.M @ np.random.default_rng(n_side).uniform(0.5, 1.5, sys.n_nodes)
+    for z in (-1.0, -1.0 + 1.0j):
+        A = 0.01 * sys.K - z * sys.M
+        iterations = []
+        for dtype in (np.float64, np.float32):
+            mg = Multigrid(A, n_side, dtype)
+            x, report = cg_solve(mg.operator, rhs, tol=OUTER_TOL,
+                                 precondition=mg)
+            residual = np.linalg.norm(mg.operator @ x - rhs)
+            assert residual <= 10 * OUTER_TOL * np.linalg.norm(rhs)
+            iterations.append(report.iterations)
+        assert iterations[1] <= iterations[0] + 1
 
 
 @pytest.mark.parametrize("shift", [-1.0, -1.0 + 1.0j])
