@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from fmes import assemble, build_mesh, inverse_iteration, modal_decompose
+from fmes import sparse
 
 
 @pytest.fixture(scope="session")
@@ -59,15 +60,19 @@ def pair26(sys26):
 @pytest.fixture
 def todia_calls(monkeypatch):
     """The dtype of every matrix converted to DIA while the test runs: each
-    format's ``todia`` goes through COO's, and a DIA matrix converts none."""
+    format's ``todia`` goes through COO's, a Galerkin level through
+    ``sparse._galerkin_dia``, and a DIA matrix converts none."""
     calls = []
-    todia = sp.coo_matrix.todia
+    todia, galerkin_dia = sp.coo_matrix.todia, sparse._galerkin_dia
 
-    def counting(self, *args, **kwargs):
-        calls.append(self.dtype)
-        return todia(self, *args, **kwargs)
+    def counting(convert):
+        def wrapper(A, *args, **kwargs):
+            calls.append(A.dtype)
+            return convert(A, *args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sp.coo_matrix, "todia", counting)
+    monkeypatch.setattr(sp.coo_matrix, "todia", counting(todia))
+    monkeypatch.setattr(sparse, "_galerkin_dia", counting(galerkin_dia))
     return calls
 
 

@@ -491,6 +491,48 @@ def test_complex_pole_solves_on_an_even_grid_take_few_iterations(monkeypatch):
     assert len(iterations) == 3 and max(iterations) <= 20
 
 
+@pytest.mark.parametrize("kind, params", [("theta_fmes", dict(sigma=1.0)),
+                                          ("pade_fmes", dict(l=0, m=2))])
+def test_projected_starts_save_iterations(sys28, pair28, monkeypatch, kind,
+                                          params):
+    # 60 steps wrap the ring of PROJECTION_SIZE solutions ten times, and
+    # the stored solutions, all tending to the slowest mode, leave G
+    # numerically singular; (0,2)'s pole pair is complex.  Warnings are
+    # errors, so neither lstsq nor CG may warn.
+    spec = SchemeSpec(kind, tau=0.01, n_steps=60, lambda1=pair28.lambda1,
+                      **params)
+    y = np.random.default_rng(1).uniform(0.5, 1.5, sys28.n_nodes)
+    band = run_scheme(spec, sys28, y)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    stepper = make_stepper(spec, sys28)
+    projected, large_z, conditions = [], [], []
+
+    def recording(*args, **kwargs):
+        x, report = sparse.cg_solve(*args, **kwargs)
+        projected.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(schemes, "cg_solve", recording)
+    for level in range(1, spec.n_steps + 1):
+        My = sys28.M @ y
+        for z, sr, *_, solver in stepper.poles:
+            # the start of earlier versions: the pole term's large-z limit
+            _, report = sparse.cg_solve(solver.operator, sr * My,
+                                        tol=stepper.tol, x0=(sr / -z) * y,
+                                        precondition=solver)
+            large_z.append(report.iterations)
+        y = stepper.step(y, My)
+        expected = band.vector_at(level)
+        assert m_norm(sys28, y - expected) <= 1e-8 * m_norm(sys28, expected)
+        (*_, projection, _), = stepper.poles
+        k = min(projection.count, schemes.PROJECTION_SIZE)
+        singular = np.linalg.svd(projection.G[:k, :k], compute_uv=False)
+        conditions.append(singular[-1] / singular[0])
+    assert len(projected) == len(large_z) == spec.n_steps
+    assert min(conditions) < schemes.PROJECTION_RCOND
+    assert sum(projected) < sum(large_z)
+
+
 _SPD_KINDS = ([(kind, dict(sigma=s))
                for kind in ("theta_standard", "theta_fmes")
                for s in (0.5, 0.75, 1.0)]

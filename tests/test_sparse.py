@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ def test_warm_start_already_converged(sys6):
                          precondition=_scaling(sys6.M))
     assert report.iterations == 0
     assert x == pytest.approx(ones, abs=0)
+
+
+def test_warm_start_worse_than_zero_is_dropped(sys26, rng):
+    # ||rhs - A x0|| > ||rhs||: CG starts from zero, as without x0, and
+    # only the product A x0 that found out is extra
+    A = sys26.K_bar
+    band = BandedSolver(A)
+    rhs = sys26.M @ np.ones(sys26.n_nodes)
+    cold, cold_report = cg_solve(A, rhs, tol=INNER_TOL, precondition=band)
+    x0 = 3.0 * band(rhs) + 0.1 * rng.standard_normal(sys26.n_nodes)
+    assert np.linalg.norm(rhs - A @ x0) > np.linalg.norm(rhs)
+    x, report = cg_solve(A, rhs, tol=INNER_TOL, x0=x0, precondition=band)
+    assert report == cold_report and np.array_equal(x, cold)
 
 
 def test_converged_reports_satisfy_tolerance(sys26, rng):
@@ -238,6 +252,23 @@ def test_complex_system_is_converted_once(sys28, todia_calls, monkeypatch):
     assert np.array_equal(level0.data, mg.operator.data.real)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_cocg_breakdown_raises_at_once(sys28, dtype):
+    # asked for 1e-300, r^T z leaves the normal range after 182 (float64
+    # levels) or 211 (float32) iterations; dividing by it overflowed, and the
+    # loop ran on NaN to the 1000-iteration cap
+    A = 0.01 * sys28.K - (-1.0 + 1.0j) * sys28.M
+    mg = Multigrid(A, sys28.mesh.n_side, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="^CG breakdown: r\\^T z"
+                           ) as err:
+            cg_solve(mg.operator, sys28.M @ np.ones(sys28.n_nodes),
+                     tol=1e-300, precondition=mg)
+    assert err.value.report.iterations < 1000
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("name", ["sys28", "sys31"])
 def test_multigrid_splits_a_complex_vector(request, rng, name):
     # the cycle is real: a complex vector's halves go through it one by one
@@ -285,6 +316,36 @@ def _out_of_place_cycle(mg, r, level=0):
     for _ in range(2):
         x += jacobi * (r - A @ x)
     return x
+
+
+@pytest.mark.parametrize("n_side", [53, 54])
+def test_galerkin_levels_are_stored_as_todia_stores_them(n_side):
+    # the same offsets in the same ascending order and the same data: the
+    # order in which a DIA product sums each row
+    sys = assemble(build_mesh(n_side))
+    mg = Multigrid(sys.K_bar + sys.M, n_side)
+    P, _ = sparse._transfers(n_side)
+    product = P.T @ mg.levels[0][0].tocsr() @ P
+    expected = product.todia()
+    coarse = mg.levels[1][0]
+    assert np.array_equal(coarse.offsets, expected.offsets)
+    assert np.all(np.diff(coarse.offsets) > 0)
+    assert coarse.data.shape == expected.data.shape
+    assert np.array_equal(coarse.data, expected.data)
+
+
+def test_transfers_are_built_once_per_grid(sys28):
+    # the eigensolve's and every stepper's hierarchy share P and P^T; the
+    # shared arrays are read-only
+    first = Multigrid(sys28.K_bar, 28)
+    second = Multigrid(sys28.K_bar + sys28.M, 28)
+    assert first.levels[0][2] is second.levels[0][2]
+    assert first.levels[0][3] is second.levels[0][3]
+    assert not first.levels[0][2].data.flags.writeable
+    assert np.array_equal(first.levels[0][2].toarray(),
+                          prolongation(28).toarray())
+    assert np.array_equal(first.levels[0][3].toarray(),
+                          prolongation(28).T.toarray())
 
 
 @pytest.mark.parametrize("n_side", [53, 54])
