@@ -17,7 +17,8 @@ Four families are provided:
 * ``pade_modal``       -- the same rational multipliers applied mode by
   mode through a dense eigenbasis; exact in space, it serves as the
   oracle for all sparse steppers and covers every index l <= m (for
-  l > m, R_lm is unbounded at infinity and both kinds refuse it).
+  l > m, R_lm is unbounded at infinity and both kinds refuse it).  It
+  carries the modal coordinates from step to step.
 
 The three sparse kinds share one stepper: each is
 y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
@@ -305,7 +306,10 @@ class _RationalStepper:
 
 class _ModalStepper:
     """Apply exp(-lambda1 tau) R_lm((lambda_k - lambda1) tau) mode by mode,
-    with the multipliers of each mirror block made once (ModalBasis.apply)."""
+    with the multipliers of each mirror block made once.  A modal stepper
+    follows one trajectory: a ``y`` equal to the copy it keeps of its last
+    output steps from that output's coordinates (one dense product per
+    block); any other ``y`` is projected first (ModalBasis.coordinates)."""
 
     def __init__(self, basis: ModalBasis, l: int, m: int, tau: float,
                  lambda1: float):
@@ -313,10 +317,16 @@ class _ModalStepper:
         self.multipliers = [scale * pade_rational(l, m, (lam - lambda1) * tau)
                             for _, lam, _ in basis.blocks]
         self.basis = basis
+        self.last = self.coords = None
 
     def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
-        My = self.basis.mass @ y if My is None else My
-        return self.basis.apply(self.multipliers, My)
+        if self.last is None or not np.array_equal(y, self.last):
+            My = self.basis.mass @ y if My is None else My
+            self.coords = self.basis.coordinates(My)
+        self.coords = [f * c for f, c in zip(self.multipliers, self.coords)]
+        out = self.basis.synthesize(self.coords)
+        self.last = out.copy()
+        return out
 
 
 def make_stepper(spec: SchemeSpec, sys: FemSystem, *,

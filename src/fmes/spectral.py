@@ -57,7 +57,9 @@ class ModalBasis:
     lam ascends and W's columns are the M-orthonormal eigenvectors of
     ``(Q^T K Q, Q^T M Q)``, so the eigenvectors of (K, M) are the columns of
     each ``Q W``.  eigenvalues is the ascending merge of every lam.  The
-    mass matrix rides along.
+    mass matrix rides along.  ``coordinates`` and ``synthesize`` map a
+    vector to its modal coordinates and back; a modal stepper follows one
+    trajectory in coordinates, so a carried step only synthesizes.
     """
 
     eigenvalues: np.ndarray
@@ -77,12 +79,13 @@ class ModalBasis:
             start += len(lam)
         return evecs
 
-    def apply(self, multipliers: list[np.ndarray],
-              My: np.ndarray) -> np.ndarray:
-        """sum_b Q_b W_b (f_b * (W_b^T (Q_b^T M y))), with f_b the b-th of
-        ``multipliers`` (one value per entry of that block's lam)."""
-        return sum(Q @ (W @ (f * (W.T @ (Q.T @ My))))
-                   for (Q, _, W), f in zip(self.blocks, multipliers))
+    def coordinates(self, My: np.ndarray) -> list[np.ndarray]:
+        """The modal coordinates W_b^T (Q_b^T M y) of y, block by block."""
+        return [W.T @ (Q.T @ My) for Q, _, W in self.blocks]
+
+    def synthesize(self, coords: list[np.ndarray]) -> np.ndarray:
+        """sum_b Q_b (W_b c_b), the vector with modal coordinates ``coords``."""
+        return sum(Q @ (W @ c) for (Q, _, W), c in zip(self.blocks, coords))
 
 
 def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
@@ -193,7 +196,8 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
     blocks = tuple((Q, *scipy.linalg.eigh((Q.T @ sys.K @ Q).toarray(),
-                                          (Q.T @ sys.M @ Q).toarray()))
+                                          (Q.T @ sys.M @ Q).toarray(),
+                                          overwrite_a=True, overwrite_b=True))
                    for Q in _mirror_blocks(sys))
     evals = np.concatenate([lam for _, lam, _ in blocks])
     return ModalBasis(eigenvalues=evals[np.argsort(evals, kind="stable")],
@@ -209,5 +213,5 @@ def exact_semidiscrete_solution(basis: ModalBasis, w0: np.ndarray,
         raise ValueError(f"w0 has shape {w0.shape}, expected ({n},)")
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, got {t}")
-    return basis.apply([np.exp(-lam * t) for _, lam, _ in basis.blocks],
-                       basis.mass @ w0)
+    return basis.synthesize([np.exp(-lam * t) * c for (_, lam, _), c in zip(
+        basis.blocks, basis.coordinates(basis.mass @ w0))])

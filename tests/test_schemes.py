@@ -12,7 +12,8 @@ from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
                           pade_rational, run_scheme)
 from fmes.sparse import BandedSolver, ConvergenceError, Multigrid
-from fmes.spectral import exact_semidiscrete_solution, inverse_iteration
+from fmes.spectral import (ModalBasis, exact_semidiscrete_solution,
+                           inverse_iteration)
 
 
 def _scalar_system(k, mass=1.0):
@@ -284,6 +285,62 @@ def test_pade_02_matches_modal_oracle(sys6, basis6, pair6, rng, l, m):
     sparse_step = _step(sys6, "pade_fmes", tau, y, **params)
     modal_step = _step(None, "pade_modal", tau, y, basis=basis6, **params)
     assert m_norm(sys6, sparse_step - modal_step) < 1e-8
+
+
+@pytest.mark.parametrize("l, m", [(0, 2), (2, 2)])
+def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
+                                                  rng, l, m):
+    # carried coordinates: c_n = f^n c_0, synthesized at every level
+    lam1, tau, n_steps = pair11.lambda1, 0.005, 200
+    spec = SchemeSpec("pade_modal", tau=tau, n_steps=n_steps, l=l, m=m,
+                      lambda1=lam1)
+    w0 = _generic_state(sys11, rng)
+    traj = run_scheme(spec, sys11, w0, basis=basis11)
+    scale = math.exp(-lam1 * tau)
+    f = scale * pade_rational(l, m, (basis11.eigenvalues - lam1) * tau)
+    V = basis11.eigenvectors
+    c0 = V.T @ (sys11.M @ w0)
+    for level in range(n_steps + 1):
+        exact = V @ (f ** level * c0)
+        assert (m_norm(sys11, traj.vector_at(level) - exact)
+                <= 1e-12 * m_norm(sys11, exact))
+    # the first step projects w0: the product of the uncarried stepper
+    projected = sum(
+        Q @ (W @ (scale * pade_rational(l, m, (lam - lam1) * tau)
+                  * (W.T @ (Q.T @ (sys11.M @ w0)))))
+        for Q, lam, W in basis11.blocks)
+    assert np.array_equal(traj.vector_at(1), projected)
+
+
+@pytest.mark.parametrize("case", ["restart", "changed_in_place",
+                                  "equal_copy"])
+def test_modal_stepper_carries_only_its_own_output(sys11, pair11, basis11,
+                                                   rng, monkeypatch, case):
+    spec = SchemeSpec("pade_modal", tau=0.005, n_steps=1, l=0, m=2,
+                      lambda1=pair11.lambda1)
+    w0 = _generic_state(sys11, rng)
+    stepper, twin = (make_stepper(spec, sys11, basis=basis11)
+                     for _ in range(2))
+    y = twin_y = w0
+    for _ in range(3):
+        y, twin_y = stepper.step(y), twin.step(twin_y)
+    projections = []
+    coordinates = ModalBasis.coordinates
+    monkeypatch.setattr(ModalBasis, "coordinates", lambda self, My: (
+        projections.append(1) or coordinates(self, My)))
+    if case == "equal_copy":
+        # the kept coordinates: as if the caller had passed y itself
+        assert np.array_equal(stepper.step(y.copy()), twin.step(twin_y))
+        assert projections == []
+        return
+    if case == "restart":
+        start = w0
+    else:
+        y *= 0.5
+        start = y
+    fresh = make_stepper(spec, sys11, basis=basis11)
+    assert np.array_equal(stepper.step(start), fresh.step(start))
+    assert len(projections) == 2
 
 
 def test_modal_multipliers_sm_property(basis11, pair11):

@@ -322,6 +322,25 @@ def test_exact_solution_at_time_zero(sys6, basis6, rng):
     assert np.abs(w - w0).max() < 1e-10
 
 
+@pytest.mark.parametrize("case", ["basis6", "no_mesh"])
+def test_exact_solution_is_the_blocked_product_bit_for_bit(request, rng,
+                                                           case):
+    # coordinates then synthesize: the same operations, in the same order,
+    # as one fused product per block
+    if case == "no_mesh":
+        A = rng.standard_normal((7, 7))
+        basis = modal_decompose(_scalar_system(
+            A @ A.T + 7.0 * np.eye(7), np.diag(rng.uniform(0.5, 1.5, 7))))
+    else:
+        basis = request.getfixturevalue(case)
+    w0, t = rng.standard_normal(basis.mass.shape[0]), 0.03
+    My = basis.mass @ w0
+    explicit = sum(Q @ (W @ (np.exp(-lam * t) * (W.T @ (Q.T @ My))))
+                   for Q, lam, W in basis.blocks)
+    assert len(basis.blocks) == (1 if case == "no_mesh" else 2)
+    assert np.array_equal(exact_semidiscrete_solution(basis, w0, t), explicit)
+
+
 def test_exact_solution_single_mode(sys6, basis6, pair6):
     # pair6.phi1 carries ~1e-8 of higher modes (eigenvalue-based stopping),
     # which bounds the agreement here
