@@ -17,7 +17,7 @@ from .mesh import Mesh, build_mesh
 from .schemes import (SchemeSpec, Trajectory, amplification_factor,
                       fmes_weight, make_stepper, pade_coefficients,
                       pade_rational, run_scheme)
-from .sparse import ConvergenceError, SolveReport, cg_solve
+from .sparse import ConvergenceError, SolveReport
 from .spectral import (EigenPair, ModalBasis, exact_semidiscrete_solution,
                        inverse_iteration, modal_decompose)
 
@@ -27,8 +27,8 @@ __all__ = [
     "ConvergenceError", "EigenPair", "ExperimentConfig", "ExperimentResult",
     "FemSystem", "Mesh", "ModalBasis", "ProblemCoefficients", "RunResult",
     "SchemeRequest", "SchemeSpec", "SolveReport", "Trajectory",
-    "amplification_factor", "assemble", "build_mesh", "cg_solve",
-    "epsilon_u", "exact_semidiscrete_solution", "fmes_weight", "initial_state",
+    "amplification_factor", "assemble", "build_mesh", "epsilon_u",
+    "exact_semidiscrete_solution", "fmes_weight", "initial_state",
     "inverse_iteration", "m_inner", "m_norm", "make_reference",
     "make_stepper", "modal_decompose", "pade_coefficients", "pade_rational",
     "run_experiment", "run_scheme", "run_table1", "sweep_reaction",

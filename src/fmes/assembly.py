@@ -23,6 +23,8 @@ ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
                          [1.0, 1.0, 2.0]]) / 12.0
 EDGE_MASS = np.array([[2.0, 1.0],
                       [1.0, 2.0]]) / 6.0
+# smallest normal float: a squared norm below it has lost digits
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -140,4 +142,25 @@ def m_inner(sys: FemSystem, u: np.ndarray, v: np.ndarray) -> float:
 
 def m_norm(sys: FemSystem, u: np.ndarray) -> float:
     """Mass-weighted norm sqrt(u^T M u)."""
-    return float(np.sqrt(m_inner(sys, u, u)))
+    u = np.asarray(u, dtype=float)
+    if u.shape != (sys.n_nodes,):
+        raise ValueError(f"expected a vector of length {sys.n_nodes}, "
+                         f"got {u.shape}")
+    return _mass_norm(sys.M, u)
+
+
+def _mass_norm(M, u: np.ndarray, Mu: np.ndarray | None = None) -> float:
+    """sqrt(u^T M u), from ``Mu`` = M u when the caller has it.
+
+    A state that decays like exp(-lambda_1 t) leaves u^T M u's range long
+    before u itself (below ||u|| ~ 1e-154 it underflows).  When u^T M u is
+    zero, subnormal or not finite while u is not zero, u is first scaled by
+    the power of 2 that brings max|u| into [1/2, 1), which is exact (as in
+    ``sparse.Multigrid``), so an in-range norm keeps its bits.
+    """
+    squared = float(u @ (M @ u if Mu is None else Mu))
+    if _TINY <= squared < math.inf or not u.any():
+        return math.sqrt(squared)
+    exponent = int(np.frexp(np.abs(u).max())[1])
+    u = np.ldexp(u, -exponent)
+    return math.ldexp(math.sqrt(float(u @ (M @ u))), exponent)

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .assembly import FemSystem
+from .assembly import FemSystem, _mass_norm
 from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
                      cg_solve, choose_solver)
 from .spectral import ModalBasis
@@ -241,8 +241,7 @@ class _Projection:
                                 np.einsum("ij,j->i", self.X[:k], b),
                                 rcond=PROJECTION_RCOND)[0]
             x0 = np.einsum("i,ij->j", c, self.X[:k])
-        x, report = cg_solve(self.solver.operator, b, tol=tol, x0=x0,
-                             precondition=self.solver)
+        x, report = cg_solve(self.solver, b, tol, x0=x0)
         slot = self.count % PROJECTION_SIZE
         self.X[slot] = x
         self.count += 1
@@ -263,17 +262,17 @@ class _RationalStepper:
     OUTER_TOL / (1 + |c0|) because the c0 term cancels against the pole
     terms.
 
-    Each pole is ``(z, s r, w, solving, solver)``, with
-    ``sparse.choose_solver``'s solver of its system, and ``solving.solve(b,
-    tol)`` solves it.  A ``BandedSolver`` solves by itself: it factors on
-    the first step (so a failure still names level 1), and every step
-    checks the true residual.  A ``Multigrid``, with float32 levels,
-    preconditions float64 CG on its ``operator`` in a ``_Projection``,
-    which starts each solve from the projection onto the system's last
-    solutions: at n_side 201, 82-86 CG iterations per 10-step theta
-    trajectory instead of 99-104 from the pole term's large-z limit
-    (s r / -z) y.  So a stepper follows one trajectory: every step adds
-    its solutions to the projections.
+    Each pole is ``(s r, w, solving)``, and ``solving.solve(b, tol)``
+    solves its system with ``sparse.choose_solver``'s solver.  A
+    ``BandedSolver`` is ``solving`` itself: it factors on the first step
+    (so a failure still names level 1), and every step checks the true
+    residual.  A ``Multigrid``, with float32 levels, is the ``solver`` of
+    a ``_Projection``, which runs float64 CG preconditioned by it, each
+    solve started from the projection onto the system's last solutions:
+    at n_side 201, 82-86 CG iterations per 10-step theta trajectory
+    instead of 99-104 from the pole term's large-z limit (s r / -z) y.  So
+    a stepper follows one trajectory: every step adds its solutions to the
+    projections.
     ``step`` reuses M y when the caller has it (``run_scheme`` does).
     """
 
@@ -290,14 +289,14 @@ class _RationalStepper:
         for z, r, w in terms:
             solver = choose_solver(tau * Kt - z * sys.M, sys.mesh,
                                    dtype=np.float32)
-            solving = (solver if isinstance(solver, BandedSolver)
-                       else _Projection(solver))
-            self.poles.append((z, self.scale * r, w, solving, solver))
+            self.poles.append((self.scale * r, w,
+                               solver if isinstance(solver, BandedSolver)
+                               else _Projection(solver)))
 
     def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
         My = self.M @ y if My is None else My
         out = self.scale * self.c0 * y if self.c0 else None
-        for _, sr, w, solving, _ in self.poles:
+        for sr, w, solving in self.poles:
             x, _ = solving.solve(sr * My, self.tol)
             x = w * x.real
             out = x if out is None else out + x
@@ -333,13 +332,12 @@ def make_stepper(spec: SchemeSpec, sys: FemSystem, *,
                  basis: ModalBasis | None = None):
     """Build the cached stepper object for a scheme specification.
 
-    pade_modal reads only ``basis``, whose node count must match ``sys``
-    when one is given.
+    pade_modal steps with ``basis``, whose node count must match ``sys``.
     """
     if spec.kind == "pade_modal":
         if basis is None:
             raise ValueError("pade_modal needs a ModalBasis")
-        if sys is not None and basis.mass.shape[0] != sys.n_nodes:
+        if basis.mass.shape[0] != sys.n_nodes:
             raise ValueError(f"ModalBasis has {basis.mass.shape[0]} nodes, "
                              f"the system {sys.n_nodes}")
         return _ModalStepper(basis, spec.l, spec.m, spec.tau, spec.lambda1)
@@ -415,7 +413,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
 
     def record(level: int, vec: np.ndarray):
         mv = sys.M @ vec
-        m_norms[level] = math.sqrt(vec @ mv)
+        m_norms[level] = _mass_norm(sys.M, vec, mv)
         if amplitudes is not None:
             amplitudes[level] = float(phi1 @ mv)
         if keep is None or level in keep:

@@ -2,49 +2,19 @@
 
 ``choose_solver`` gives each symmetric matrix A (real and positive
 definite, or complex-symmetric, A^T = A, with a positive definite Hermitian
-part) one solver object: a ``BandedSolver`` (one LAPACK band factor, n_side
-+ 1 wide on the row-by-row numbered mesh) when it fits in
-DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A) on A's
-structured mesh, of either parity of n_side (12-20 CG iterations per solve
-of K_bar from n_side 27 to 256).  Both are preconditioners
-``solver(r) -> ~A^-1 r`` that carry ``solver.operator``, the matrix CG
-multiplies by: ``cg_solve(solver.operator, b, precondition=solver)``.
+part) one solver object: a ``BandedSolver`` (one LAPACK band factor) when
+it fits in DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A)
+on A's structured mesh.  Every solver is a preconditioner
+``solver(r) -> ~A^-1 r`` that carries ``solver.operator``, A in DIA
+storage (``sp.dia_matrix`` shares an assembled matrix's arrays), and a
+solve is ``cg_solve(solver, b, tol)``.  A ``BandedSolver`` also solves by
+itself: ``solver.solve(b, tol)`` is one substitution with its true
+residual checked.
 
-Every solver keeps A once, in DIA storage as assembled (``sp.dia_matrix``
-shares the arrays): every entry of a P1 operator on the row-by-row mesh
-lies on one of the 7 diagonals {0, +-1, +-n_side, +-(n_side + 1)}.  DIA
-rows are LAPACK's band storage (LAPACK Users' Guide, 3rd ed., 5.3.3), and
-a product reads 8 bytes per stored entry where CSR reads 12: at n_side 201
-a level-0 product took 0.16 ms instead of 0.22 ms on one Xeon core.  DIA
-sums each row in the column order of sorted CSR: results are bit-identical.
-
-Only ``BandedSolver.solve`` checks its true residual
-||A x - b|| <= tol ||b||, and a lone band solve of K_bar x = M 1 misses the
-eigensolve's 1e-13 (9.2e-13, 5.7e-12 and 1.3e-11 at n_side 26, 51 and
-101).  So the eigensolve runs CG with the band substitution as
-preconditioner: 1-2 iterations per solve.  CG stops on its recurrence
-residual; asked for 1e-13 there, its true residual was 4.1e-13, 1.6e-12
-and 7.1e-12 at n_side 26, 51 and 101, and 5.8e-11 with multigrid at 201.
-The same explicit CG loop solves complex-symmetric systems as conjugate
-orthogonal CG, and stops with a ConvergenceError when r^T z or p^T A p
-leaves the normal float range (a breakdown, or a tolerance below
-roundoff).  A warm start x0 is kept only if ||b - A x0|| <= ||b||, else
-CG starts from zero; the time steppers start each multigrid pole solve
-from a projection onto that system's earlier solutions
-(``schemes._Projection``).  All paths are deterministic, so runs are
-bit-reproducible.
-
-CG, its reductions and its stopping test always run in float64.  A
-``Multigrid`` may keep its levels in float32 (``choose_solver(..., dtype=
-np.float32)``; Goeddeke, Strzodka & Turek, IJPEDS 22, 2007): each level's
-operator, Jacobi weights, P and P^T are cast once, after the float64
-Galerkin products, while ``operator`` and the coarsest band factor stay
-float64, and the cycle casts r down on entry and its result up on exit.
-The time steppers' pole systems do this, and take the same CG iterations
-per solve in 24 ms instead of 35 ms at n_side 201.  The eigensolve keeps
-float64 levels, because its stop test sits on roundoff noise from n_side
-101 up and a float32 cycle changed its sweep count on 6 of 8 seeds at
-n_side 201.
+CG stops on its recurrence residual and runs in float64, also around a
+``Multigrid`` whose levels are float32; a complex A is solved by conjugate
+orthogonal CG.  All paths are deterministic, so runs are bit-reproducible.
+README.md's numerical notes hold the measurements behind these choices.
 """
 
 from __future__ import annotations
@@ -64,13 +34,21 @@ from .mesh import Mesh
 # real, 0.9 MB complex; real factors fit up to n_side 127 (16.6 MB), and
 # n_side 201 (40,401 nodes) would need 65 MB real.
 DIRECT_LIMIT_BYTES = 16 * 2 ** 20
+# CG's iteration cap: band- and multigrid-preconditioned solves take at
+# most about 20 iterations, so the cap only stops a stagnating solve.
+CG_MAX_ITER = 1000
+# Below this 2-norm, np.linalg.norm's sum of squares underflows: a solve
+# scales such a right-hand side (a state decayed like exp(-lambda_1 t)) up.
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class SolveReport:
+    """How a solve ended: a returned report met its tolerance, the report
+    of a ConvergenceError did not."""
+
     iterations: int
     relative_residual: float
-    converged: bool
 
 
 class ConvergenceError(RuntimeError):
@@ -94,36 +72,33 @@ def _check_breakdown(name: str, value, iterations: int, residual: float):
     if not np.finfo(float).tiny <= abs(value) < math.inf:
         raise ConvergenceError(
             f"CG breakdown: {name} = {value} underflowed or is not finite",
-            report=SolveReport(iterations, residual, False))
+            report=SolveReport(iterations, residual))
 
 
-def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
-             *, x0: np.ndarray | None = None,
-             precondition) -> tuple[np.ndarray, SolveReport]:
-    """Preconditioned conjugate gradients for a symmetric matrix.
+def cg_solve(solver, rhs: np.ndarray, tol: float, *,
+             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+    """Solve A x = rhs by CG preconditioned with ``solver``, for
+    A = ``solver.operator``.
 
-    A real ``A`` must be positive definite.  A complex ``A`` must be
-    symmetric (A^T = A) with a positive definite Hermitian part; it is
-    solved by conjugate orthogonal CG, the same loop with the unconjugated
-    bilinear form r^T z.
+    A real A must be positive definite.  A complex A must be symmetric
+    (A^T = A) with a positive definite Hermitian part; it is solved by
+    conjugate orthogonal CG, the same loop with the unconjugated bilinear
+    form r^T z.
 
     Parameters
     ----------
-    A : square sparse (or dense) matrix, real or complex
-    rhs : right-hand side vector
+    solver : a ``choose_solver`` solver, or any callable r -> z, an SPD
+        approximation of A^-1, that carries ``operator``, the square matrix
+        A.  Each iteration tests the residual before preconditioning it, so
+        a converged solve calls ``solver`` once per iteration.
+    rhs : right-hand side vector; one below ||rhs|| ~ 1e-154, whose
+        squared norm and r^T z would underflow, is solved scaled to unit size
     tol : relative tolerance on the CG recurrence residual; the true
-        residual ||A x - rhs|| / ||rhs|| is never computed and can be far
-        larger (see the module docstring)
-    max_iter : iteration cap; band- and multigrid-preconditioned solves
-        take at most about 20 iterations, so the default 1000 only stops a
-        stagnating solve
+        residual ||A x - rhs|| / ||rhs|| is never computed and can be
+        larger (README.md, numerical notes)
     x0 : optional warm start; it costs one product A x0, and is dropped
         for a zero start when ||rhs - A x0|| > ||rhs||, so a poor guess
         takes the iterations of none
-    precondition : callable r -> z, an SPD approximation of A^-1: the
-        ``Multigrid`` or the ``BandedSolver`` of A.  Each iteration tests
-        the residual before preconditioning it, so a converged solve
-        applies ``precondition`` once per iteration.
 
     Returns
     -------
@@ -132,7 +107,7 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
     Raises
     ------
     ConvergenceError
-        If the tolerance is not met within max_iter iterations, if
+        If the tolerance is not met within CG_MAX_ITER iterations, if
         Re(p^H A p) <= 0 for a search direction p (A, or its Hermitian
         part, is not positive definite), or if r^T z or p^T A p is zero,
         subnormal or not finite (a breakdown; asked for a tolerance far
@@ -141,6 +116,7 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    A = solver.operator
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"operator must be square, got shape {A.shape}")
@@ -151,8 +127,14 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
     is_complex = np.issubdtype(dtype, np.complexfloating)
     rhs = rhs.astype(dtype, copy=False)
     b_norm = float(np.linalg.norm(rhs))
-    if b_norm == 0.0:
-        return np.zeros_like(rhs), SolveReport(0, 0.0, True)
+    if b_norm < _SQRT_TINY:
+        if not rhs.any():
+            return np.zeros_like(rhs), SolveReport(0, 0.0)
+        # ||rhs|| and r^T z would underflow; the solve is linear in rhs
+        largest = np.abs(rhs).max()
+        x, report = cg_solve(solver, rhs / largest, tol,
+                             x0=None if x0 is None else x0 / largest)
+        return x * largest, report
 
     x, r, res = np.zeros_like(rhs), rhs, b_norm
     if x0 is not None:
@@ -164,12 +146,12 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
             x, r, res = x_warm, r_warm, res_warm
     p = rz = None
 
-    for iterations in range(max_iter + 1):
+    for iterations in range(CG_MAX_ITER + 1):
         if res <= tol * b_norm:
-            return x, SolveReport(iterations, res / b_norm, True)
-        if iterations == max_iter:
+            return x, SolveReport(iterations, res / b_norm)
+        if iterations == CG_MAX_ITER:
             break
-        z = precondition(r)
+        z = solver(r)
         rz_next = r @ z
         _check_breakdown("r^T z", rz_next, iterations, res / b_norm)
         p = z if p is None else z + (rz_next / rz) * p
@@ -180,16 +162,16 @@ def cg_solve(A, rhs: np.ndarray, tol: float = 1e-10, max_iter: int = 1000,
         if (np.vdot(p, ap).real if is_complex else pap) <= 0.0:
             raise ConvergenceError(
                 "operator is not positive definite (Re(p^H A p) <= 0 in CG)",
-                report=SolveReport(iterations, res / b_norm, False))
+                report=SolveReport(iterations, res / b_norm))
         _check_breakdown("p^T A p", pap, iterations, res / b_norm)
         alpha = rz / pap
         x = x + alpha * p
         r = r - alpha * ap
         res = float(np.linalg.norm(r))
 
-    report = SolveReport(max_iter, res / b_norm, False)
+    report = SolveReport(CG_MAX_ITER, res / b_norm)
     raise ConvergenceError(
-        f"CG did not reach tol={tol:g} in {max_iter} iterations "
+        f"CG did not reach tol={tol:g} in {CG_MAX_ITER} iterations "
         f"(relative residual {report.relative_residual:.3e})", report=report)
 
 
@@ -253,15 +235,21 @@ class BandedSolver:
         return x
 
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
-        """Solve A x = rhs; raise ConvergenceError unless the relative
-        residual ||A x - rhs|| / ||rhs|| is at most ``tol``."""
-        x = self(rhs)
+        """Solve A x = rhs (an rhs below ||rhs|| ~ 1e-154 scaled to unit
+        size); raise ConvergenceError unless the relative residual
+        ||A x - rhs|| / ||rhs|| is at most ``tol``."""
         b_norm = float(np.linalg.norm(rhs))
-        if b_norm == 0.0:
-            return np.zeros_like(rhs), SolveReport(0, 0.0, True)
+        if b_norm < _SQRT_TINY:
+            if not rhs.any():
+                return np.zeros_like(rhs), SolveReport(0, 0.0)
+            # ||rhs|| would underflow; the solve is linear in rhs
+            largest = np.abs(rhs).max()
+            x, report = self.solve(rhs / largest, tol)
+            return x * largest, report
+        x = self(rhs)
         residual = float(np.linalg.norm(self.operator @ x - rhs)) / b_norm
-        report = SolveReport(0, residual, residual <= tol)
-        if not report.converged:
+        report = SolveReport(0, residual)
+        if not residual <= tol:
             raise ConvergenceError(
                 f"banded solve missed tol={tol:g} (relative residual "
                 f"{residual:.3e})", report=report)
@@ -411,7 +399,7 @@ def choose_solver(A, mesh: Mesh | None,
     DIRECT_LIMIT_BYTES, else a ``Multigrid`` of that solver's DIA operator
     on ``mesh.n_side`` with levels in ``dtype`` (the band factor is always
     float64).  Both are preconditioners ``solver(r) -> ~A^-1 r``
-    and carry ``operator``, A in DIA, the matrix CG multiplies by.  A
+    that carry ``operator``, A in DIA: ``cg_solve(solver, b, tol)``.  A
     matrix without a mesh has no other path than its band factor, so a
     larger one is refused (ValueError).
     """

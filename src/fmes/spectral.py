@@ -131,8 +131,7 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     for it in range(1, max_iter + 1):
         rhs = sys.M @ phi
         try:
-            psi, _ = cg_solve(solver.operator, rhs, tol=INNER_TOL, x0=warm,
-                              precondition=solver)
+            psi, _ = cg_solve(solver, rhs, INNER_TOL, x0=warm)
         except ConvergenceError as err:
             raise ConvergenceError(
                 f"inner solve failed at iteration {it} "
@@ -195,10 +194,11 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
     if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
-    blocks = tuple((Q, *scipy.linalg.eigh((Q.T @ sys.K @ Q).toarray(),
-                                          (Q.T @ sys.M @ Q).toarray(),
-                                          overwrite_a=True, overwrite_b=True))
-                   for Q in _mirror_blocks(sys))
+    # Fortran-ordered temporaries, so that LAPACK overwrites them in place
+    blocks = tuple((Q, *scipy.linalg.eigh(
+        (Q.T @ sys.K @ Q).toarray(order="F"),
+        (Q.T @ sys.M @ Q).toarray(order="F"),
+        overwrite_a=True, overwrite_b=True)) for Q in _mirror_blocks(sys))
     evals = np.concatenate([lam for _, lam, _ in blocks])
     return ModalBasis(eigenvalues=evals[np.argsort(evals, kind="stable")],
                       blocks=blocks, mass=sys.M)

@@ -173,19 +173,26 @@ def test_run_verb_unconverged_eigensolve_is_one_line_error(outdir, tmp_path,
 
 def test_eigens_verb_unconverged_eigensolve_is_one_line_error(outdir,
                                                              tmp_path, capsys):
+    # 10 sweeps fill the table, but the estimate does not settle to 1e-16
     config = tmp_path / "short.ini"
-    config.write_text("[eigen]\ngrids = 6 11\nmax_iter = 3\n")
+    config.write_text("[eigen]\ngrids = 6 11\ntol = 1e-16\nmax_iter = 10\n")
     assert main(["eigens", "--config", str(config)]) == 1
     _assert_refused(outdir, capsys)
 
 
 def test_eigens_verb_refuses_fewer_sweeps_than_its_table(outdir, tmp_path,
-                                                        capsys):
-    # the estimate settles to 1e-3 within 5 sweeps, but the table needs 10
-    config = tmp_path / "loose.ini"
-    config.write_text("[eigen]\ngrids = 6 11\ntol = 1e-3\nmax_iter = 5\n")
-    assert main(["eigens", "--config", str(config)]) == 2
-    _assert_refused(outdir, capsys)
+                                                        capsys, monkeypatch):
+    # the table needs 10 sweeps, whether the estimate settles in fewer (to
+    # 1e-3 within 5) or not (in 3); refused before any eigensolve
+    def eigensolve(*args, **kwargs):
+        raise AssertionError("eigensolve before the refusal")
+
+    monkeypatch.setattr(experiments, "inverse_iteration", eigensolve)
+    for text in ("tol = 1e-3\nmax_iter = 5\n", "max_iter = 3\n"):
+        config = tmp_path / "few.ini"
+        config.write_text("[eigen]\ngrids = 6 11\n" + text)
+        assert main(["eigens", "--config", str(config)]) == 2
+        _assert_refused(outdir, capsys)
 
 
 @pytest.mark.parametrize("verb", ["run", "eigens"])

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmes import experiments
+from fmes import experiments, m_norm
 from fmes.config import default_config_text, load_config, parse_config
 from fmes.experiments import (ExperimentConfig, SchemeRequest, epsilon_u,
                               initial_state, make_reference, run_experiment,
@@ -59,6 +59,23 @@ def test_epsilon_u_basics(sys6, rng):
     assert epsilon_u(2.0 * y, y, sys6.M) == pytest.approx(0.5, rel=1e-13)
     with pytest.raises(ValueError):
         epsilon_u(np.zeros(sys6.n_nodes), y, sys6.M)
+
+
+def test_mass_norms_are_invariant_under_a_power_of_2_scale(sys6, rng):
+    # (2^-700 y)^T M (2^-700 y) underflows to zero and (2^700 y)^T M
+    # (2^700 y) overflows; the norms rescale by a power of 2, exactly
+    y = rng.standard_normal(sys6.n_nodes)
+    ref = y + 1e-3 * rng.standard_normal(sys6.n_nodes)
+    tiny = np.ldexp(y, -700)
+    assert tiny @ (sys6.M @ tiny) == 0.0
+    assert (epsilon_u(tiny, np.ldexp(ref, -700), sys6.M)
+            == epsilon_u(y, ref, sys6.M))
+    assert m_norm(sys6, tiny) == np.ldexp(m_norm(sys6, y), -700)
+    # numpy warns that the unscaled product overflows (to inf, or to nan as
+    # inf - inf); the rescaled norm is still exact
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (m_norm(sys6, np.ldexp(y, 700))
+                == np.ldexp(m_norm(sys6, y), 700))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +200,43 @@ def test_failed_run_is_a_nan_summary_row(tmp_path, monkeypatch):
     summary = (result.output_dir / "summary.csv").read_text().splitlines()
     assert "theta_fmes,sigma1,5,nan,nan,nan" in summary
     assert not (result.output_dir / "theta_fmes_sigma1_N5.csv").exists()
+
+
+def test_long_run_keeps_positive_norms(tmp_path, sys6):
+    # at T = 100 the fundamental-mode-exact runs decay to about 1e-208, far
+    # below the ~1e-154 where y^T M y and ||b||^2 underflow; every norm_m
+    # stays finite and positive, and the fundamental mode still decays as
+    # exp(-lambda1 t)
+    schemes = tuple(SchemeRequest(kind, sigma=1.0, steps=(10, 100))
+                    for kind in ("theta_standard", "theta_fmes"))
+    result = run_experiment(_small_config(tmp_path, T=100.0,
+                                          schemes=schemes))
+    assert result.all_converged
+    for run in result.runs:
+        rows = np.loadtxt(result.output_dir / run.csv_name, delimiter=",",
+                          skiprows=1)
+        assert np.isfinite(rows).all() and (rows[:, 1] > 0.0).all()
+    pair = result.eigenpair
+    a0 = pair.phi1 @ (sys6.M @ initial_state(sys6))
+    for n in (10, 100):
+        final = result.find_run("theta_fmes", "sigma1", n).final_norm
+        assert final < 1e-200
+        assert final == pytest.approx(a0 * np.exp(-100.0 * pair.lambda1),
+                                      rel=1e-6)
+
+
+def test_a_state_that_underflows_to_zero_is_a_failed_run(tmp_path):
+    # at T = 1e4, exp(-lambda1 tau) is 0 for 10 steps: the state is exactly
+    # zero and has no relative error; the other runs still get their CSVs
+    schemes = tuple(SchemeRequest(kind, sigma=1.0, steps=(10, 100))
+                    for kind in ("theta_standard", "theta_fmes"))
+    result = run_experiment(_small_config(tmp_path, T=1e4, schemes=schemes))
+    assert not result.all_converged            # fmes run exits 1
+    failed = result.find_run("theta_fmes", "sigma1", 10)
+    assert failed.error == "relative error undefined: ||y^n||_M is zero"
+    assert result.find_run("theta_standard", "sigma1", 10).converged
+    summary = (result.output_dir / "summary.csv").read_text().splitlines()
+    assert "theta_fmes,sigma1,10,nan,nan,nan" in summary
 
 
 def test_fmes_beats_standard_in_summary(tmp_path):

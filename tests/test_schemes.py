@@ -283,7 +283,7 @@ def test_pade_02_matches_modal_oracle(sys6, basis6, pair6, rng, l, m):
     y = _generic_state(sys6, rng)
     params = dict(l=l, m=m, lambda1=pair6.lambda1)
     sparse_step = _step(sys6, "pade_fmes", tau, y, **params)
-    modal_step = _step(None, "pade_modal", tau, y, basis=basis6, **params)
+    modal_step = _step(sys6, "pade_modal", tau, y, basis=basis6, **params)
     assert m_norm(sys6, sparse_step - modal_step) < 1e-8
 
 
@@ -343,7 +343,7 @@ def test_modal_stepper_carries_only_its_own_output(sys11, pair11, basis11,
     assert len(projections) == 2
 
 
-def test_modal_multipliers_sm_property(basis11, pair11):
+def test_modal_multipliers_sm_property(sys11, basis11, pair11):
     # the (0, m) family keeps multipliers positive and decreasing in lambda;
     # the (1, 1) multiplier goes negative beyond shifted eta = 2
     tau = 0.01
@@ -351,7 +351,7 @@ def test_modal_multipliers_sm_property(basis11, pair11):
     e = np.zeros(basis11.eigenvalues.size)
     for m in (1, 2, 3):
         y = basis11.eigenvectors @ np.ones_like(e)   # equal modal content
-        stepped = _step(None, "pade_modal", tau, y, basis=basis11, l=0, m=m,
+        stepped = _step(sys11, "pade_modal", tau, y, basis=basis11, l=0, m=m,
                         lambda1=lam1)
         mult = basis11.eigenvectors.T @ (basis11.mass @ stepped)
         assert np.all(mult > 0)
@@ -359,7 +359,7 @@ def test_modal_multipliers_sm_property(basis11, pair11):
     lam_max = basis11.eigenvalues[-1]
     tau_big = 3.0 / (lam_max - lam1)
     y = basis11.eigenvectors @ np.ones_like(e)
-    stepped = _step(None, "pade_modal", tau_big, y, basis=basis11, l=1, m=1,
+    stepped = _step(sys11, "pade_modal", tau_big, y, basis=basis11, l=1, m=1,
                     lambda1=lam1)
     mult = basis11.eigenvectors.T @ (basis11.mass @ stepped)
     assert mult.min() < 0
@@ -457,13 +457,13 @@ def test_direct_and_cg_paths_agree(sys6, pair6, rng, monkeypatch, kind,
     spec = SchemeSpec(kind, tau=0.01, n_steps=1, lambda1=lam1, **params)
     y = _generic_state(sys6, rng)
     direct = make_stepper(spec, sys6)
-    assert all(isinstance(solver, BandedSolver)
-               for *_, solver in direct.poles)
+    assert all(isinstance(solving, BandedSolver)
+               for *_, solving in direct.poles)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     cg = make_stepper(spec, sys6)
     # n_side 6 does not coarsen: CG preconditioned by Re(A)'s band factor
-    assert all(isinstance(solver, Multigrid) and not solver.levels
-               for *_, solver in cg.poles)
+    assert all(isinstance(solving.solver, Multigrid)
+               and not solving.solver.levels for *_, solving in cg.poles)
     assert m_norm(sys6, direct.step(y) - cg.step(y)) < 1e-9
 
 
@@ -500,9 +500,9 @@ def test_direct_and_multigrid_paths_agree(sys28, pair28, rng, monkeypatch,
     direct = make_stepper(spec, sys28)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     iterative = make_stepper(spec, sys28)
+    solvers = [solving.solver for *_, solving in iterative.poles]
     assert all(isinstance(solver, Multigrid) and len(solver.levels) == 1
-               and solver.operator.format == "dia"
-               for *_, solver in iterative.poles)
+               and solver.operator.format == "dia" for solver in solvers)
     error = m_norm(sys28, direct.step(y) - iterative.step(y))
     assert error <= 1e-9 * m_norm(sys28, y)
 
@@ -537,9 +537,9 @@ def test_complex_pole_solves_on_an_even_grid_take_few_iterations(monkeypatch):
                       lambda1=inverse_iteration(sys).lambda1)
     iterations = []
 
-    def recording(A, *args, **kwargs):
-        assert np.iscomplexobj(A)
-        x, report = sparse.cg_solve(A, *args, **kwargs)
+    def recording(solver, *args, **kwargs):
+        assert np.iscomplexobj(solver.operator)
+        x, report = sparse.cg_solve(solver, *args, **kwargs)
         iterations.append(report.iterations)
         return x, report
 
@@ -556,6 +556,7 @@ def test_projected_starts_save_iterations(sys28, pair28, monkeypatch, kind,
     # the stored solutions, all tending to the slowest mode, leave G
     # numerically singular; (0,2)'s pole pair is complex.  Warnings are
     # errors, so neither lstsq nor CG may warn.
+    z = {"theta_fmes": -1.0, "pade_fmes": -1.0 + 1.0j}[kind]   # upper pole
     spec = SchemeSpec(kind, tau=0.01, n_steps=60, lambda1=pair28.lambda1,
                       **params)
     y = np.random.default_rng(1).uniform(0.5, 1.5, sys28.n_nodes)
@@ -572,16 +573,15 @@ def test_projected_starts_save_iterations(sys28, pair28, monkeypatch, kind,
     monkeypatch.setattr(schemes, "cg_solve", recording)
     for level in range(1, spec.n_steps + 1):
         My = sys28.M @ y
-        for z, sr, *_, solver in stepper.poles:
+        for sr, _, projection in stepper.poles:
             # the start of earlier versions: the pole term's large-z limit
-            _, report = sparse.cg_solve(solver.operator, sr * My,
-                                        tol=stepper.tol, x0=(sr / -z) * y,
-                                        precondition=solver)
+            _, report = sparse.cg_solve(projection.solver, sr * My,
+                                        stepper.tol, x0=(sr / -z) * y)
             large_z.append(report.iterations)
         y = stepper.step(y, My)
         expected = band.vector_at(level)
         assert m_norm(sys28, y - expected) <= 1e-8 * m_norm(sys28, expected)
-        (*_, projection, _), = stepper.poles
+        (*_, projection), = stepper.poles
         k = min(projection.count, schemes.PROJECTION_SIZE)
         singular = np.linalg.svd(projection.G[:k, :k], compute_uv=False)
         conditions.append(singular[-1] / singular[0])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -13,54 +14,58 @@ from fmes.schemes import OUTER_TOL
 from fmes.spectral import INNER_TOL
 
 
-def _scaling(A):
-    """Diagonal scaling, a weak preconditioner that leaves CG many steps."""
-    diagonal = A.diagonal()
-    return lambda r: r / diagonal
+class _Solver:
+    """A solver for ``cg_solve``: ``operator`` A and a preconditioner, by
+    default diagonal scaling, a weak one that leaves CG many steps."""
+
+    def __init__(self, A, precondition=None):
+        self.operator, self.precondition = A, precondition
+        self.diagonal = A.diagonal() if precondition is None else None
+
+    def __call__(self, r):
+        if self.precondition is None:
+            return r / self.diagonal
+        return self.precondition(r)
 
 
 def test_identity_converges_in_one_iteration(rng):
     b = rng.standard_normal(12)
     A = sp.eye(12, format="csr")
-    x, report = cg_solve(A, b, tol=1e-12, precondition=_scaling(A))
+    x, report = cg_solve(_Solver(A), b, 1e-12)
     assert x == pytest.approx(b, rel=1e-12)
     assert report.iterations == 1
-    assert report.converged
 
 
 def test_diagonal_solve():
     n = 9
     d = np.arange(1.0, n + 1)
     A = sp.diags(d)
-    x, report = cg_solve(A, np.ones(n), tol=1e-13, precondition=_scaling(A))
+    x, report = cg_solve(_Solver(A), np.ones(n), 1e-13)
     assert x == pytest.approx(1.0 / d, rel=1e-12)
-    assert report.converged
 
 
 def test_mass_solve_recovers_ones(sys6):
     ones = np.ones(sys6.n_nodes)
     rhs = sys6.M @ ones
-    x, report = cg_solve(sys6.M, rhs, tol=1e-12,
-                         precondition=_scaling(sys6.M))
+    x, report = cg_solve(_Solver(sys6.M), rhs, 1e-12)
     assert x == pytest.approx(ones, rel=1e-9)
-    assert report.converged and report.relative_residual <= 1e-12
+    assert report.relative_residual <= 1e-12
 
 
 def test_zero_rhs():
     A = sp.eye(5, format="csr")
-    x, report = cg_solve(A, np.zeros(5), tol=1e-10, precondition=_scaling(A))
+    x, report = cg_solve(_Solver(A), np.zeros(5), 1e-10)
     assert np.all(x == 0.0)
-    assert report.converged and report.iterations == 0
+    assert report == SolveReport(0, 0.0)
     x, report = BandedSolver(A).solve(np.zeros(5), tol=1e-10)
     assert np.all(x == 0.0)
-    assert report == SolveReport(0, 0.0, True)
+    assert report == SolveReport(0, 0.0)
 
 
 def test_warm_start_already_converged(sys6):
     ones = np.ones(sys6.n_nodes)
     rhs = sys6.M @ ones
-    x, report = cg_solve(sys6.M, rhs, tol=1e-8, x0=ones,
-                         precondition=_scaling(sys6.M))
+    x, report = cg_solve(_Solver(sys6.M), rhs, 1e-8, x0=ones)
     assert report.iterations == 0
     assert x == pytest.approx(ones, abs=0)
 
@@ -71,61 +76,57 @@ def test_warm_start_worse_than_zero_is_dropped(sys26, rng):
     A = sys26.K_bar
     band = BandedSolver(A)
     rhs = sys26.M @ np.ones(sys26.n_nodes)
-    cold, cold_report = cg_solve(A, rhs, tol=INNER_TOL, precondition=band)
+    cold, cold_report = cg_solve(band, rhs, INNER_TOL)
     x0 = 3.0 * band(rhs) + 0.1 * rng.standard_normal(sys26.n_nodes)
     assert np.linalg.norm(rhs - A @ x0) > np.linalg.norm(rhs)
-    x, report = cg_solve(A, rhs, tol=INNER_TOL, x0=x0, precondition=band)
+    x, report = cg_solve(band, rhs, INNER_TOL, x0=x0)
     assert report == cold_report and np.array_equal(x, cold)
 
 
 def test_converged_reports_satisfy_tolerance(sys26, rng):
     for tol in (1e-6, 1e-10, 1e-12):
         rhs = rng.standard_normal(sys26.n_nodes)
-        _, report = cg_solve(sys26.K, rhs, tol=tol,
-                             precondition=_scaling(sys26.K))
-        assert report.converged
+        _, report = cg_solve(_Solver(sys26.K), rhs, tol)
         assert report.relative_residual <= tol
 
 
-def test_nonconvergence_raises_with_report(sys26, rng):
+def test_nonconvergence_raises_with_report(sys26, rng, monkeypatch):
+    monkeypatch.setattr(sparse, "CG_MAX_ITER", 3)
     rhs = rng.standard_normal(sys26.n_nodes)
-    with pytest.raises(ConvergenceError) as exc:
-        cg_solve(sys26.K, rhs, tol=1e-12, max_iter=3,
-                 precondition=_scaling(sys26.K))
+    with pytest.raises(ConvergenceError, match="in 3 iterations") as exc:
+        cg_solve(_Solver(sys26.K), rhs, 1e-12)
     report = exc.value.report
     assert report is not None
-    assert not report.converged
     assert report.iterations == 3
     assert report.relative_residual > 1e-12
 
 
 def test_stagnating_solve_stops_at_the_default_cap():
     # unpreconditioned CG on a spectrum spread over 12 decades stagnates
-    # (its residual still exceeds ||b|| after 100,000 iterations); the
-    # default cap is 1000 whatever the dimension, not 20 n (here 40,000)
+    # (its residual still exceeds ||b|| after 100,000 iterations); the cap
+    # is 1000 whatever the dimension, not 20 n (here 40,000)
+    assert sparse.CG_MAX_ITER == 1000
     A = sp.diags(np.geomspace(1.0, 1e12, 2000)).tocsr()
     with pytest.raises(ConvergenceError) as exc:
-        cg_solve(A, np.ones(2000), tol=1e-14, precondition=lambda r: r)
+        cg_solve(_Solver(A, lambda r: r), np.ones(2000), 1e-14)
     assert exc.value.report.iterations == 1000
-    assert not exc.value.report.converged
 
 
 def test_indefinite_operator_raises():
     A = sp.diags([1.0, -1.0]).tocsr()
     with pytest.raises(ConvergenceError):
-        cg_solve(A, np.array([0.0, 1.0]), tol=1e-10, precondition=_scaling(A))
+        cg_solve(_Solver(A), np.array([0.0, 1.0]), 1e-10)
 
 
 def test_rhs_shape_validation(sys6):
     with pytest.raises(ValueError):
-        cg_solve(sys6.M, np.ones(3), tol=1e-10, precondition=_scaling(sys6.M))
+        cg_solve(_Solver(sys6.M), np.ones(3), 1e-10)
     with pytest.raises(ValueError):
-        cg_solve(sys6.M, np.ones(sys6.n_nodes), tol=0.0,
-                 precondition=_scaling(sys6.M))
+        cg_solve(_Solver(sys6.M), np.ones(sys6.n_nodes), 0.0)
     with pytest.raises(ValueError, match=r"^operator must be square, got "
                                          r"shape \(3, 4\)$"):
-        cg_solve(sp.csr_matrix((3, 4)), np.ones(3), tol=1e-10,
-                 precondition=lambda r: r)
+        cg_solve(_Solver(sp.csr_matrix((3, 4)), lambda r: r), np.ones(3),
+                 1e-10)
 
 
 @pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf")])
@@ -133,7 +134,7 @@ def test_cg_refuses_a_non_finite_tolerance(sys11, tol):
     # tol = nan used to end as "operator is not positive definite"
     rhs = sys11.M @ np.ones(sys11.n_nodes)
     with pytest.raises(ValueError, match="^tol must be positive and finite"):
-        cg_solve(sys11.K_bar, rhs, tol=tol, precondition=_scaling(sys11.K_bar))
+        cg_solve(_Solver(sys11.K_bar), rhs, tol)
 
 
 def test_complex_symmetric_solve(sys6, rng):
@@ -141,8 +142,7 @@ def test_complex_symmetric_solve(sys6, rng):
     # matrix with a positive definite Hermitian part
     A = (sys6.K + (1.0 - 1.0j) * sys6.M).tocsr()
     b = rng.standard_normal(sys6.n_nodes)
-    x, report = cg_solve(A, b, tol=1e-12, precondition=_scaling(A))
-    assert report.converged
+    x, report = cg_solve(_Solver(A), b, 1e-12)
     expected = spla.spsolve(A.tocsc(), b.astype(complex))
     assert np.abs(x - expected).max() <= 1e-9 * np.abs(expected).max()
 
@@ -151,8 +151,7 @@ def test_complex_indefinite_hermitian_part_raises(sys6):
     # symmetric, but the Hermitian part K - 100 M is indefinite
     A = (sys6.K - (100.0 + 1.0j) * sys6.M).tocsr()
     with pytest.raises(ConvergenceError):
-        cg_solve(A, np.ones(sys6.n_nodes), tol=1e-10,
-                 precondition=_scaling(A))
+        cg_solve(_Solver(A), np.ones(sys6.n_nodes), 1e-10)
 
 
 class _Counting:
@@ -181,9 +180,8 @@ def test_cg_work_per_iteration(sys26, rng, warm, jacobi):
 
     x0 = rng.standard_normal(sys26.n_nodes) if warm else None
     rhs = sys26.M @ np.ones(sys26.n_nodes)
-    _, report = cg_solve(A, rhs, tol=INNER_TOL, x0=x0,
-                         precondition=precondition)
-    assert report.converged and report.iterations >= 1
+    _, report = cg_solve(_Solver(A, precondition), rhs, INNER_TOL, x0=x0)
+    assert report.iterations >= 1
     assert len(applied) == report.iterations
     assert A.products == report.iterations + warm
 
@@ -263,8 +261,7 @@ def test_cocg_breakdown_raises_at_once(sys28, dtype):
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="^CG breakdown: r\\^T z"
                            ) as err:
-            cg_solve(mg.operator, sys28.M @ np.ones(sys28.n_nodes),
-                     tol=1e-300, precondition=mg)
+            cg_solve(mg, sys28.M @ np.ones(sys28.n_nodes), 1e-300)
     assert err.value.report.iterations < 1000
     assert "\n" not in str(err.value)
 
@@ -387,8 +384,7 @@ def test_float32_levels_keep_the_cg_iterations(n_side):
         iterations = []
         for dtype in (np.float64, np.float32):
             mg = Multigrid(A, n_side, dtype)
-            x, report = cg_solve(mg.operator, rhs, tol=OUTER_TOL,
-                                 precondition=mg)
+            x, report = cg_solve(mg, rhs, OUTER_TOL)
             residual = np.linalg.norm(mg.operator @ x - rhs)
             assert residual <= 10 * OUTER_TOL * np.linalg.norm(rhs)
             iterations.append(report.iterations)
@@ -426,7 +422,7 @@ def test_banded_solver_matches_spsolve(sys6, rng, shift):
     b = rng.standard_normal(sys6.n_nodes) * (1.0 - 2.0j if shift.imag else 1.0)
     solver = BandedSolver(A)
     x, report = solver.solve(b, tol=1e-12)
-    assert report.converged and report.relative_residual <= 1e-12
+    assert report.relative_residual <= 1e-12
     expected = spla.spsolve(A.tocsc(), b)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
     # factored on the first solve, reused by later ones
@@ -447,8 +443,25 @@ def test_banded_solver_checks_true_residual(sys6):
     solver = BandedSolver(sys6.M)
     with pytest.raises(ConvergenceError) as exc:
         solver.solve(np.ones(sys6.n_nodes), tol=1e-30)
-    assert not exc.value.report.converged
     assert 0.0 < exc.value.report.relative_residual < 1e-12
+
+
+def test_banded_solver_reports_lapack_failures(sys6, monkeypatch):
+    # LAPACK's info != 0: a zero pivot in zgbtrf (info > 0), an illegal
+    # argument to a substitution (info < 0)
+    zgbtrf = scipy.linalg.lapack.zgbtrf
+    dpbtrs = scipy.linalg.lapack.dpbtrs
+    monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf",
+                        lambda *args: (*zgbtrf(*args)[:2], 3))
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
+                        lambda *args: (dpbtrs(*args)[0], -2))
+    b = np.ones(sys6.n_nodes)
+    with pytest.raises(ConvergenceError,
+                       match=r"^banded LU failed \(zgbtrf info=3\)$"):
+        BandedSolver(0.01 * sys6.K + (1.0 + 1.0j) * sys6.M).solve(b, 1e-10)
+    with pytest.raises(ValueError,
+                       match=r"^band substitution failed \(info=-2\)$"):
+        BandedSolver(sys6.M).solve(b, 1e-10)
 
 
 @pytest.mark.parametrize("n_side", [41, 201])
@@ -485,6 +498,25 @@ def test_prolongation_interpolates_on_non_nested_meshes(n_side, rng):
     u = rng.standard_normal(coarse.n_nodes)
     expected = _barycentric_interpolation(coarse, u, build_mesh(n_side).nodes)
     assert np.abs(prolongation(n_side) @ u - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
+def test_a_tiny_rhs_is_solved_at_unit_scale(sys28, z):
+    # below ||b|| ~ 1.5e-154, ||b||^2 and r^T z underflow: both solvers
+    # used to take b for zero and return x = 0
+    A = 0.01 * sys28.K - z * sys28.M
+    b = sys28.M @ np.ones(sys28.n_nodes)
+    tiny = np.ldexp(b, -600)
+    assert np.linalg.norm(tiny) == 0.0
+    band = BandedSolver(A)
+    mg = Multigrid(A, sys28.mesh.n_side)
+    for solve in (lambda b: band.solve(b, OUTER_TOL),
+                  lambda b: cg_solve(mg, b, OUTER_TOL)):
+        x, report = solve(b)
+        x_tiny, report_tiny = solve(tiny)
+        assert report_tiny.iterations == report.iterations
+        assert (np.abs(x_tiny * 2.0 ** 600 - x).max()
+                <= 1e-12 * np.abs(x).max())
 
 
 @pytest.mark.parametrize("n_side", [128, 200])
@@ -530,13 +562,12 @@ def test_vcycle_is_symmetric_positive_definite(sys28, sys31):
 
 @pytest.mark.parametrize("n_side", [40, 41, 100, 101, 128, 200, 201, 256])
 def test_multigrid_cg_iterations_are_mesh_independent(n_side):
-    # 12-16 iterations at both parities; diagonal scaling (_scaling) needs
+    # 12-16 iterations at both parities; diagonal scaling (_Solver) needs
     # 518 at n_side 101 and 1,203 at 201
     sys = assemble(build_mesh(n_side))
     rhs = sys.M @ np.ones(sys.n_nodes)
-    _, report = cg_solve(sys.K_bar, rhs, tol=INNER_TOL,
-                         precondition=Multigrid(sys.K_bar, n_side))
-    assert report.converged and report.iterations <= 20
+    _, report = cg_solve(Multigrid(sys.K_bar, n_side), rhs, INNER_TOL)
+    assert report.iterations <= 20
 
 
 def test_compose_shifted_annihilates_fundamental_mode(sys6, pair6):

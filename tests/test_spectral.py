@@ -137,9 +137,9 @@ def test_band_preconditioned_inner_solves(sys26, monkeypatch):
 def test_iterative_eigensolve_multiplies_by_diagonals(sys28, monkeypatch):
     formats = []
 
-    def recording(A, *args, **kwargs):
-        formats.append(A.format)
-        return sparse.cg_solve(A, *args, **kwargs)
+    def recording(solver, *args, **kwargs):
+        formats.append(solver.operator.format)
+        return sparse.cg_solve(solver, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "cg_solve", recording)
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
