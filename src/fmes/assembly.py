@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
+from .sparse import _in_range, _scaled
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -23,8 +24,6 @@ ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
                          [1.0, 1.0, 2.0]]) / 12.0
 EDGE_MASS = np.array([[2.0, 1.0],
                       [1.0, 2.0]]) / 6.0
-# smallest normal float: a squared norm below it has lost digits
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -153,14 +152,16 @@ def _mass_norm(M, u: np.ndarray, Mu: np.ndarray | None = None) -> float:
     """sqrt(u^T M u), from ``Mu`` = M u when the caller has it.
 
     A state that decays like exp(-lambda_1 t) leaves u^T M u's range long
-    before u itself (below ||u|| ~ 1e-154 it underflows).  When u^T M u is
-    zero, subnormal or not finite while u is not zero, u is first scaled by
-    the power of 2 that brings max|u| into [1/2, 1), which is exact (as in
-    ``sparse.Multigrid``), so an in-range norm keeps its bits.
+    before u itself, so the norm follows the range rule of ``sparse``: a
+    norm outside [2^-256, 2^256] is taken of 2^e u instead, e the exponent
+    ``sparse._scaled`` gives (max|2^e u| in [1/2, 1)), and scaled back by
+    2^-e.  That is exact, so an in-range norm keeps its bits.  np.vdot, not
+    ``@``, forms u^T M u: it gives the same bits without numpy's overflow
+    warnings on a huge u.
     """
-    squared = float(u @ (M @ u if Mu is None else Mu))
-    if _TINY <= squared < math.inf or not u.any():
-        return math.sqrt(squared)
-    exponent = int(np.frexp(np.abs(u).max())[1])
-    u = np.ldexp(u, -exponent)
-    return math.ldexp(math.sqrt(float(u @ (M @ u))), exponent)
+    # abs: a sum of products that overflow can end at -inf
+    norm = math.sqrt(abs(float(np.vdot(u, M @ u if Mu is None else Mu))))
+    if _in_range(norm) or not u.any():
+        return norm
+    u, e = _scaled(u)
+    return float(_scaled(math.sqrt(float(np.vdot(u, M @ u))), -e)[0])

@@ -194,7 +194,8 @@ def _partial_fractions(p: np.ndarray, q: np.ndarray):
 
     Returns c0 and one (z_j, r_j, weight) per real pole or conjugate pair;
     a pair is represented by its upper pole with weight 2, since for a real
-    argument the two terms are complex conjugates.
+    argument the two terms are complex conjugates.  A real pole (imaginary
+    part exactly 0) is returned as real, so its system is real.
     """
     c0 = p[-1] / q[-1] if p.size == q.size else 0.0
     dq = np.polyder(q[::-1])
@@ -203,7 +204,7 @@ def _partial_fractions(p: np.ndarray, q: np.ndarray):
         if z.imag < 0.0:
             continue
         r = np.polyval(p[::-1], z) / np.polyval(dq, z)
-        terms.append((z, r, 1.0 if z.imag == 0.0 else 2.0))
+        terms.append((z.real, r.real, 1.0) if z.imag == 0.0 else (z, r, 2.0))
     return c0, terms
 
 

@@ -14,6 +14,11 @@ residual checked.
 CG stops on its recurrence residual and runs in float64, also around a
 ``Multigrid`` whose levels are float32; a complex A is solved by conjugate
 orthogonal CG.  All paths are deterministic, so runs are bit-reproducible.
+
+One range rule serves every solve and mass norm: a v whose norm lies
+outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with max|2^e v| in
+[1/2, 1), and the result is scaled back by 2^-e (``_scaled``).  That is
+exact, so an in-range input keeps its bits.
 README.md's numerical notes hold the measurements behind these choices.
 """
 
@@ -37,9 +42,27 @@ DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 # CG's iteration cap: band- and multigrid-preconditioned solves take at
 # most about 20 iterations, so the cap only stops a stagnating solve.
 CG_MAX_ITER = 1000
-# Below this 2-norm, np.linalg.norm's sum of squares underflows: a solve
-# scales such a right-hand side (a state decayed like exp(-lambda_1 t)) up.
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+# The range rule's norms.  CG's reductions r^T z and p^T A p fall with
+# tol^2 ||b||^2 (times the scale of A^-1), the band check's ||A x - b||^2
+# with eps^2 ||b||^2: from ||b|| = 2^-256 and tol = 2^-53 they end near
+# 2^-618, 2^404 above the smallest normal float (2^-1022).  ||b|| <= 2^256
+# keeps ||b||^2 and the first r^T z 2^512 below overflow (2^1024).
+_RANGE = (2.0 ** -256, 2.0 ** 256)
+
+
+def _in_range(norm: float) -> bool:
+    return _RANGE[0] <= norm <= _RANGE[1]
+
+
+def _scaled(v, e: int | None = None):
+    """(2^e v, e), exact for a real or a complex v (np.ldexp takes no
+    complex input); e defaults to minus the exponent of max|v|, which
+    brings max|2^e v| into [1/2, 1)."""
+    if e is None:
+        e = -int(np.frexp(np.abs(v).max())[1])
+    if np.iscomplexobj(v):
+        return np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e), e
+    return np.ldexp(v, e), e
 
 
 @dataclass(frozen=True)
@@ -75,6 +98,21 @@ def _check_breakdown(name: str, value, iterations: int, residual: float):
             report=SolveReport(iterations, residual))
 
 
+def _solve_in_range(solve, b: np.ndarray, tol: float, *x0):
+    """``solve(b, ||b||, tol, *x0) -> (x, SolveReport)``, both solvers' one
+    way in: b = 0 gives x = 0, and a b outside _RANGE is solved as 2^e b (a
+    start x0 as 2^e x0) with 2^-e x returned, e from ``_scaled``."""
+    b_norm = float(np.linalg.norm(b))
+    if _in_range(b_norm):
+        return solve(b, b_norm, tol, *x0)
+    if not b.any():
+        return np.zeros_like(b), SolveReport(0, 0.0)
+    b, e = _scaled(b)
+    x, report = solve(b, float(np.linalg.norm(b)), tol,
+                      *(None if v is None else _scaled(v, e)[0] for v in x0))
+    return _scaled(x, -e)[0], report
+
+
 def cg_solve(solver, rhs: np.ndarray, tol: float, *,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs by CG preconditioned with ``solver``, for
@@ -91,8 +129,9 @@ def cg_solve(solver, rhs: np.ndarray, tol: float, *,
         approximation of A^-1, that carries ``operator``, the square matrix
         A.  Each iteration tests the residual before preconditioning it, so
         a converged solve calls ``solver`` once per iteration.
-    rhs : right-hand side vector; one below ||rhs|| ~ 1e-154, whose
-        squared norm and r^T z would underflow, is solved scaled to unit size
+    rhs : right-hand side vector; one whose norm lies outside _RANGE,
+        [2^-256, 2^256], is solved scaled by a power of 2 into it (the
+        module's range rule), exactly
     tol : relative tolerance on the CG recurrence residual; the true
         residual ||A x - rhs|| / ||rhs|| is never computed and can be
         larger (README.md, numerical notes)
@@ -123,23 +162,18 @@ def cg_solve(solver, rhs: np.ndarray, tol: float, *,
     rhs = np.asarray(rhs)
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    dtype = np.result_type(A.dtype, rhs.dtype, float)
-    is_complex = np.issubdtype(dtype, np.complexfloating)
-    rhs = rhs.astype(dtype, copy=False)
-    b_norm = float(np.linalg.norm(rhs))
-    if b_norm < _SQRT_TINY:
-        if not rhs.any():
-            return np.zeros_like(rhs), SolveReport(0, 0.0)
-        # ||rhs|| and r^T z would underflow; the solve is linear in rhs
-        largest = np.abs(rhs).max()
-        x, report = cg_solve(solver, rhs / largest, tol,
-                             x0=None if x0 is None else x0 / largest)
-        return x * largest, report
+    rhs = rhs.astype(np.result_type(A.dtype, rhs.dtype, float), copy=False)
+    return _solve_in_range(functools.partial(_cg, solver), rhs, tol, x0)
 
+
+def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
+    """``cg_solve``'s iteration on an in-range rhs of norm ``b_norm``."""
+    A = solver.operator
+    is_complex = np.iscomplexobj(rhs)
     x, r, res = np.zeros_like(rhs), rhs, b_norm
     if x0 is not None:
         # a warm start worse than none (||rhs - A x0|| > ||rhs||) is dropped
-        x_warm = np.array(x0, dtype=dtype)
+        x_warm = np.array(x0, dtype=rhs.dtype)
         r_warm = rhs - A @ x_warm
         res_warm = float(np.linalg.norm(r_warm))
         if res_warm <= b_norm:
@@ -221,7 +255,10 @@ class BandedSolver:
         return lu, ipiv
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs from the factor (made on first use), residual unchecked."""
+        """A^-1 rhs from the factor (made on first use), residual unchecked;
+        a real factor takes a complex rhs's real and imaginary parts apart."""
+        if not self.is_complex and rhs.dtype.kind == "c":
+            return self(rhs.real) + 1j * self(rhs.imag)
         if self._factor is None:
             self._factor = self._factorize()
         if self.is_complex:
@@ -235,17 +272,13 @@ class BandedSolver:
         return x
 
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
-        """Solve A x = rhs (an rhs below ||rhs|| ~ 1e-154 scaled to unit
-        size); raise ConvergenceError unless the relative residual
+        """Solve A x = rhs (an rhs whose norm lies outside _RANGE, [2^-256,
+        2^256], exactly scaled into it by a power of 2, the module's range
+        rule); raise ConvergenceError unless the relative residual
         ||A x - rhs|| / ||rhs|| is at most ``tol``."""
-        b_norm = float(np.linalg.norm(rhs))
-        if b_norm < _SQRT_TINY:
-            if not rhs.any():
-                return np.zeros_like(rhs), SolveReport(0, 0.0)
-            # ||rhs|| would underflow; the solve is linear in rhs
-            largest = np.abs(rhs).max()
-            x, report = self.solve(rhs / largest, tol)
-            return x * largest, report
+        return _solve_in_range(self._checked, rhs, tol)
+
+    def _checked(self, rhs: np.ndarray, b_norm: float, tol: float):
         x = self(rhs)
         residual = float(np.linalg.norm(self.operator @ x - rhs)) / b_norm
         report = SolveReport(0, residual)
@@ -341,13 +374,15 @@ class Multigrid:
     product, but the Galerkin product keeps it: CSR P^T sums differently).
     They are stored in ``dtype``: the Galerkin products and the Jacobi
     weights are formed in float64 and then cast once, while ``operator``
-    and the coarsest factor stay float64.  The cycle scales r by a power of
-    2 and casts it down on entry, and casts its result back to r's dtype on
-    exit, so CG around it runs in float64 throughout.  float32 levels halve
-    the bytes each memory-bound product and sweep reads (a V-cycle at
-    n_side 201 took 1.6 ms instead of 2.4 ms), within one CG iteration per
-    pole-system solve; they also move the result at roundoff, which is why
-    the eigensolve keeps float64 (see ``spectral.inverse_iteration``).
+    and the coarsest factor stay float64.  Narrower levels take every r by
+    the range rule's scale, untested (float32's range is narrower than
+    _RANGE): the cycle casts 2^e r down, max|2^e r| in [1/2, 1), and
+    returns 2^-e times its result in r's dtype, so CG around it runs in
+    float64 throughout.  float32 levels halve the bytes each memory-bound
+    product and sweep reads (a V-cycle at n_side 201 took 1.6 ms instead
+    of 2.4 ms), within one CG iteration per pole-system solve; they also
+    move the result at roundoff, which is why the eigensolve keeps float64
+    (see ``spectral.inverse_iteration``).
     """
 
     def __init__(self, A, n_side: int, dtype=np.float64):
@@ -370,10 +405,11 @@ class Multigrid:
         if r.dtype == self.dtype:
             return self._cycle(r, 0)
         # the cycle is linear: scaling r by a power of 2 (exactly) keeps a
-        # tiny or huge r inside the range of the narrower level dtype
-        scale = 2.0 ** np.frexp(np.abs(r).max())[1]
-        x = self._cycle((r / scale).astype(self.dtype), 0)
-        return np.multiply(x, scale, dtype=r.dtype)
+        # tiny or huge r inside the range of the narrower level dtype; the
+        # way back multiplies, which measured faster than np.ldexp
+        scaled, e = _scaled(r)
+        x = self._cycle(scaled.astype(self.dtype), 0)
+        return np.multiply(x, 2.0 ** -e, dtype=r.dtype)
 
     def _cycle(self, r: np.ndarray, level: int) -> np.ndarray:
         if level == len(self.levels):

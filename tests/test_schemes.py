@@ -522,10 +522,13 @@ def test_only_pole_systems_get_float32_levels(sys28, monkeypatch):
     lambda1 = inverse_iteration(sys28).lambda1
     assert built == [{np.dtype(np.float64)}]
     built.clear()
-    # (0,3) has one real pole and one conjugate pair
-    make_stepper(SchemeSpec("pade_fmes", tau=0.01, n_steps=1, l=0, m=3,
-                            lambda1=lambda1), sys28)
+    # (0,3) has one real pole and one conjugate pair; the real pole, whose
+    # imaginary part np.roots gives as exactly 0, gets a real system
+    stepper = make_stepper(SchemeSpec("pade_fmes", tau=0.01, n_steps=1, l=0,
+                                      m=3, lambda1=lambda1), sys28)
     assert built == [{np.dtype(np.float32)}] * 2
+    assert sorted(solving.solver.operator.dtype.kind
+                  for *_, solving in stepper.poles) == ["c", "f"]
 
 
 def test_complex_pole_solves_on_an_even_grid_take_few_iterations(monkeypatch):

@@ -500,6 +500,13 @@ def test_prolongation_interpolates_on_non_nested_meshes(n_side, rng):
     assert np.abs(prolongation(n_side) @ u - expected).max() <= 1e-14
 
 
+def _ldexp(v, k):
+    """2^k v, exactly, for a real or a complex v."""
+    if np.iscomplexobj(v):
+        return np.ldexp(v.real, k) + 1j * np.ldexp(v.imag, k)
+    return np.ldexp(v, k)
+
+
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
 def test_a_tiny_rhs_is_solved_at_unit_scale(sys28, z):
     # below ||b|| ~ 1.5e-154, ||b||^2 and r^T z underflow: both solvers
@@ -510,13 +517,27 @@ def test_a_tiny_rhs_is_solved_at_unit_scale(sys28, z):
     assert np.linalg.norm(tiny) == 0.0
     band = BandedSolver(A)
     mg = Multigrid(A, sys28.mesh.n_side)
-    for solve in (lambda b: band.solve(b, OUTER_TOL),
-                  lambda b: cg_solve(mg, b, OUTER_TOL)):
+    mg32 = Multigrid(A, sys28.mesh.n_side, np.float32)
+    solves = (lambda b: band.solve(b, OUTER_TOL),
+              lambda b: cg_solve(mg, b, OUTER_TOL),
+              lambda b: cg_solve(mg32, b, OUTER_TOL))
+    for solve in solves:
         x, report = solve(b)
         x_tiny, report_tiny = solve(tiny)
         assert report_tiny.iterations == report.iterations
         assert (np.abs(x_tiny * 2.0 ** 600 - x).max()
                 <= 1e-12 * np.abs(x).max())
+    # at 2^-490 (||b|| ~ 1e-150) CG's r^T z underflowed on float32 levels
+    # and the band check's residual read 0.0; at 2^-1030 a complex b is
+    # subnormal, where dividing it by max|b| overflowed.  Each is solved
+    # exactly as its exact upscale is, with the same report
+    for k, b_tiny in ((490, np.ldexp(b, -490)),
+                      (1030, _ldexp(b * (1.0 - 0.5j), -1030))):
+        for solve in solves:
+            x_tiny, report_tiny = solve(b_tiny)
+            x_up, report_up = solve(_ldexp(b_tiny, k))
+            assert np.array_equal(x_tiny, _ldexp(x_up, -k))
+            assert report_tiny == report_up
 
 
 @pytest.mark.parametrize("n_side", [128, 200])
