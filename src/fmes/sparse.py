@@ -100,11 +100,14 @@ def _check_breakdown(name: str, value, iterations: int, residual: float):
 
 def _solve_in_range(solve, b: np.ndarray, tol: float, *x0):
     """``solve(b, ||b||, tol, *x0) -> (x, SolveReport)``, both solvers' one
-    way in: b = 0 gives x = 0, and a b outside _RANGE is solved as 2^e b (a
-    start x0 as 2^e x0) with 2^-e x returned, e from ``_scaled``."""
+    way in: b = 0 gives x = 0, a non-finite b raises ConvergenceError, and
+    a b outside _RANGE is solved as 2^e b (a start x0 as 2^e x0) with 2^-e
+    x returned, e from ``_scaled``."""
     b_norm = float(np.linalg.norm(b))
     if _in_range(b_norm):
         return solve(b, b_norm, tol, *x0)
+    if not np.isfinite(b).all():
+        raise ConvergenceError("right-hand side is not finite")
     if not b.any():
         return np.zeros_like(b), SolveReport(0, 0.0)
     b, e = _scaled(b)
@@ -146,12 +149,12 @@ def cg_solve(solver, rhs: np.ndarray, tol: float, *,
     Raises
     ------
     ConvergenceError
-        If the tolerance is not met within CG_MAX_ITER iterations, if
-        Re(p^H A p) <= 0 for a search direction p (A, or its Hermitian
-        part, is not positive definite), or if r^T z or p^T A p is zero,
-        subnormal or not finite (a breakdown; asked for a tolerance far
-        below roundoff, the residual underflows).  The partial solution is
-        not returned; the report rides on the exception.
+        If rhs is not finite, if the tolerance is not met within CG_MAX_ITER
+        iterations, if Re(p^H A p) <= 0 for a search direction p (A, or its
+        Hermitian part, is not positive definite), or if r^T z or p^T A p is
+        zero, subnormal or not finite (a breakdown; asked for a tolerance far
+        below roundoff, the residual underflows).  The partial solution is not
+        returned; the report rides on the exception.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -170,7 +173,7 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
     """``cg_solve``'s iteration on an in-range rhs of norm ``b_norm``."""
     A = solver.operator
     is_complex = np.iscomplexobj(rhs)
-    x, r, res = np.zeros_like(rhs), rhs, b_norm
+    x, r, res = np.zeros_like(rhs), rhs.copy(), b_norm   # updated in place
     if x0 is not None:
         # a warm start worse than none (||rhs - A x0|| > ||rhs||) is dropped
         x_warm = np.array(x0, dtype=rhs.dtype)
@@ -188,7 +191,11 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
         z = solver(r)
         rz_next = r @ z
         _check_breakdown("r^T z", rz_next, iterations, res / b_norm)
-        p = z if p is None else z + (rz_next / rz) * p
+        if p is None:
+            p = z.copy()                # the solver may return r itself
+        else:   # beta p, not p beta: numpy's complex products differ in bits
+            np.multiply(rz_next / rz, p, out=p)
+            p += z
         rz = rz_next
         ap = A @ p
         pap = p @ ap
@@ -199,8 +206,8 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
                 report=SolveReport(iterations, res / b_norm))
         _check_breakdown("p^T A p", pap, iterations, res / b_norm)
         alpha = rz / pap
-        x = x + alpha * p
-        r = r - alpha * ap
+        x += alpha * p
+        r -= alpha * ap
         res = float(np.linalg.norm(r))
 
     report = SolveReport(CG_MAX_ITER, res / b_norm)
@@ -274,8 +281,8 @@ class BandedSolver:
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
         """Solve A x = rhs (an rhs whose norm lies outside _RANGE, [2^-256,
         2^256], exactly scaled into it by a power of 2, the module's range
-        rule); raise ConvergenceError unless the relative residual
-        ||A x - rhs|| / ||rhs|| is at most ``tol``."""
+        rule); raise ConvergenceError if rhs is not finite or the relative
+        residual ||A x - rhs|| / ||rhs|| exceeds ``tol``."""
         return _solve_in_range(self._checked, rhs, tol)
 
     def _checked(self, rhs: np.ndarray, b_norm: float, tol: float):

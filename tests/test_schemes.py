@@ -290,8 +290,9 @@ def test_pade_02_matches_modal_oracle(sys6, basis6, pair6, rng, l, m):
 @pytest.mark.parametrize("l, m", [(0, 2), (2, 2)])
 def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
                                                   rng, l, m):
-    # carried coordinates: c_n = f^n c_0, synthesized at every level
+    # carried coordinates: c_n = f^n c_0, synthesized a chunk at a time
     lam1, tau, n_steps = pair11.lambda1, 0.005, 200
+    assert n_steps > schemes.MODAL_CHUNK
     spec = SchemeSpec("pade_modal", tau=tau, n_steps=n_steps, l=l, m=m,
                       lambda1=lam1)
     w0 = _generic_state(sys11, rng)
@@ -304,30 +305,46 @@ def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
         exact = V @ (f ** level * c0)
         assert (m_norm(sys11, traj.vector_at(level) - exact)
                 <= 1e-12 * m_norm(sys11, exact))
-    # the first step projects w0: the product of the uncarried stepper
-    projected = sum(
-        Q @ (W @ (scale * pade_rational(l, m, (lam - lam1) * tau)
-                  * (W.T @ (Q.T @ (sys11.M @ w0)))))
-        for Q, lam, W in basis11.blocks)
-    assert np.array_equal(traj.vector_at(1), projected)
+    # the first step projects w0 and computes the first chunk: per block,
+    # repeated products of the projected coordinates, then one dense product
+    k = schemes.MODAL_CHUNK
+    chunk = 0
+    for Q, lam, W in basis11.blocks:
+        f = scale * pade_rational(l, m, (lam - lam1) * tau)
+        c = W.T @ (Q.T @ (sys11.M @ w0))
+        C = np.empty((c.size, k))
+        for j in range(k):
+            C[:, j] = c = f * c
+        chunk = chunk + Q @ (W @ C)
+    for level in range(1, k + 1):
+        assert np.array_equal(traj.vector_at(level), chunk[:, level - 1])
+
+
+def _modal_stepper(sys, pair, basis, n_steps):
+    return make_stepper(SchemeSpec("pade_modal", tau=0.005, n_steps=n_steps,
+                                   l=0, m=2, lambda1=pair.lambda1),
+                        sys, basis=basis)
+
+
+def _count_projections(monkeypatch) -> list:
+    projections = []
+    coordinates = ModalBasis.coordinates
+    monkeypatch.setattr(ModalBasis, "coordinates", lambda self, My: (
+        projections.append(1) or coordinates(self, My)))
+    return projections
 
 
 @pytest.mark.parametrize("case", ["restart", "changed_in_place",
                                   "equal_copy"])
 def test_modal_stepper_carries_only_its_own_output(sys11, pair11, basis11,
                                                    rng, monkeypatch, case):
-    spec = SchemeSpec("pade_modal", tau=0.005, n_steps=1, l=0, m=2,
-                      lambda1=pair11.lambda1)
     w0 = _generic_state(sys11, rng)
-    stepper, twin = (make_stepper(spec, sys11, basis=basis11)
+    stepper, twin = (_modal_stepper(sys11, pair11, basis11, 1)
                      for _ in range(2))
     y = twin_y = w0
     for _ in range(3):
         y, twin_y = stepper.step(y), twin.step(twin_y)
-    projections = []
-    coordinates = ModalBasis.coordinates
-    monkeypatch.setattr(ModalBasis, "coordinates", lambda self, My: (
-        projections.append(1) or coordinates(self, My)))
+    projections = _count_projections(monkeypatch)
     if case == "equal_copy":
         # the kept coordinates: as if the caller had passed y itself
         assert np.array_equal(stepper.step(y.copy()), twin.step(twin_y))
@@ -338,9 +355,68 @@ def test_modal_stepper_carries_only_its_own_output(sys11, pair11, basis11,
     else:
         y *= 0.5
         start = y
-    fresh = make_stepper(spec, sys11, basis=basis11)
+    fresh = _modal_stepper(sys11, pair11, basis11, 1)
     assert np.array_equal(stepper.step(start), fresh.step(start))
     assert len(projections) == 2
+
+
+def test_a_foreign_state_in_mid_chunk_is_projected_once(sys11, pair11,
+                                                        basis11, rng,
+                                                        monkeypatch):
+    monkeypatch.setattr(schemes, "MODAL_CHUNK", 4)
+    stepper = _modal_stepper(sys11, pair11, basis11, 10)
+    y = _generic_state(sys11, rng)
+    for _ in range(3):
+        y = stepper.step(y)
+    start = _generic_state(sys11, rng)
+    projections = _count_projections(monkeypatch)
+    y = start
+    stepped = [y := stepper.step(y) for _ in range(7)]
+    assert len(projections) == 1
+    # the rest of the trajectory: 7 steps, in chunks of 4 and 3
+    fresh = _modal_stepper(sys11, pair11, basis11, 7)
+    y = start
+    for state in stepped:
+        y = fresh.step(y)
+        assert np.array_equal(state, y)
+
+
+def test_writing_into_a_returned_state_changes_no_later_state(
+        sys11, pair11, basis11, rng, monkeypatch):
+    monkeypatch.setattr(schemes, "MODAL_CHUNK", 4)
+    stepper, twin = (_modal_stepper(sys11, pair11, basis11, 10)
+                     for _ in range(2))
+    y = twin_y = _generic_state(sys11, rng)
+    projections = _count_projections(monkeypatch)
+    for _ in range(10):
+        out, twin_y = stepper.step(y), twin.step(twin_y)
+        y = out.copy()
+        out[:] = np.nan
+        assert np.array_equal(y, twin_y)
+    # every state, across chunk boundaries, came from carried coordinates
+    assert len(projections) == 2
+
+
+def test_a_modal_stepper_steps_past_its_trajectory(sys11, pair11, basis11,
+                                                   rng, monkeypatch):
+    monkeypatch.setattr(schemes, "MODAL_CHUNK", 4)
+    lam1, tau = pair11.lambda1, 0.005
+    stepper = _modal_stepper(sys11, pair11, basis11, 2)
+    f = math.exp(-lam1 * tau) * pade_rational(
+        0, 2, (basis11.eigenvalues - lam1) * tau)
+    V = basis11.eigenvectors
+    y = _generic_state(sys11, rng)
+    c0 = V.T @ (sys11.M @ y)
+    widths = []
+    synthesize = ModalBasis.synthesize
+    monkeypatch.setattr(ModalBasis, "synthesize", lambda self, coords: (
+        widths.append(coords[0].shape[1]) or synthesize(self, coords)))
+    for level in range(1, 7):
+        y = stepper.step(y)
+        exact = V @ (f ** level * c0)
+        assert m_norm(sys11, y - exact) <= 1e-12 * m_norm(sys11, exact)
+    # no state beyond the trajectory is computed ahead
+    assert widths == [2, 1, 1, 1, 1]
 
 
 def test_modal_multipliers_sm_property(sys11, basis11, pair11):

@@ -540,6 +540,66 @@ def test_a_tiny_rhs_is_solved_at_unit_scale(sys28, z):
             assert report_tiny == report_up
 
 
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_rhs_is_refused(sys28, z, bad):
+    # an inf entry used to end CG at once with x = 0 as converged (inf <=
+    # tol * inf), a nan entry in a "CG breakdown" or, on the band path, a
+    # "relative residual nan"
+    A = 0.01 * sys28.K - z * sys28.M
+    b = (sys28.M @ np.ones(sys28.n_nodes)).astype(A.dtype)
+    b[3] = bad
+    band = BandedSolver(A)
+    mg = Multigrid(A, sys28.mesh.n_side)
+    mg32 = Multigrid(A, sys28.mesh.n_side, np.float32)
+    for solve in (lambda b: band.solve(b, OUTER_TOL),
+                  lambda b: cg_solve(mg, b, OUTER_TOL),
+                  lambda b: cg_solve(mg32, b, OUTER_TOL)):
+        with pytest.raises(ConvergenceError,
+                           match="^right-hand side is not finite$"):
+            solve(b)
+
+
+def _out_of_place_cg(solver, b, tol):
+    """CG as it read with out-of-place updates, residual tested first."""
+    A = solver.operator
+    x, r, p = np.zeros_like(b), b, None
+    b_norm = res = float(np.linalg.norm(b))
+    while res > tol * b_norm:
+        z = solver(r)
+        rz_next = r @ z
+        p = z if p is None else z + (rz_next / rz) * p
+        rz = rz_next
+        ap = A @ p
+        alpha = rz / (p @ ap)
+        x = x + alpha * p
+        r = r - alpha * ap
+        res = float(np.linalg.norm(r))
+    return x
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
+def test_cg_updates_in_place_bit_for_bit(sys28, z):
+    A = 0.01 * sys28.K - z * sys28.M
+    b = (sys28.M @ np.ones(sys28.n_nodes)).astype(A.dtype)
+    for dtype in (np.float64, np.float32):
+        mg = Multigrid(A, sys28.mesh.n_side, dtype)
+        assert np.array_equal(cg_solve(mg, b, OUTER_TOL)[0],
+                              _out_of_place_cg(mg, b, OUTER_TOL))
+
+
+def test_cg_writes_into_neither_rhs_nor_the_preconditioner_output(sys28):
+    # CG updates r and p in place; an identity preconditioner returns r
+    # itself as z, which the first p must not alias
+    A = sp.dia_matrix(sys28.M + 0.01 * sys28.K)
+    b = sys28.M @ np.ones(sys28.n_nodes)
+    kept = b.copy()
+    x, report = cg_solve(_Solver(A, lambda r: r), b, OUTER_TOL)
+    assert np.array_equal(b, kept)
+    assert report.iterations > 1
+    assert np.linalg.norm(A @ x - b) <= 10 * OUTER_TOL * np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("n_side", [128, 200])
 def test_prolongation_reproduces_linear_functions(n_side):
     def linear(nodes):
