@@ -24,7 +24,7 @@ def main():
     for n_side in GRIDS:
         start = time.perf_counter()
         sys = assemble(build_mesh(n_side), ProblemCoefficients())
-        pairs[n_side] = inverse_iteration(sys, min_iter=10)
+        pairs[n_side] = inverse_iteration(sys)
         elapsed = time.perf_counter() - start
         print(f"grid {n_side}x{n_side}: {sys.n_nodes} unknowns, "
               f"{elapsed:.2f} s")

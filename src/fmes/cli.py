@@ -30,6 +30,7 @@ from .experiments import (ExperimentConfig, resolve_output_dir, run_experiment,
                           run_table1, _fmt, _write_csv)
 from .schemes import amplification_factor, fmes_weight, pade_rational
 from .sparse import ConvergenceError
+from .spectral import MIN_SWEEPS
 
 
 _FLAGS = {
@@ -64,7 +65,7 @@ def _cmd_eigens(args) -> int:
     pairs = run_table1(config)
     grids = config.eigen_grids
     print("m   " + "".join(f"nside {n:<18d}" for n in grids))
-    for i in range(10):
+    for i in range(MIN_SWEEPS):
         row = "".join(f"{pairs[n].history[i]:<24.11f}" for n in grids)
         print(f"{i + 1:<4d}{row}")
     for n in grids:

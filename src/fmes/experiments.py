@@ -29,7 +29,8 @@ from .assembly import (FemSystem, ProblemCoefficients, _mass_norm,
 from .mesh import build_mesh
 from .schemes import SchemeSpec, Trajectory, run_scheme
 from .sparse import ConvergenceError
-from .spectral import EigenPair, inverse_iteration, modal_decompose
+from .spectral import (MIN_SWEEPS, EigenPair, inverse_iteration,
+                       modal_decompose)
 
 OUTPUT_DIR_ENV = "FMES_OUTPUT_DIR"
 
@@ -85,9 +86,10 @@ class ExperimentConfig:
             raise ValueError("T must be positive and finite")
         if self.reference_steps < 1:
             raise ValueError("reference_steps must be >= 1")
-        if not 0.0 < self.eig_tol < math.inf or self.eig_max_iter < 1:
-            raise ValueError(
-                "[eigen] needs a finite tol > 0 and max_iter >= 1")
+        if (not 0.0 < self.eig_tol < math.inf
+                or self.eig_max_iter < MIN_SWEEPS):
+            raise ValueError("[eigen] needs a finite tol > 0 and max_iter "
+                             f">= {MIN_SWEEPS}")
         if not self.eigen_grids:
             raise ValueError("[eigen] grids must name at least one grid")
         if len(set(self.eigen_grids)) < len(self.eigen_grids):
@@ -202,28 +204,23 @@ def initial_state(sys: FemSystem) -> np.ndarray:
 
 
 def run_table1(config: ExperimentConfig) -> dict[int, EigenPair]:
-    """Inverse iteration on each configured grid, ten iterations minimum.
+    """Inverse iteration on each configured grid.
 
     Returns the eigenpair per grid and writes eigen_iterations.csv (one
-    column of estimates per grid) into the output directory.  A
-    ``max_iter`` below the table's 10 sweeps is refused (ValueError) before
-    any eigensolve.
+    column of the first MIN_SWEEPS estimates per grid) into the output
+    directory.
     """
-    if config.eig_max_iter < 10:
-        raise ValueError(f"eigen_iterations.csv needs 10 sweeps, but "
-                         f"[eigen] max_iter is {config.eig_max_iter}")
     pairs: dict[int, EigenPair] = {}
     for n_side in config.eigen_grids:
         mesh = build_mesh(n_side)
         sys = assemble(mesh, config.coefficients)
         pairs[n_side] = inverse_iteration(sys, tol=config.eig_tol,
-                                          max_iter=config.eig_max_iter,
-                                          min_iter=10)
+                                          max_iter=config.eig_max_iter)
     outdir = resolve_output_dir(config)
     outdir.mkdir(parents=True, exist_ok=True)
     header = "m," + ",".join(f"nside_{n}" for n in config.eigen_grids)
     rows = []
-    for i in range(10):
+    for i in range(MIN_SWEEPS):
         row = [str(i + 1)]
         for n_side in config.eigen_grids:
             row.append(_fmt(pairs[n_side].history[i]))

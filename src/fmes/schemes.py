@@ -313,7 +313,10 @@ class _ModalStepper:
     follows one trajectory of ``n_steps`` steps, computed MODAL_CHUNK states
     ahead (chunk x n x 8 bytes): per block, C_b = [f c, f^2 c, ...] by
     repeated products c <- f c, then Q_b (W_b C_b), one dense product that
-    reads W_b once per chunk.  A ``y`` equal to its last output takes the
+    reads W_b once per chunk.  Entries of C_b below the smallest normal
+    float are set to zero before c is carried: such a coordinate adds less
+    than 2^-1022 |W_b| to a state, and subnormal operands slow the dense
+    product many times over.  A ``y`` equal to its last output takes the
     next state (after the chunk's last, from the carried c); any other ``y``
     is projected first (ModalBasis.coordinates)."""
 
@@ -341,6 +344,8 @@ class _ModalStepper:
         # column j + 1 is f times column j, the bits of c <- f c
         blocks = [np.cumprod(np.column_stack([f * c] + [f] * (k - 1)), axis=1)
                   for f, c in zip(self.multipliers, coords)]
+        for C in blocks:
+            C[np.abs(C) < np.finfo(float).tiny] = 0.0
         self.coords = [C[:, -1].copy() for C in blocks]
         self.states = self.basis.synthesize(blocks)
         self.next = 0

@@ -26,6 +26,9 @@ from .sparse import ConvergenceError, cg_solve, choose_solver
 DENSE_LIMIT = 2500
 # Relative residual of each inverse-iteration solve.
 INNER_TOL = 1e-13
+# Sweeps every eigensolve takes at least: the paper's table has ten, and so
+# ``fmes run`` finds the eigenpair that ``fmes eigens`` tabulates
+MIN_SWEEPS = 10
 # K and M count as mirror-symmetric when they match their mirror-permuted
 # copy to within MIRROR_TOL max|A| (the assembly's roundoff reaches 1.56 eps)
 MIRROR_TOL = 16 * np.finfo(float).eps
@@ -88,23 +91,21 @@ class ModalBasis:
         return sum(Q @ (W @ c) for (Q, _, W), c in zip(self.blocks, coords))
 
 
-def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
-                      *, min_iter: int = 1) -> EigenPair:
+def inverse_iteration(sys: FemSystem, tol: float = 1e-13,
+                      max_iter: int = 50) -> EigenPair:
     """Smallest eigenpair of (K_bar, M) by inverse iteration.
 
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG at
     INNER_TOL, preconditioned by K_bar's ``sparse.choose_solver`` solver:
     its band factor where it fits (1-2 iterations per solve), else a
-    multigrid V-cycle.  It stops once consecutive eigenvalue estimates
-    agree to ``tol`` relative (never before ``min_iter`` iterations, which
-    lets callers force a fixed-length history).
+    multigrid V-cycle.  After MIN_SWEEPS sweeps it stops once consecutive
+    eigenvalue estimates agree to ``tol`` relative.
 
     Raises
     ------
     ValueError
-        If ``tol`` is not positive and finite, ``max_iter < 1`` or
-        ``min_iter > max_iter``.
+        If ``tol`` is not positive and finite or ``max_iter < MIN_SWEEPS``.
     ConvergenceError
         If an inner solve fails (singular operator) or the estimate has not
         settled within ``max_iter`` iterations; the partial history rides on
@@ -112,16 +113,12 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if min_iter > max_iter:
-        raise ValueError(f"min_iter {min_iter} exceeds max_iter {max_iter}: "
-                         "the iteration could never stop")
+    if max_iter < MIN_SWEEPS:
+        raise ValueError(f"max_iter must be at least {MIN_SWEEPS}, got "
+                         f"{max_iter}")
     n = sys.n_nodes
     phi = np.ones(n) / m_norm(sys, np.ones(n))
     history: list[float] = []
-    lam_prev: float | None = None
-    lam = float("nan")
     warm: np.ndarray | None = None
     # float64 V-cycle levels: the stop test sits on roundoff noise from
     # n_side 101 up, and float32 levels changed the sweep count on 6 of 8
@@ -142,10 +139,8 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13, max_iter: int = 50,
         norm = m_norm(sys, psi)
         phi = psi / norm
         warm = phi / lam
-        if (lam_prev is not None and it >= min_iter
-                and abs(lam - lam_prev) <= tol * abs(lam)):
+        if it >= MIN_SWEEPS and abs(lam - history[-2]) <= tol * abs(lam):
             break
-        lam_prev = lam
     else:
         raise ConvergenceError(
             f"inverse iteration did not settle to {tol:g} in {max_iter} "

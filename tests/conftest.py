@@ -28,7 +28,7 @@ def sys11():
 
 @pytest.fixture(scope="session")
 def pair11(sys11):
-    return inverse_iteration(sys11, min_iter=10)
+    return inverse_iteration(sys11)
 
 
 @pytest.fixture(scope="session")

@@ -35,7 +35,7 @@ def table_pairs():
     for n_side in (26, 51, 101):
         start = time.perf_counter()
         sys = assemble(build_mesh(n_side))
-        pairs[n_side] = inverse_iteration(sys, min_iter=10)
+        pairs[n_side] = inverse_iteration(sys)
         seconds[n_side] = time.perf_counter() - start
     return pairs, seconds
 

@@ -1,7 +1,8 @@
 import pytest
 
-from fmes import experiments
+from fmes import cli, experiments
 from fmes.cli import main
+from fmes.experiments import run_table1
 from fmes.sparse import ConvergenceError
 
 
@@ -166,7 +167,9 @@ def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
 def test_run_verb_unconverged_eigensolve_is_one_line_error(outdir, tmp_path,
                                                           capsys):
     config = tmp_path / "short.ini"
-    config.write_text("[mesh]\nn_side = 6\n[eigen]\nmax_iter = 3\n")
+    # 10 sweeps, but the estimate does not settle to 1e-16
+    config.write_text("[mesh]\nn_side = 6\n[eigen]\ntol = 1e-16\n"
+                      "max_iter = 10\n")
     assert main(["run", "--config", str(config)]) == 1
     _assert_refused(outdir, capsys)
 
@@ -180,19 +183,59 @@ def test_eigens_verb_unconverged_eigensolve_is_one_line_error(outdir,
     _assert_refused(outdir, capsys)
 
 
-def test_eigens_verb_refuses_fewer_sweeps_than_its_table(outdir, tmp_path,
-                                                        capsys, monkeypatch):
-    # the table needs 10 sweeps, whether the estimate settles in fewer (to
-    # 1e-3 within 5) or not (in 3); refused before any eigensolve
+def _refuses_fewer_sweeps_than_the_table(verb, outdir, tmp_path, capsys,
+                                         monkeypatch):
+    # every eigensolve takes the table's 10 sweeps, whether the estimate
+    # settles in fewer (to 1e-3 within 5) or not; refused before any
+    # eigensolve
     def eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve before the refusal")
 
     monkeypatch.setattr(experiments, "inverse_iteration", eigensolve)
-    for text in ("tol = 1e-3\nmax_iter = 5\n", "max_iter = 3\n"):
+    for text in ("tol = 1e-3\nmax_iter = 5\n", "max_iter = 3\n",
+                 "max_iter = 9\n"):
         config = tmp_path / "few.ini"
-        config.write_text("[eigen]\ngrids = 6 11\n" + text)
-        assert main(["eigens", "--config", str(config)]) == 2
+        config.write_text("[mesh]\nn_side = 6\n[eigen]\ngrids = 6 11\n"
+                          + text)
+        assert main([verb, "--config", str(config)]) == 2
         _assert_refused(outdir, capsys)
+
+
+def test_eigens_verb_refuses_fewer_sweeps_than_its_table(outdir, tmp_path,
+                                                        capsys, monkeypatch):
+    _refuses_fewer_sweeps_than_the_table("eigens", outdir, tmp_path, capsys,
+                                         monkeypatch)
+
+
+def test_run_verb_refuses_fewer_sweeps_than_the_table(outdir, tmp_path,
+                                                     capsys, monkeypatch):
+    _refuses_fewer_sweeps_than_the_table("run", outdir, tmp_path, capsys,
+                                         monkeypatch)
+
+
+def test_run_and_eigens_find_the_same_eigenpair(outdir, tmp_path,
+                                                monkeypatch):
+    # the benchmark's paper_run seed 8 coefficients, on which the stop test
+    # alone fell on roundoff noise after 9 sweeps, one short of the table's
+    pairs = {}
+
+    def recording(config):
+        pairs.update(run_table1(config))
+        return pairs
+
+    monkeypatch.setattr(cli, "run_table1", recording)
+    config = tmp_path / "seed8.ini"
+    config.write_text(
+        "[mesh]\nn_side = 26\n[eigen]\ngrids = 26\n[coefficients]\n"
+        "k_inner = 9.653944553211122\nc = 1.5935541924275838\n"
+        "mu_right_top = 10.97455368667585\n[time]\nreference_steps = 10\n"
+        "[scheme.shifted]\nkind = theta_fmes\nsigma = 1\nsteps = 10\n")
+    assert main(["eigens", "--config", str(config)]) == 0
+    assert main(["run", "--config", str(config)]) == 0
+    header, row = (outdir / "eigenpair.csv").read_text().splitlines()
+    written = dict(zip(header.split(","), row.split(",")))
+    assert written["iterations"] == str(pairs[26].iterations)
+    assert written["lambda1"] == experiments._fmt(pairs[26].lambda1)
 
 
 @pytest.mark.parametrize("verb", ["run", "eigens"])

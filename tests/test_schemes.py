@@ -13,7 +13,7 @@ from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           pade_rational, run_scheme)
 from fmes.sparse import BandedSolver, ConvergenceError, Multigrid
 from fmes.spectral import (ModalBasis, exact_semidiscrete_solution,
-                           inverse_iteration)
+                           inverse_iteration, modal_decompose)
 
 
 def _scalar_system(k, mass=1.0):
@@ -318,6 +318,31 @@ def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
         chunk = chunk + Q @ (W @ C)
     for level in range(1, k + 1):
         assert np.array_equal(traj.vector_at(level), chunk[:, level - 1])
+
+
+def test_modal_coordinates_below_the_normal_range_are_flushed(
+        sys11, pair11, basis11, rng):
+    # the stiff coordinates of this trajectory pass through the subnormal
+    # range, where the dense products run many times slower; flushed to
+    # zero, none is carried, and the states still match the closed form
+    lam1, tau, n_steps, tiny = pair11.lambda1, 0.005, 200, np.finfo(float).tiny
+    stepper = _modal_stepper(sys11, pair11, basis11, n_steps)
+    f = math.exp(-lam1 * tau) * pade_rational(
+        0, 2, (basis11.eigenvalues - lam1) * tau)
+    V = basis11.eigenvectors
+    y = _generic_state(sys11, rng)
+    c0 = V.T @ (sys11.M @ y)
+    subnormal = 0
+    for level in range(1, n_steps + 1):
+        y = stepper.step(y)
+        exact_coords = f ** level * c0
+        subnormal += np.count_nonzero((exact_coords != 0.0)
+                                      & (np.abs(exact_coords) < tiny))
+        assert not any(np.any((c != 0.0) & (np.abs(c) < tiny))
+                       for c in stepper.coords)
+        exact = V @ exact_coords
+        assert m_norm(sys11, y - exact) <= 1e-12 * m_norm(sys11, exact)
+    assert subnormal > 0
 
 
 def _modal_stepper(sys, pair, basis, n_steps):
@@ -750,6 +775,25 @@ def test_eigenvalue_error_amplitude_defect(sys6, pair6, sigma, delta):
     predicted = np.abs(a0 * g ** np.arange(n_steps + 1) - exact).max()
     assert predicted > 5e-9 * abs(a0)
     assert abs(measured - predicted) <= 1e-9 * abs(a0)
+
+
+def test_a_stable_large_step_is_accepted_by_its_backward_error():
+    # weak absorption on the right and top (mu 0.01) and tau = 1000:
+    # lambda1 tau is about 20, the pole system's relative residual 3.6e-9
+    # misses 1e-10, and its normwise backward error is 6.8e-17
+    sys = assemble(build_mesh(26), ProblemCoefficients(mu_right_top=0.01))
+    pair, basis = inverse_iteration(sys), modal_decompose(sys)
+    tau, y = 1000.0, np.ones(sys.n_nodes)
+    stepped = _step(sys, "theta_fmes", tau, y, sigma=1.0,
+                    lambda1=pair.lambda1)
+    lam, V = basis.eigenvalues, basis.eigenvectors
+    oracle = V @ (math.exp(-pair.lambda1 * tau)
+                  * np.array([amplification_factor(1.0, (lk - pair.lambda1)
+                                                   * tau) for lk in lam])
+                  * (V.T @ (sys.M @ y)))
+    # criterion 4's bound on the distance to the exact mode multipliers
+    assert m_norm(sys, stepped - oracle) <= 1e-8 * m_norm(sys, y)
+    assert m_norm(sys, oracle) > 1e-9 * m_norm(sys, y)
 
 
 def test_modal_kind_requires_basis(sys6, pair6):

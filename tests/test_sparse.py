@@ -1,4 +1,5 @@
 import copy
+import math
 import warnings
 
 import numpy as np
@@ -444,6 +445,57 @@ def test_banded_solver_checks_true_residual(sys6):
     with pytest.raises(ConvergenceError) as exc:
         solver.solve(np.ones(sys6.n_nodes), tol=1e-30)
     assert 0.0 < exc.value.report.relative_residual < 1e-12
+
+
+def _weakly_damped_pole_system(tau=1000.0):
+    # tau (K - lambda1 M) + M with mu 0.01 on the right and top: lambda1
+    # tau is about 20, and M 1 scaled by exp(-lambda1 tau) is its step's rhs
+    sys = assemble(build_mesh(26), ProblemCoefficients(mu_right_top=0.01))
+    lambda1 = 0.019938465193261062
+    A = tau * (sys.K - lambda1 * sys.M) + sys.M
+    return A, math.exp(-lambda1 * tau) * (sys.M @ np.ones(sys.n_nodes))
+
+
+def test_banded_solver_accepts_by_the_normwise_backward_error():
+    A, b = _weakly_damped_pole_system()
+    solver = BandedSolver(A)
+    x, report = solver.solve(b, OUTER_TOL)
+    assert np.array_equal(x, solver(b))
+    # the relative residual misses the tolerance, the backward error, with
+    # ||A||_inf for ||A||_2, meets it by far
+    assert report.relative_residual > OUTER_TOL
+    r = np.linalg.norm(A @ x - b)
+    assert solver.norm_inf == pytest.approx(abs(A).sum(axis=1).max(),
+                                            rel=1e-15)
+    assert r / (solver.norm_inf * np.linalg.norm(x)
+                + np.linalg.norm(b)) <= 1e-15
+    assert np.linalg.norm(A.toarray(), 2) <= solver.norm_inf
+
+
+def test_banded_solver_takes_no_matrix_norm_when_the_residual_passes(sys6):
+    # the fast accept: one substitution, one residual product, one norm
+    A, b = 0.01 * sys6.K + sys6.M, np.ones(sys6.n_nodes)
+    solver = BandedSolver(A)
+    x, report = solver.solve(b, OUTER_TOL)
+    assert report == SolveReport(
+        0, float(np.linalg.norm(A @ x - b)) / float(np.linalg.norm(b)))
+    assert report.relative_residual <= OUTER_TOL
+    assert "norm_inf" not in vars(solver)
+
+
+def test_banded_solver_refuses_a_perturbed_substitution(monkeypatch, rng):
+    # each entry of x off by 1e-6 relative: a normwise backward error of
+    # about 3e-7, far above the tolerance
+    A, b = _weakly_damped_pole_system()
+    solver = BandedSolver(A)
+    substitute = BandedSolver.__call__
+    signs = rng.choice([-1.0, 1.0], size=b.size)
+    monkeypatch.setattr(BandedSolver, "__call__", lambda self, r: (
+        substitute(self, r) * (1.0 + 1e-6 * signs)))
+    with pytest.raises(ConvergenceError,
+                       match=r"^banded solve missed tol=1e-10 \(normwise "
+                             r"backward error [0-9.]+e-07, relative residual"):
+        solver.solve(b, OUTER_TOL)
 
 
 def test_banded_solver_reports_lapack_failures(sys6, monkeypatch):

@@ -68,7 +68,7 @@ def test_eigenvalue_error_contraction_rate(sys11, basis11):
     # eigenvalue estimates contract like (lam1/lam2)^2 per iteration (the
     # eigenvector error contracts like lam1/lam2 and the estimate is
     # quadratic in it)
-    pair = inverse_iteration(sys11, min_iter=10)
+    pair = inverse_iteration(sys11)
     lam_star = basis11.eigenvalues[0]
     errs = np.abs(np.array(pair.history) - lam_star)
     ratios = errs[2:6] / errs[1:5]
@@ -77,8 +77,11 @@ def test_eigenvalue_error_contraction_rate(sys11, basis11):
     assert np.all(ratios > 0.5 * expected)
 
 
-def test_min_iter_extends_history(sys6):
-    pair = inverse_iteration(sys6, min_iter=10)
+def test_every_eigensolve_takes_the_tables_sweeps(sys6):
+    # the estimate settles to 1e-13 after 9 sweeps here; the floor holds it
+    # to the table's 10, the sweeps that fmes eigens tabulates
+    pair = inverse_iteration(sys6)
+    assert spectral.MIN_SWEEPS == 10
     assert pair.iterations >= 10
     assert len(pair.history) == pair.iterations
 
@@ -96,9 +99,9 @@ def test_eigensolve_converts_no_matrix(sys26, todia_calls):
 
 def test_nonconvergence_carries_history(sys26):
     with pytest.raises(ConvergenceError) as exc:
-        inverse_iteration(sys26, tol=1e-16, max_iter=3)
+        inverse_iteration(sys26, tol=1e-16, max_iter=10)
     assert exc.value.history is not None
-    assert len(exc.value.history) == 3
+    assert len(exc.value.history) == 10
 
 
 @pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf")])
@@ -108,14 +111,13 @@ def test_inverse_iteration_refuses_a_non_finite_tolerance(sys6, tol):
         inverse_iteration(sys6, tol=tol)
 
 
-@pytest.mark.parametrize("min_iter, max_iter, match", [
-    (1, 0, "^max_iter must be at least 1"),
-    (100, 50, "^min_iter 100 exceeds max_iter 50")],
-    ids=["max_iter0", "min_iter_above_max_iter"])
-def test_inverse_iteration_refuses_an_impossible_iteration_count(
-        sys6, min_iter, max_iter, match):
-    with pytest.raises(ValueError, match=match):
-        inverse_iteration(sys6, max_iter=max_iter, min_iter=min_iter)
+@pytest.mark.parametrize("max_iter", [0, 9], ids=["max_iter0", "max_iter9"])
+def test_inverse_iteration_refuses_an_impossible_iteration_count(sys6,
+                                                                max_iter):
+    # fewer than the MIN_SWEEPS sweeps every eigensolve takes
+    with pytest.raises(ValueError, match="^max_iter must be at least 10, "
+                                         f"got {max_iter}$"):
+        inverse_iteration(sys6, max_iter=max_iter)
 
 
 def test_band_preconditioned_inner_solves(sys26, monkeypatch):
