@@ -12,9 +12,10 @@ itself: ``solver.solve(b, tol)`` is one substitution with its true
 residual checked, relative to ||b|| or, failing that, as a normwise
 backward error.
 
-CG stops on its recurrence residual and runs in float64, also around a
-``Multigrid`` whose levels are float32; a complex A is solved by conjugate
-orthogonal CG.  All paths are deterministic, so runs are bit-reproducible.
+CG stops on its recurrence residual and runs in float64, also around the
+float32 levels of every ``Multigrid`` that ``choose_solver`` builds; a
+complex A is solved by conjugate orthogonal CG.  All paths are
+deterministic, so runs are bit-reproducible.
 
 One range rule serves every solve and mass norm: a v whose norm lies
 outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with max|2^e v| in
@@ -403,9 +404,9 @@ class Multigrid:
     returns 2^-e times its result in r's dtype, so CG around it runs in
     float64 throughout.  float32 levels halve the bytes each memory-bound
     product and sweep reads (a V-cycle at n_side 201 took 1.6 ms instead
-    of 2.4 ms), within one CG iteration per pole-system solve; they also
-    move the result at roundoff, which is why the eigensolve keeps float64
-    (see ``spectral.inverse_iteration``).
+    of 2.4 ms), within one CG iteration per pole-system solve, and are
+    what ``choose_solver`` builds; float64 levels give the exact reference
+    cycle.
     """
 
     def __init__(self, A, n_side: int, dtype=np.float64):
@@ -452,11 +453,10 @@ class Multigrid:
         return x
 
 
-def choose_solver(A, mesh: Mesh | None,
-                  dtype=np.float64) -> BandedSolver | Multigrid:
+def choose_solver(A, mesh: Mesh | None) -> BandedSolver | Multigrid:
     """The solver of A: ``BandedSolver(A)`` when its band factor fits in
     DIRECT_LIMIT_BYTES, else a ``Multigrid`` of that solver's DIA operator
-    on ``mesh.n_side`` with levels in ``dtype`` (the band factor is always
+    on ``mesh.n_side`` with float32 levels (the band factors stay
     float64).  Both are preconditioners ``solver(r) -> ~A^-1 r``
     that carry ``operator``, A in DIA: ``cg_solve(solver, b, tol)``.  A
     matrix without a mesh has no other path than its band factor, so a
@@ -468,4 +468,4 @@ def choose_solver(A, mesh: Mesh | None,
     if mesh is None:
         raise ValueError(f"band factor of {direct.nbytes} bytes exceeds "
                          "DIRECT_LIMIT_BYTES and the matrix has no mesh")
-    return Multigrid(direct.operator, mesh.n_side, dtype)
+    return Multigrid(direct.operator, mesh.n_side, np.float32)

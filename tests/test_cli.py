@@ -150,12 +150,14 @@ def _assert_refused(outdir, capsys):
     "[scheme.b]\nkind = theta_fmes\nsigma = 1\n",
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps = 4 4\n",
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps =\n",
+    "[mesh]\nn_side = 6\n[coefficients]\nmu_right_top = 0\n",
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
         "tiny_sigma", "sigma_below_half", "solver_section", "no_section",
         "eig_tol0", "eig_max_iter0", "missing_file", "T_nan", "T_inf",
         "c_inf", "k_outer_inf", "eig_tol_nan", "empty_grids",
         "same_grid_twice", "theta_with_l", "pade_with_sigma",
-        "same_section_twice", "same_steps_twice", "empty_steps"])
+        "same_section_twice", "same_steps_twice", "empty_steps",
+        "pure_neumann"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:

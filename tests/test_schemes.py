@@ -608,9 +608,10 @@ def test_direct_and_multigrid_paths_agree(sys28, pair28, rng, monkeypatch,
     assert error <= 1e-9 * m_norm(sys28, y)
 
 
-def test_only_pole_systems_get_float32_levels(sys28, monkeypatch):
-    # the eigensolve keeps float64 V-cycle levels: its stop test sits on
-    # roundoff noise, so a float32 cycle could change its sweep count
+def test_every_multigrid_from_choose_solver_gets_float32_levels(sys28,
+                                                               monkeypatch):
+    # the eigensolve's hierarchy and every pole system's: choose_solver
+    # takes no dtype, and only a test builds the float64 reference cycle
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     built = []
 
@@ -621,7 +622,7 @@ def test_only_pole_systems_get_float32_levels(sys28, monkeypatch):
 
     monkeypatch.setattr(sparse, "Multigrid", Recording)
     lambda1 = inverse_iteration(sys28).lambda1
-    assert built == [{np.dtype(np.float64)}]
+    assert built == [{np.dtype(np.float32)}]
     built.clear()
     # (0,3) has one real pole and one conjugate pair; the real pole, whose
     # imaginary part np.roots gives as exactly 0, gets a real system

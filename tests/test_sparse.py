@@ -230,15 +230,18 @@ def test_cg_operator_is_stored_by_diagonals(sys28, sys31, monkeypatch):
             assert op.format == "dia"
             assert sorted(op.offsets) == _mesh_offsets(sys.mesh.n_side)
             assert abs(op - A).tocsr().max() == 0.0
-            # a real matrix is its V-cycle's level-0 operator, converted once
-            assert (op is mg.levels[0][0]) == (z.imag == 0.0)
+            # the V-cycle's float32 level 0 keeps the same diagonals
+            level0 = mg.levels[0][0]
+            assert level0.dtype == np.float32
+            assert np.array_equal(level0.offsets, op.offsets)
+            assert np.array_equal(level0.data, op.data.real.astype(np.float32))
 
 
 def test_complex_system_is_converted_once(sys28, todia_calls, monkeypatch):
     # a pole matrix of the assembled DIA system is DIA already, so the band
     # path converts nothing and the multigrid path only its coarsest
-    # Galerkin operator; the V-cycle's real level 0 is a contiguous copy of
-    # A's real part
+    # Galerkin operator; the V-cycle's real level 0 is a contiguous float32
+    # copy of A's real part
     A = 0.01 * sys28.K - (-1.0 + 1.0j) * sys28.M
     assert isinstance(choose_solver(A, sys28.mesh), BandedSolver)
     assert todia_calls == []
@@ -246,9 +249,10 @@ def test_complex_system_is_converted_once(sys28, todia_calls, monkeypatch):
     mg = choose_solver(A, sys28.mesh)
     assert [dtype.kind for dtype in todia_calls] == ["f"]
     level0 = mg.levels[0][0]
-    assert level0.dtype == float and level0.data.flags.c_contiguous
+    assert level0.dtype == np.float32 and level0.data.flags.c_contiguous
     assert np.array_equal(level0.offsets, mg.operator.offsets)
-    assert np.array_equal(level0.data, mg.operator.data.real)
+    assert np.array_equal(level0.data,
+                          mg.operator.data.real.astype(np.float32))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])

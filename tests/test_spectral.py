@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fmes.assembly import FemSystem, ProblemCoefficients, assemble, m_norm
 from fmes.mesh import build_mesh
@@ -158,18 +158,84 @@ def test_eigenpair_independent_of_solve_path(request, monkeypatch, name):
     monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     other = inverse_iteration(sys)
     assert other.iterations == band.iterations
-    assert np.allclose(other.history, band.history, rtol=1e-12, atol=0.0)
+    # Sweep k's solve is asked for a relative residual tol_k (spectral's
+    # schedule).  Its estimate phi^T b / psi^T b, b = M phi, then moves by at
+    # most kappa tol_k relative, kappa = ||psi|| ||b|| / psi^T b (Cauchy-
+    # Schwarz; ||phi1|| ||M phi1|| at the limit), and the iterate it leaves
+    # carries at most that much into every later sweep, damped by each
+    # solve.  So either path is within kappa sum_{j <= k} tol_j of exact
+    # arithmetic, and the two within twice that.
+    h = band.history
+    tols = [spectral.LOOSE_TOL] * 2 + [
+        min(spectral.LOOSE_TOL, max(spectral.INNER_TOL, spectral.TOL_FACTOR
+                                    * abs(h[k - 1] - h[k - 2]) / h[k - 1]))
+        for k in range(2, len(h))]
+    kappa = np.linalg.norm(band.phi1) * np.linalg.norm(sys.M @ band.phi1)
+    assert np.all(np.abs(np.subtract(other.history, h))
+                  <= 2.0 * kappa * np.cumsum(tols) * np.abs(h))
+    # sweeps 8 on ask for about 1e-12 or less, and there the paths agree as
+    # closely as full solves made them agree in every sweep
+    assert np.allclose(other.history[7:], h[7:], rtol=1e-12, atol=0.0)
     assert other.lambda1 == pytest.approx(band.lambda1, rel=1e-12)
     assert (np.linalg.norm(other.phi1 - band.phi1)
             <= 1e-12 * np.linalg.norm(band.phi1))
 
 
 def test_singular_operator_fails():
+    # pure Neumann: the constants span K_bar's null space, so it is refused
+    # before any solve instead of failing in one, depending on the grid
     sys = assemble(build_mesh(4),
                    ProblemCoefficients(k_inner=1.0, k_outer=1.0,
                                        mu_right_top=0.0))
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ValueError, match="^inverse iteration needs a positive "
+                                         "definite K_bar, .*pure Neumann"):
         inverse_iteration(sys)
+
+
+def test_indefinite_operator_fails_in_the_inner_solve():
+    with pytest.raises(ConvergenceError, match="^inner solve failed at "
+                                               "iteration 1") as exc:
+        inverse_iteration(_scalar_system([[-5.0]], [[1.0]]))
+    assert exc.value.history == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_side=st.integers(3, 15),
+       k_inner=st.floats(0.1, 20.0), k_outer=st.floats(0.1, 5.0),
+       c=st.floats(0.0, 30.0),
+       mu_right_top=st.one_of(st.just(0.0), st.floats(0.1, 20.0)),
+       mu_left_bottom=st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+def test_eigenpair_matches_the_dense_oracle(n_side, **coeffs):
+    assume(coeffs["mu_right_top"] or coeffs["mu_left_bottom"])
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(**coeffs))
+    pair = inverse_iteration(sys)
+    basis = modal_decompose(sys)
+    lam = basis.eigenvalues - coeffs["c"]
+    phi = basis.eigenvectors[:, 0]
+    phi *= np.sign(phi @ (sys.M @ pair.phi1))
+    # eigh is backward stable: its pairs are exact for a pencil within
+    # about n eps ||K|| of (K, M), which moves lambda_1 by at most about
+    # n eps lambda_max and its vector by that over the gap
+    dense = sys.n_nodes * np.finfo(float).eps * basis.eigenvalues[-1]
+    r = sys.K_bar @ pair.phi1 - pair.lambda1_bar * (sys.M @ pair.phi1)
+    assert np.linalg.norm(r) == pair.residual
+    r_minv = np.sqrt(r @ np.linalg.solve(sys.M.toarray(), r))
+    # Weinstein: some eigenvalue lies within ||r||_{M^-1} of the Ritz value
+    assert abs(pair.lambda1_bar - lam[0]) <= r_minv + dense
+    # Davis-Kahan: sin angle_M(phi1, oracle) <= ||r||_{M^-1} / (lambda_2 -
+    # theta), and two M-unit vectors at an angle below pi/2 lie within
+    # sqrt(2) times its sine of each other
+    gap = lam[1] - pair.lambda1_bar
+    assert gap > 0.0
+    assert (m_norm(sys, pair.phi1 - phi)
+            <= np.sqrt(2.0) * r_minv / gap + dense / (lam[1] - lam[0]))
+
+
+def test_fine_grid_ritz_residual():
+    # the Ritz step on the last two iterates: 1.5e-12 at n_side 201, where
+    # the last iterate alone left 1.8e-10
+    pair = inverse_iteration(assemble(build_mesh(201)))
+    assert pair.residual <= 1e-11
 
 
 def test_modal_scalar_case():
