@@ -47,8 +47,8 @@ class ProblemCoefficients:
                 raise ValueError(f"coefficient {f.name} must be finite")
         if self.k_inner <= 0.0 or self.k_outer <= 0.0:
             raise ValueError("diffusivities must be positive")
-        if self.mu_right_top < 0.0 or self.mu_left_bottom < 0.0:
-            raise ValueError("boundary coefficients must be nonnegative")
+        if min(self.mu_right_top, self.mu_left_bottom, self.c) < 0.0:
+            raise ValueError("boundary coefficients and c must be nonnegative")
 
     def diffusivity_at(self, x, y):
         """Diffusivity at points (x, y); accepts scalars or arrays."""

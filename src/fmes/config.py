@@ -41,8 +41,6 @@ _FIELDS = {
     ("time", "T"): ("T", float),
     ("time", "reference_steps"): ("reference_steps", int),
     ("eigen", "grids"): ("eigen_grids", _int_list),
-    ("eigen", "tol"): ("eig_tol", float),
-    ("eigen", "max_iter"): ("eig_max_iter", int),
     ("output", "directory"): ("output_dir", str),
 }
 # key (= SchemeRequest field) -> converter

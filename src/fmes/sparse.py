@@ -101,12 +101,19 @@ def _check_breakdown(name: str, value, iterations: int, residual: float):
             report=SolveReport(iterations, residual))
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v)'s bits, without its overflow warning on a huge v."""
+    if np.iscomplexobj(v):
+        return math.sqrt(np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag))
+    return math.sqrt(np.vdot(v, v))
+
+
 def _solve_in_range(solve, b: np.ndarray, tol: float, *x0):
     """``solve(b, ||b||, tol, *x0) -> (x, SolveReport)``, both solvers' one
     way in: b = 0 gives x = 0, a non-finite b raises ConvergenceError, and
     a b outside _RANGE is solved as 2^e b (a start x0 as 2^e x0) with 2^-e
     x returned, e from ``_scaled``."""
-    b_norm = float(np.linalg.norm(b))
+    b_norm = _norm(b)
     if _in_range(b_norm):
         return solve(b, b_norm, tol, *x0)
     if not np.isfinite(b).all():
@@ -114,7 +121,7 @@ def _solve_in_range(solve, b: np.ndarray, tol: float, *x0):
     if not b.any():
         return np.zeros_like(b), SolveReport(0, 0.0)
     b, e = _scaled(b)
-    x, report = solve(b, float(np.linalg.norm(b)), tol,
+    x, report = solve(b, _norm(b), tol,
                       *(None if v is None else _scaled(v, e)[0] for v in x0))
     return _scaled(x, -e)[0], report
 
@@ -181,7 +188,7 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
         # a warm start worse than none (||rhs - A x0|| > ||rhs||) is dropped
         x_warm = np.array(x0, dtype=rhs.dtype)
         r_warm = rhs - A @ x_warm
-        res_warm = float(np.linalg.norm(r_warm))
+        res_warm = _norm(r_warm)
         if res_warm <= b_norm:
             x, r, res = x_warm, r_warm, res_warm
     p = rz = None
@@ -211,7 +218,7 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        res = float(np.linalg.norm(r))
+        res = _norm(r)
 
     report = SolveReport(CG_MAX_ITER, res / b_norm)
     raise ConvergenceError(
@@ -298,13 +305,12 @@ class BandedSolver:
 
     def _checked(self, rhs: np.ndarray, b_norm: float, tol: float):
         x = self(rhs)
-        r_norm = float(np.linalg.norm(self.operator @ x - rhs))
+        r_norm = _norm(self.operator @ x - rhs)
         report = SolveReport(0, r_norm / b_norm)
         if report.relative_residual <= tol:
             return x, report
         # only a solve the fast test refuses pays for ||x|| and ||A||
-        backward = r_norm / (self.norm_inf * float(np.linalg.norm(x))
-                             + b_norm)
+        backward = r_norm / (self.norm_inf * _norm(x) + b_norm)
         if not backward <= tol:
             raise ConvergenceError(
                 f"banded solve missed tol={tol:g} (normwise backward error "

@@ -3,12 +3,13 @@
 The inverse iteration solves K_bar phi_new = M phi with mass-weighted inner
 products throughout; the eigenvalue estimate after each solve is
 (phi, phi)_M / (phi_new, phi)_M, and a Rayleigh-Ritz step on the last two
-iterates gives the returned pair.  The dense path computes the full
-generalized eigendecomposition of (K, M) and backs both the cross-validation
-tests and the modal time steppers.  The model problem's K and M are
-invariant under the node swap (ix, iy) -> (iy, ix), so the dense path solves
-the even and odd subspaces of that swap apart: two problems of half the size,
-kept apart so that a modal product reads half the data of an n x n matrix.
+iterates gives the returned pair, where its residual stops falling.  The
+dense path computes the full generalized eigendecomposition of (K, M) and
+backs both the cross-validation tests and the modal time steppers.  The
+model problem's K and M are invariant under the node swap (ix, iy) -> (iy,
+ix), so the dense path solves the even and odd subspaces of that swap
+apart: two problems of half the size, kept apart so that a modal product
+reads half the data of an n x n matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import FemSystem, m_norm
+from .assembly import FemSystem, _mass_norm, m_norm
 from .sparse import ConvergenceError, cg_solve, choose_solver
 
 # Largest system (in nodes) modal_decompose accepts.
@@ -35,6 +36,8 @@ TOL_FACTOR = 1e-2
 # Sweeps every eigensolve takes at least: the paper's table has ten, and so
 # ``fmes run`` finds the eigenpair that ``fmes eigens`` tabulates
 MIN_SWEEPS = 10
+# Sweeps after which an eigensolve whose Ritz residual still falls fails
+MAX_SWEEPS = 50
 # K and M count as mirror-symmetric when they match their mirror-permuted
 # copy to within MIRROR_TOL max|A| (the assembly's roundoff reaches 1.56 eps)
 MIRROR_TOL = 16 * np.finfo(float).eps
@@ -46,9 +49,9 @@ class EigenPair:
 
     lambda1_bar is the eigenvalue of the diffusion + boundary operator;
     lambda1 = lambda1_bar + c includes the reaction shift.  phi1 is
-    mass-normalized with positive sign, and residual is
-    ||K_bar phi1 - lambda1_bar M phi1||_2.  history holds the eigenvalue
-    estimate after every iteration, before the final Ritz step.
+    mass-normalized with positive sign: the Ritz pair of the last sweep.
+    residual is ||K_bar phi1 - lambda1_bar M phi1||_2.  history holds the
+    inverse-iteration estimate of every sweep, before any Ritz step.
     """
 
     lambda1_bar: float
@@ -98,51 +101,47 @@ class ModalBasis:
         return sum(Q @ (W @ c) for (Q, _, W), c in zip(self.blocks, coords))
 
 
-def inverse_iteration(sys: FemSystem, tol: float = 1e-13,
-                      max_iter: int = 50) -> EigenPair:
+def inverse_iteration(sys: FemSystem, tol: None = None,
+                      max_iter: None = None) -> EigenPair:
     """Smallest eigenpair of (K_bar, M) by inverse iteration.
 
     Starts from the all-ones vector (which overlaps strongly with the
     sign-definite fundamental mode), solves K_bar phi_new = M phi with CG,
     each sweep only as well as it needs (INNER_TOL), preconditioned by
     K_bar's ``sparse.choose_solver`` solver: its band factor where it fits
-    (1-2 iterations per solve), else a multigrid V-cycle.  After MIN_SWEEPS
-    sweeps it stops once consecutive eigenvalue estimates agree to ``tol``
-    relative.  The pair returned is the smaller Ritz pair of K_bar on
+    (1-2 iterations per solve), else a multigrid V-cycle.  Each sweep k
+    from MIN_SWEEPS - 1 on takes the smaller Ritz pair of K_bar on
     span{phi_k, phi_k - phi_(k-1)} (Parlett, *The Symmetric Eigenvalue
-    Problem*, ch. 11), whose error no longer follows the sweep count.
+    Problem*, ch. 11); the first k >= MIN_SWEEPS whose Ritz residual is at
+    least half of sweep k - 1's is at the roundoff floor, and its pair is
+    returned.  There is no tolerance: ``tol`` and ``max_iter`` must be None.
 
     Raises
     ------
     ValueError
-        If ``tol`` is not positive and finite, ``max_iter < MIN_SWEEPS``,
-        or both Robin coefficients are 0: that pure Neumann K_bar is
+        If both Robin coefficients are 0: that pure Neumann K_bar is
         singular, and inverse iteration needs it positive definite.
     ConvergenceError
-        If an inner solve fails or the estimate has not settled within
-        ``max_iter`` iterations; the partial history rides on the
-        exception.
+        If an inner solve fails, or the Ritz residual still falls after
+        MAX_SWEEPS sweeps; the partial history rides on the exception.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < MIN_SWEEPS:
-        raise ValueError(f"max_iter must be at least {MIN_SWEEPS}, got "
-                         f"{max_iter}")
+    if tol is not None or max_iter is not None:
+        raise TypeError("inverse_iteration takes no tol or max_iter")
     if sys.coeffs.mu_right_top == 0.0 == sys.coeffs.mu_left_bottom:
         raise ValueError("inverse iteration needs a positive definite K_bar, "
                          "and with mu_right_top = mu_left_bottom = 0 (pure "
                          "Neumann) it is singular")
     n = sys.n_nodes
     phi = np.ones(n) / m_norm(sys, np.ones(n))
+    rhs = sys.M @ phi
     history: list[float] = []
     warm: np.ndarray | None = None
     solver = choose_solver(sys.K_bar, sys.mesh)
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_SWEEPS + 1):
         inner = LOOSE_TOL if it <= 2 else min(LOOSE_TOL, max(
             INNER_TOL, TOL_FACTOR * abs(history[-1] - history[-2])
             / abs(history[-1])))
-        rhs = sys.M @ phi
         try:
             psi, _ = cg_solve(solver, rhs, inner, x0=warm)
         except ConvergenceError as err:
@@ -154,34 +153,45 @@ def inverse_iteration(sys: FemSystem, tol: float = 1e-13,
         history.append(lam)
         previous, phi = phi, psi / m_norm(sys, psi)
         warm = phi / lam
-        if it >= MIN_SWEEPS and abs(lam - history[-2]) <= tol * abs(lam):
-            break
+        rhs = sys.M @ phi
+        if it >= MIN_SWEEPS - 1:
+            residual, theta, u = _ritz(sys, phi, previous, rhs)
+            if it >= MIN_SWEEPS and residual >= last / 2:
+                break
+            last = residual
     else:
         raise ConvergenceError(
-            f"inverse iteration did not settle to {tol:g} in {max_iter} "
-            "iterations", history=history)
+            "inverse iteration's Ritz residual was still falling after "
+            f"{MAX_SWEEPS} sweeps", history=history)
 
-    # Rayleigh-Ritz on V = [phi, d]: d is phi - previous, M-orthogonalized
-    # against phi (two passes) and M-normalized, so V^T M V = I
-    d = phi - previous
-    if d.any():
-        Mphi = sys.M @ phi
-        for _ in range(2):
-            d -= (Mphi @ d) * phi
-        d /= m_norm(sys, d)
-        Kphi, Kd = sys.K_bar @ phi, sys.K_bar @ d
-        off = float(phi @ Kd)
-        thetas, vectors = np.linalg.eigh([[float(phi @ Kphi), off],
-                                          [off, float(d @ Kd)]])
-        lam, (a, b) = float(thetas[0]), vectors[:, 0]
-        phi = a * phi + b * d
-    if np.max(phi) <= 0.0:
-        phi = -phi
-    residual = float(np.linalg.norm(sys.K_bar @ phi - lam * (sys.M @ phi)))
-    c = sys.coeffs.c
-    return EigenPair(lambda1_bar=lam, lambda1=lam + c, phi1=phi,
+    if np.max(u) <= 0.0:
+        u = -u
+    residual = float(np.linalg.norm(sys.K_bar @ u - theta * (sys.M @ u)))
+    return EigenPair(lambda1_bar=theta, lambda1=theta + sys.coeffs.c, phi1=u,
                      residual=residual, iterations=len(history),
                      history=history)
+
+
+def _ritz(sys: FemSystem, phi: np.ndarray, previous: np.ndarray,
+          Mphi: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """(||K_bar u - theta M u||_2, theta, u), (theta, u) the smaller Ritz
+    pair of (K_bar, M) on span{phi, phi - previous}, phi M-unit."""
+    # basis rows V = [phi, d]: d is phi - previous, M-orthogonalized against
+    # phi (two passes) and M-normalized, so V M V^T = I; V = [phi] if d = 0
+    V, MV = [phi], [Mphi]
+    d = phi - previous
+    if d.any():
+        for _ in range(2):
+            d -= (Mphi @ d) * phi
+        Md = sys.M @ d
+        scale = _mass_norm(sys.M, d, Md)
+        V.append(d / scale)
+        MV.append(Md / scale)
+    V, MV = np.array(V), np.array(MV)
+    KV = np.array([sys.K_bar @ v for v in V])
+    thetas, vectors = np.linalg.eigh(V @ KV.T)
+    theta, y = float(thetas[0]), vectors[:, 0]
+    return float(np.linalg.norm(y @ KV - theta * (y @ MV))), theta, y @ V
 
 
 def _mirror_blocks(sys: FemSystem) -> list[sp.csc_matrix]:

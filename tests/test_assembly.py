@@ -157,6 +157,10 @@ def test_coefficient_validation():
         ProblemCoefficients(k_outer=-1.0)
     with pytest.raises(ValueError):
         ProblemCoefficients(mu_right_top=-0.5)
+    # c < 0 can make K indefinite (lambda1 < 0), where no scheme is stable
+    with pytest.raises(ValueError, match="^boundary coefficients and c must "
+                                         "be nonnegative$"):
+        ProblemCoefficients(c=-1000.0)
 
 
 @pytest.mark.parametrize("name", ["k_inner", "k_outer", "c", "mu_right_top",

@@ -1,6 +1,6 @@
 import pytest
 
-from fmes import cli, experiments
+from fmes import cli, experiments, spectral
 from fmes.cli import main
 from fmes.experiments import run_table1
 from fmes.sparse import ConvergenceError
@@ -151,13 +151,16 @@ def _assert_refused(outdir, capsys):
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps = 4 4\n",
     "[scheme.a]\nkind = theta_fmes\nsigma = 1\nsteps =\n",
     "[mesh]\nn_side = 6\n[coefficients]\nmu_right_top = 0\n",
+    "[eigen]\ntol = 1e-13\n",
+    "[eigen]\nmax_iter = 50\n",
+    "[mesh]\nn_side = 6\n[coefficients]\nc = -1000\n",
 ], ids=["bad_kind", "no_sigma", "pade07", "modal_too_large", "modal_l_above_m",
         "tiny_sigma", "sigma_below_half", "solver_section", "no_section",
         "eig_tol0", "eig_max_iter0", "missing_file", "T_nan", "T_inf",
         "c_inf", "k_outer_inf", "eig_tol_nan", "empty_grids",
         "same_grid_twice", "theta_with_l", "pade_with_sigma",
         "same_section_twice", "same_steps_twice", "empty_steps",
-        "pure_neumann"])
+        "pure_neumann", "eig_tol_key", "eig_max_iter_key", "c_negative"])
 def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
     config = tmp_path / "bad.ini"
     if text is not None:
@@ -167,29 +170,31 @@ def test_run_verb_bad_config_is_one_line_error(outdir, tmp_path, capsys, text):
 
 
 def test_run_verb_unconverged_eigensolve_is_one_line_error(outdir, tmp_path,
-                                                          capsys):
+                                                          capsys, monkeypatch):
+    # at sweep 10 the Ritz residual is still falling
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 10)
     config = tmp_path / "short.ini"
-    # 10 sweeps, but the estimate does not settle to 1e-16
-    config.write_text("[mesh]\nn_side = 6\n[eigen]\ntol = 1e-16\n"
-                      "max_iter = 10\n")
+    config.write_text("[mesh]\nn_side = 6\n")
     assert main(["run", "--config", str(config)]) == 1
     _assert_refused(outdir, capsys)
 
 
 def test_eigens_verb_unconverged_eigensolve_is_one_line_error(outdir,
-                                                             tmp_path, capsys):
-    # 10 sweeps fill the table, but the estimate does not settle to 1e-16
+                                                             tmp_path, capsys,
+                                                             monkeypatch):
+    # 10 sweeps fill the table, but the Ritz residual is still falling
+    monkeypatch.setattr(spectral, "MAX_SWEEPS", 10)
     config = tmp_path / "short.ini"
-    config.write_text("[eigen]\ngrids = 6 11\ntol = 1e-16\nmax_iter = 10\n")
+    config.write_text("[eigen]\ngrids = 6 11\n")
     assert main(["eigens", "--config", str(config)]) == 1
     _assert_refused(outdir, capsys)
 
 
 def _refuses_fewer_sweeps_than_the_table(verb, outdir, tmp_path, capsys,
                                          monkeypatch):
-    # every eigensolve takes the table's 10 sweeps, whether the estimate
-    # settles in fewer (to 1e-3 within 5) or not; refused before any
-    # eigensolve
+    # every eigensolve takes at least the table's 10 sweeps and chooses its
+    # own stop, so [eigen] has no tol or max_iter: a config that asks for
+    # fewer sweeps names an unknown key, refused before any eigensolve
     def eigensolve(*args, **kwargs):
         raise AssertionError("eigensolve before the refusal")
 

@@ -344,8 +344,6 @@ def test_config_rejects_unknown_names():
     (dict(T=float("nan")), "T must be positive"),
     (dict(T=float("inf")), "T must be positive"),
     (dict(reference_steps=0), "^reference_steps must be >= 1$"),
-    (dict(eig_tol=float("nan")), "finite tol"),
-    (dict(eig_tol=float("inf")), "finite tol"),
     (dict(eigen_grids=()), "at least one grid"),
     (dict(eigen_grids=(6, 11, 6)), "names a grid twice: 6 11 6"),
     (dict(schemes=(SchemeRequest("theta_fmes", sigma=1.0, steps=(4, 4)),)),
@@ -353,8 +351,7 @@ def test_config_rejects_unknown_names():
     (dict(schemes=(SchemeRequest("pade_fmes", l=0, m=1, steps=(4,)),
                    SchemeRequest("pade_fmes", l=0, m=1, steps=(2, 4)))),
      "pade_fmes l0m1 N=4 is requested twice"),
-], ids=["T_nan", "T_inf", "no_reference_steps", "tol_nan", "tol_inf",
-        "no_grids", "grid_twice", "steps_twice", "section_twice"])
+], ids=["T_nan", "T_inf", "no_reference_steps", "no_grids", "grid_twice", "steps_twice", "section_twice"])
 def test_config_refusals(overrides, match):
     with pytest.raises(ValueError, match=match):
         ExperimentConfig(**overrides)

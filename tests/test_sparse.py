@@ -596,6 +596,32 @@ def test_a_tiny_rhs_is_solved_at_unit_scale(sys28, z):
             assert report_tiny == report_up
 
 
+@pytest.mark.parametrize("z, w", [(-1.0, 1.0), (-1.0 + 1.0j, 1.0 - 0.5j)])
+def test_a_huge_rhs_is_solved_at_unit_scale(sys28, z, w):
+    # ||b|| was taken by np.linalg.norm before b was scaled, which warned
+    # "overflow encountered in dot" (an error under filterwarnings = error)
+    A = 0.01 * sys28.K - z * sys28.M
+    b = w * (sys28.M @ np.ones(sys28.n_nodes))
+    huge = 1e200 * b
+    band = BandedSolver(A)
+    mg = Multigrid(A, sys28.mesh.n_side)
+    for solve in (lambda b: band.solve(b, OUTER_TOL),
+                  lambda b: cg_solve(mg, b, OUTER_TOL)):
+        x, report = solve(b)
+        x_huge, report_huge = solve(huge)
+        assert report_huge.iterations == report.iterations
+        assert np.abs(x_huge / 1e200 - x).max() <= 1e-12 * np.abs(x).max()
+
+
+@pytest.mark.parametrize("n", [1, 7, 676, 10201])
+def test_range_norm_keeps_the_bits_of_numpys(rng, n):
+    # the range rule's norm changes no in-range solve
+    v = rng.standard_normal(n)
+    z = v + 1j * rng.standard_normal(n)
+    for u in (v, 1e-100 * v, z, 1e100 * z):
+        assert sparse._norm(u) == float(np.linalg.norm(u))
+
+
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_a_non_finite_rhs_is_refused(sys28, z, bad):
