@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh, triangle_areas
-from .sparse import _in_range, _scaled
+from .sparse import _dia_sum, _in_range, _scaled
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -61,7 +61,8 @@ class FemSystem:
 
     M is the mass matrix, K_bar the stiffness of the diffusion + boundary
     terms, and K = K_bar + c M the full operator matrix.  All three are
-    symmetric DIA matrices, converted once after all CSR sums.
+    symmetric DIA matrices, summed into the diagonals element by element
+    (``sparse._dia_sum``; K_bar has 5), the Robin edges' sum by a DIA add.
     """
 
     mesh: Mesh | None
@@ -75,17 +76,6 @@ class FemSystem:
         return self.M.shape[0]
 
 
-def _scatter(conn: np.ndarray, n: int, *blocks) -> list[sp.csr_matrix]:
-    """Sum each array of local (E, k, k) blocks on connectivity (E, k) into
-    an n x n CSR matrix (COO indices built once for all).  No scatter into
-    the diagonals keeps CSR's order of sums, so ``assemble`` converts after."""
-    k = conn.shape[1]
-    rows = np.repeat(conn, k, axis=1).ravel()
-    cols = np.tile(conn, k).ravel()
-    return [sp.coo_matrix((b.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-            for b in blocks]
-
-
 def assemble(mesh: Mesh,
              coeffs: ProblemCoefficients | None = None) -> FemSystem:
     """Assemble mass and stiffness matrices on a mesh."""
@@ -94,9 +84,12 @@ def assemble(mesh: Mesh,
 
     n = mesh.n_nodes
     tri = mesh.triangles
+    rows, cols = tri[:, :, None], tri[:, None, :]
     pts = mesh.nodes[tri]                      # (T, 3, 2)
     areas = triangle_areas(mesh)               # (T,)
     centroids = pts.mean(axis=1)               # (T, 2)
+    # each (T, 3, 3) array of element blocks lives only through its own sum
+    M = _dia_sum(rows, cols, areas[:, None, None] * ELEMENT_MASS, (n, n))
 
     k_elem = coeffs.diffusivity_at(centroids[:, 0], centroids[:, 1])
 
@@ -105,11 +98,8 @@ def assemble(mesh: Mesh,
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
     inv4a = k_elem / (4.0 * areas)
-    ke = inv4a[:, None, None] * (b[:, :, None] * b[:, None, :]
-                                 + c[:, :, None] * c[:, None, :])
-    me = areas[:, None, None] * ELEMENT_MASS[None, :, :]
-
-    M, K_bar = _scatter(tri, n, me, ke)
+    K_bar = _dia_sum(rows, cols, inv4a[:, None, None] * (
+        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]), (n, n))
 
     # Robin term: exact edge-mass integration, each side contributing its own mu
     mu = {"left": coeffs.mu_left_bottom, "bottom": coeffs.mu_left_bottom,
@@ -121,10 +111,9 @@ def assemble(mesh: Mesh,
         p = mesh.nodes[edges]
         length = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
         blocks = (mu_edge * length)[:, None, None] * EDGE_MASS
-        K_bar = K_bar + _scatter(edges, n, blocks)[0]
+        K_bar = K_bar + _dia_sum(edges[:, :, None], edges[:, None, :],
+                                 blocks, (n, n))
 
-    # after the Robin add, which drops K_bar's zero +-(n_side + 1) diagonals
-    M, K_bar = M.todia(), K_bar.todia()
     return FemSystem(mesh, M, K_bar, K_bar + coeffs.c * M, coeffs)
 
 

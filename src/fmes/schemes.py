@@ -306,8 +306,12 @@ class _RationalStepper:
 
 class _ModalStepper:
     """Apply exp(-lambda1 tau) R_lm((lambda_k - lambda1) tau) mode by mode,
-    with the multipliers of each mirror block made once.  A modal stepper
-    follows one trajectory of ``n_steps`` steps, computed MODAL_CHUNK states
+    with the multipliers of each mirror block made once.  As for every FMES
+    kind, ``lambda1`` is the basis's fundamental eigenvalue: the run's,
+    which sits up to 1e-12 relative off ``eigh``'s, so the fundamental
+    multiplier (the first of the block whose first eigenvalue is smallest)
+    is exp(-lambda1 tau) R(0) = exp(-lambda1 tau).  A modal stepper follows
+    one trajectory of ``n_steps`` steps, computed MODAL_CHUNK states
     ahead (chunk x n x 8 bytes): per block, C_b = [f c, f^2 c, ...] by
     repeated products c <- f c, then Q_b (W_b C_b), one dense product that
     reads W_b once per chunk.  Entries of C_b below the smallest normal
@@ -322,6 +326,8 @@ class _ModalStepper:
         scale = math.exp(-lambda1 * tau)
         self.multipliers = [scale * pade_rational(l, m, (lam - lambda1) * tau)
                             for _, lam, _ in basis.blocks]
+        first = np.argmin([lam[0] for _, lam, _ in basis.blocks])
+        self.multipliers[first][0] = scale
         self.basis, self.remaining = basis, n_steps
         self.states, self.coords, self.next = None, None, 0
 

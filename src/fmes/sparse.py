@@ -6,10 +6,12 @@ part) one solver object: a ``BandedSolver`` (one LAPACK band factor) when
 it fits in DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A)
 on A's structured mesh.  Every solver is a preconditioner
 ``solver(r) -> ~A^-1 r`` that carries ``solver.operator``, A in DIA
-storage (``sp.dia_matrix`` shares an assembled matrix's arrays), and a
-solve is ``cg_solve(solver, b, tol)``.  A ``BandedSolver`` also solves by
-itself: ``solver.solve(b, tol)`` is one substitution with its true
-residual checked, relative to ||b|| or, failing that, as a normwise
+storage, and a solve is ``cg_solve(solver, b, tol)``.  fmes puts entries
+into DIA storage one way, ``_dia_sum``'s sum into the diagonals (the
+assembled matrices, each Galerkin level); ``sp.dia_matrix`` shares their
+arrays, and converts a matrix from elsewhere.  A ``BandedSolver`` also
+solves by itself: ``solver.solve(b, tol)`` is one substitution with its
+true residual checked, relative to ||b|| or, failing that, as a normwise
 backward error.
 
 CG stops on its recurrence residual and runs in float64, also around the
@@ -357,21 +359,22 @@ def _transfers(n_side: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return transfers
 
 
-def _galerkin_dia(A: sp.spmatrix) -> sp.dia_matrix:
-    """A, which holds no duplicate entries (a sparse product), in DIA
-    storage with ascending offsets, as ``A.todia()`` stores it: each entry
-    is scattered to its diagonal's row, which a count of the offsets gives,
-    where ``todia`` sorts the entries first (1.5 ms instead of 5.6 ms at
-    level 0 of n_side 201).  The offsets' order is the order in which a DIA
-    product sums a row."""
-    A = A.tocoo()
-    n_rows, n_cols = A.shape
-    k = A.col - A.row + (n_rows - 1)          # offset + n_rows - 1 >= 0
-    present = np.bincount(k, minlength=n_rows + n_cols - 1) > 0
-    data = np.zeros((np.count_nonzero(present), n_cols), dtype=A.dtype)
-    data[(np.cumsum(present) - 1)[k], A.col] = A.data
-    return sp.dia_matrix((data, np.flatnonzero(present) - (n_rows - 1)),
-                         shape=A.shape)
+def _dia_sum(rows, cols, vals, shape) -> sp.dia_matrix:
+    """The real matrix of ``shape`` whose entry (i, j) sums the ``vals`` at
+    rows == i, cols == j (arrays that broadcast together), stored by
+    diagonals with ascending offsets, the order in which a DIA product sums
+    a row.  A count of the offsets finds the diagonals, ``np.bincount``
+    adds duplicates in the broadcast's C order, and a diagonal whose
+    entries are all zero is not stored."""
+    n_rows, n_cols = shape
+    k = cols - rows + (n_rows - 1)            # offset + n_rows - 1 >= 0
+    present = np.bincount(k.ravel(), minlength=n_rows + n_cols - 1) > 0
+    index = ((np.cumsum(present) - 1)[k] * n_cols + cols).ravel()
+    data = np.bincount(index, np.broadcast_to(vals, k.shape).ravel(),
+                       np.count_nonzero(present) * n_cols).reshape(-1, n_cols)
+    keep = data.any(axis=1)
+    return sp.dia_matrix((data[keep], np.flatnonzero(present)[keep]
+                          - (n_rows - 1)), shape=shape)
 
 
 # Meshes with more nodes per side than this are coarsened; the coarsest
@@ -387,7 +390,7 @@ class Multigrid:
     Levels coarsen the mesh to ceil(n_side / 2) nodes per side by
     ``prolongation`` (built once per n_side, ``_transfers``) while n_side >
     COARSEST_N_SIDE, with Galerkin coarse operators P^T A P (stored by
-    ``_galerkin_dia``) and a banded Cholesky factor on the coarsest (the
+    ``_dia_sum``) and a banded Cholesky factor on the coarsest (the
     only part on a mesh that does not coarsen).  Galerkin operators stay
     SPD, so the V-cycle is a valid CG preconditioner on non-nested levels
     too (Bramble, Pasciak & Xu, Math. Comp. 56, 1991); there they have
@@ -424,7 +427,8 @@ class Multigrid:
             P, R = _transfers(n_side)
             self.levels.append(tuple(a.astype(dtype, copy=False)
                                      for a in (A, 0.8 / A.diagonal(), P, R)))
-            A = _galerkin_dia(P.T @ A.tocsr() @ P)
+            G = (P.T @ A.tocsr() @ P).tocoo()
+            A = _dia_sum(G.row, G.col, G.data, G.shape)
             n_side = (n_side + 1) // 2
         self.coarsest = BandedSolver(A)
         self.dtype = np.dtype(dtype)

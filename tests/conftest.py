@@ -59,20 +59,22 @@ def pair26(sys26):
 
 @pytest.fixture
 def todia_calls(monkeypatch):
-    """The dtype of every matrix converted to DIA while the test runs: each
-    format's ``todia`` goes through COO's, a Galerkin level through
-    ``sparse._galerkin_dia``, and a DIA matrix converts none."""
+    """The dtype of every matrix put into DIA storage while the test runs:
+    by ``sparse._dia_sum`` (each Galerkin level) or by a format's ``todia``,
+    which goes through COO's; a DIA matrix is put there by neither."""
     calls = []
-    todia, galerkin_dia = sp.coo_matrix.todia, sparse._galerkin_dia
+    todia, dia_sum = sp.coo_matrix.todia, sparse._dia_sum
 
-    def counting(convert):
-        def wrapper(A, *args, **kwargs):
-            calls.append(A.dtype)
-            return convert(A, *args, **kwargs)
+    def counting(convert, dtype):
+        def wrapper(*args, **kwargs):
+            calls.append(dtype(*args))
+            return convert(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(sp.coo_matrix, "todia", counting(todia))
-    monkeypatch.setattr(sparse, "_galerkin_dia", counting(galerkin_dia))
+    monkeypatch.setattr(sp.coo_matrix, "todia",
+                        counting(todia, lambda A, *_: A.dtype))
+    monkeypatch.setattr(sparse, "_dia_sum", counting(
+        dia_sum, lambda rows, cols, vals, shape: np.result_type(vals)))
     return calls
 
 

@@ -18,29 +18,41 @@ UNIT_COEFFS = ProblemCoefficients(k_inner=1.0, k_outer=1.0, mu_right_top=0.0)
     ids=["robin", "no_robin", "reaction"])
 def test_system_matrices_are_the_csr_sums_by_diagonals(monkeypatch, n_side,
                                                       coeffs):
-    # M and K_bar are converted once, after the CSR sums and the Robin add,
-    # and K = K_bar + c M is formed by diagonals from them
-    sums = []
-    scatter = assembly._scatter
+    # M and K_bar are summed straight into their diagonals, element by
+    # element, and K = K_bar + c M is formed by diagonals from them.  The
+    # reference is scipy's COO -> CSR sum of the same terms (and the CSR add
+    # of the Robin term), which sums each entry in another order: any order
+    # of t terms is off the exact sum by at most gamma_(t-1) sum|terms|
+    # (Higham, 2nd ed., §4.2), so two orders differ by at most twice that
+    terms = []
+    dia_sum = assembly._dia_sum
 
-    def recording(conn, n, *blocks):
-        out = scatter(conn, n, *blocks)
-        sums.extend(out)
-        return out
+    def recording(rows, cols, vals, shape):
+        rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+        terms.append(sp.coo_matrix((vals.ravel(), (rows.ravel(),
+                                                   cols.ravel())), shape))
+        return dia_sum(rows, cols, vals, shape)
 
-    monkeypatch.setattr(assembly, "_scatter", recording)
+    monkeypatch.setattr(assembly, "_dia_sum", recording)
     sys = assemble(build_mesh(n_side), coeffs)
-    M, K_bar, *robin = sums
+    M, K_bar, *robin = terms
     assert len(robin) == (coeffs.mu_right_top != 0.0)
-    if robin:
-        K_bar = K_bar + robin[0]
-    for stored, csr in ((sys.M, M), (sys.K_bar, K_bar)):
+    u = np.finfo(float).eps / 2
+    for stored, parts in ((sys.M, [M]), (sys.K_bar, [K_bar] + robin)):
         assert stored.format == "dia"
-        expected = sp.dia_matrix(csr)
-        assert np.array_equal(stored.offsets, expected.offsets)
-        assert stored.data.tobytes() == expected.data.tobytes()
+        csr = sum(part.tocsr() for part in parts)
+        csr.eliminate_zeros()
+        # the diagonals that hold a nonzero: K_bar's 5, M's 7
+        assert np.array_equal(stored.offsets, sp.dia_matrix(csr).offsets)
+        count = sum(sp.coo_matrix((np.ones(part.nnz), (part.row, part.col)),
+                                  part.shape).toarray() for part in parts)
+        abs_sum = sum(abs(part).toarray() for part in parts)
+        gamma = (count - 1) * u / (1 - (count - 1) * u)
+        assert np.all(np.abs(stored.toarray() - csr.toarray())
+                      <= 2 * gamma * abs_sum)
     assert sys.K.format == "dia"
-    assert np.array_equal(sys.K.toarray(), (K_bar + coeffs.c * M).toarray())
+    assert np.array_equal(sys.K.toarray(),
+                          sys.K_bar.toarray() + coeffs.c * sys.M.toarray())
 
 
 def test_mass_sums_to_domain_area(sys26):

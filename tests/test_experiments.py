@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fmes import experiments, m_norm
+from fmes import assemble, build_mesh, experiments, inverse_iteration, m_norm
+from fmes.assembly import ProblemCoefficients
 from fmes.config import default_config_text, load_config, parse_config
 from fmes.experiments import (ExperimentConfig, SchemeRequest, epsilon_u,
                               initial_state, make_reference, run_experiment,
@@ -125,6 +126,50 @@ def test_reference_norm_decays_monotonically(sys6):
     spec = SchemeSpec("theta_standard", tau=0.1 / 50, n_steps=50, sigma=1.0)
     traj = run_scheme(spec, sys6, w0)
     assert np.all(np.diff(traj.m_norms) < 0)
+
+
+@pytest.mark.parametrize("mu, T", [(10.0, 0.1), (0.01, 1e4)],
+                         ids=["defaults", "weak"])
+def test_reference_fundamental_amplitude_has_a_closed_form(mu, T):
+    # The reference's fundamental amplitude a_k = phi1^T M y_k is
+    # a_0 rho^k, rho = 1 / (1 + lambda1 tau), up to the eigenpair's and
+    # the solves' residuals: with K phi1 = lambda1 M phi1 + r and
+    # (M + tau K) y_k = M y_(k-1) + s_k, exactly
+    # a_k = rho (a_(k-1) + phi1^T s_k - tau r^T y_k).  r and s_k are formed
+    # in long double, adding gamma_10 (u_ld) of their terms' absolute sums;
+    # a_k's own product adds gamma_8 |phi1|^T |M| |y_k| (rho^k that of a_0),
+    # and the closed form's rounding (2k + 3) u of itself.  Measured: 5e-14
+    # relative on the default run, 6.5e-9 after the weakly damped run's
+    # 1,000 steps of tau 10 (lambda1 tau = 0.2).
+    config = ExperimentConfig()
+    n = config.reference_steps
+    sys = assemble(build_mesh(config.n_side),
+                   ProblemCoefficients(mu_right_top=mu))
+    pair = inverse_iteration(sys)
+    lam1, tau, phi = pair.lambda1, T / n, pair.phi1
+    ref = make_reference(sys, initial_state(sys), T, n, (n,))  # every level
+    u, u_ld = np.finfo(float).eps / 2, np.finfo(np.longdouble).eps / 2
+    M, K = sys.M.astype(np.longdouble), sys.K.astype(np.longdouble)
+    z = phi.astype(np.longdouble)
+    r = (np.abs(K @ z - lam1 * (M @ z))
+         + 10 * u_ld * (abs(K) @ np.abs(z) + lam1 * (abs(M) @ np.abs(z))))
+    rho = 1.0 / (1.0 + lam1 * tau)
+
+    def rounding(y):
+        return 8 * u * (np.abs(phi) @ (abs(sys.M) @ np.abs(y)))
+
+    a0, residuals = phi @ (sys.M @ ref.vector_at(0)), 0.0
+    for k in range(1, n + 1):
+        y, prev = (ref.vector_at(j).astype(np.longdouble) for j in (k, k - 1))
+        s = (np.abs(M @ y + tau * (K @ y) - M @ prev)
+             + 10 * u_ld * (abs(M) @ np.abs(y) + tau * (abs(K) @ np.abs(y))
+                            + abs(M) @ np.abs(prev)))
+        residuals = rho * (residuals + np.abs(z) @ s + tau * (r @ np.abs(y)))
+        closed = a0 * (1.0 + lam1 * tau) ** -k
+        bound = (float(residuals) + rounding(ref.vector_at(k))
+                 + rho ** k * rounding(ref.vector_at(0))
+                 + (2 * k + 3) * u * abs(closed))
+        assert abs(phi @ (sys.M @ ref.vector_at(k)) - closed) <= bound
 
 
 def test_initial_state_is_all_ones(sys6):

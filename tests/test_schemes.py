@@ -297,8 +297,11 @@ def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
                       lambda1=lam1)
     w0 = _generic_state(sys11, rng)
     traj = run_scheme(spec, sys11, w0, basis=basis11)
+    # lambda1 is the basis's fundamental eigenvalue: its multiplier is
+    # exp(-lambda1 tau) R(0), whatever eigh's first eigenvalue reads
     scale = math.exp(-lam1 * tau)
     f = scale * pade_rational(l, m, (basis11.eigenvalues - lam1) * tau)
+    f[0] = scale
     V = basis11.eigenvectors
     c0 = V.T @ (sys11.M @ w0)
     for level in range(n_steps + 1):
@@ -311,6 +314,8 @@ def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
     chunk = 0
     for Q, lam, W in basis11.blocks:
         f = scale * pade_rational(l, m, (lam - lam1) * tau)
+        if lam[0] == basis11.eigenvalues[0]:
+            f[0] = scale
         c = W.T @ (Q.T @ (sys11.M @ w0))
         C = np.empty((c.size, k))
         for j in range(k):
@@ -318,6 +323,57 @@ def test_modal_trajectory_matches_the_closed_form(sys11, pair11, basis11,
         chunk = chunk + Q @ (W @ C)
     for level in range(1, k + 1):
         assert np.array_equal(traj.vector_at(level), chunk[:, level - 1])
+
+
+def _modal_decay_bound(sys, basis, h, w0, lam1, tau):
+    """level n -> a first-order bound on |h^T M y_n - exp(-lambda1 tau n)
+    h^T M w0| for the state y_n of a pade_modal trajectory from w0 whose
+    multipliers f lie in [0, exp(-lambda1 tau)], the fundamental one.  With
+    g and c the modal coordinates of h and w0, h^T M y_n is g^T (f^n c) up
+    to rounding, so the defect is exp(-lambda1 tau n) times at most:
+
+    * (n (eta + 3) + 2 eta n + 3) u |g_1 c_1|, eta = lambda1 tau: the
+      multiplier's exp, the n products that carry it, the closed form's exp;
+    * sum_(j > 1) |g_j c_j|: h's content of the other modes, which decay at
+      their own rates (|f_j^n - f_1^n| <= f_1^n);
+    * |g^T c - h^T M w0|: the basis's round trip, as computed;
+    * gamma_(2 n_nodes) |h|^T |M| sum_b |Q_b| |W_b| |c_b|: the rounding of
+      synthesis and products, none of which sums more than 2 n_nodes terms.
+    """
+    u, n, M = np.finfo(float).eps / 2, sys.n_nodes, sys.M
+    g, c = (basis.coordinates(M @ v) for v in (h, w0))
+    first = np.argmin([lam[0] for _, lam, _ in basis.blocks])
+    fundamental = abs(g[first][0] * c[first][0])
+    others = sum(np.abs(gb) @ np.abs(cb) for gb, cb in zip(g, c)) - fundamental
+    round_trip = abs(sum(gb @ cb for gb, cb in zip(g, c)) - h @ (M @ w0))
+    products = np.abs(h) @ (abs(M) @ sum(
+        abs(Q) @ (np.abs(W) @ np.abs(cb))
+        for (Q, _, W), cb in zip(basis.blocks, c)))
+    eta, gamma = lam1 * tau, 2 * n * u / (1 - 2 * n * u)
+    return lambda level: math.exp(-eta * level) * (
+        (level * (eta + 3) + 2 * eta * level + 3) * u * fundamental + others
+        + round_trip + gamma * products)
+
+
+@pytest.mark.parametrize("l, m", [(0, 2), (2, 2)])
+def test_modal_fundamental_coordinate_decays_exactly(sys11, pair11, basis11,
+                                                     l, m):
+    # lambda1, the run's eigenvalue, is the basis's fundamental one: started
+    # on the basis's fundamental mode v, the coordinate (v, y_n)_M decays by
+    # exp(-lambda1 tau) per step.  eigh's first eigenvalue sits 2.1e-13
+    # relative off lambda1, which put the coordinate 9.7e-13 relative off
+    # after 200 steps, against a bound of 1e-13.
+    lam1, tau, n_steps = pair11.lambda1, 0.005, 200
+    (Q, lam, W), *_ = basis11.blocks
+    assert lam[0] == basis11.eigenvalues[0]
+    v = Q @ W[:, 0]
+    spec = SchemeSpec("pade_modal", tau=tau, n_steps=n_steps, l=l, m=m,
+                      lambda1=lam1)
+    traj = run_scheme(spec, sys11, v, basis=basis11, phi1=v)
+    bound = _modal_decay_bound(sys11, basis11, v, v, lam1, tau)
+    for level, a in enumerate(traj.amplitudes):
+        assert (abs(a - math.exp(-lam1 * tau * level) * traj.amplitudes[0])
+                <= bound(level))
 
 
 def test_modal_coordinates_below_the_normal_range_are_flushed(
@@ -844,6 +900,10 @@ def test_run_scheme_modal_path(sys6, basis6, pair6):
     w0 = np.ones(sys6.n_nodes)
     traj = run_scheme(spec, sys6, w0, basis=basis6, phi1=pair6.phi1)
     decay = traj.amplitudes[0] * np.exp(-pair6.lambda1 * traj.times)
-    # phi1 from inverse iteration carries ~1e-8 of other modes, which sets
-    # the floor when measured against the dense basis
-    assert np.abs(traj.amplitudes - decay).max() < 1e-8
+    # the fundamental multiplier is exp(-lambda1 tau), so only phi1's
+    # content of other modes and rounding part the amplitudes from the
+    # exponential (6e-16 here, against a bound of 2e-14)
+    bound = _modal_decay_bound(sys6, basis6, pair6.phi1, w0, pair6.lambda1,
+                               T / N)
+    assert np.all(np.abs(traj.amplitudes - decay)
+                  <= [bound(level) for level in range(N + 1)])
