@@ -120,11 +120,12 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 # error metrics
 # ---------------------------------------------------------------------------
 
-def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix) -> float:
-    """Relative solution error ||y^n - ref^n||_M / ||y^n||_M."""
+def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix,
+              y_norm: float | None = None) -> float:
+    """Relative error ||y^n - ref^n||_M / ||y^n||_M; y_norm is ||y^n||_M."""
     y_n = np.asarray(y_n, dtype=float)
     diff = y_n - np.asarray(reference_n, dtype=float)
-    den = _mass_norm(M, y_n)
+    den = _mass_norm(M, y_n) if y_norm is None else y_norm
     if den == 0.0:
         raise ValueError("relative error undefined: ||y^n||_M is zero")
     return _mass_norm(M, diff) / den
@@ -287,8 +288,8 @@ def run_experiment(config: ExperimentConfig,
             stride = config.reference_steps // n_steps
             try:
                 eps_u = np.array([
-                    epsilon_u(traj.vector_at(n),
-                              reference.vector_at(n * stride), sys.M)
+                    epsilon_u(traj.vector_at(n), reference.vector_at(
+                        n * stride), sys.M, traj.m_norms[n])
                     for n in range(n_steps + 1)])
             except ValueError as err:       # a state that is exactly zero
                 runs.append(RunResult(req.kind, req.params_label(), n_steps,

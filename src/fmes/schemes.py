@@ -46,8 +46,8 @@ from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
-# Relative residual every stepper solve must reach (divided by 1 + |c0|,
-# see _RationalStepper); read when a stepper is made.
+# Tolerance of every stepper solve (divided by 1 + |c0|, see
+# _RationalStepper); read when a stepper is made.
 OUTER_TOL = 1e-10
 # Solutions a multigrid pole keeps to project its next start onto
 # (_Projection), and the relative cut-off of the projection's singular
@@ -268,15 +268,12 @@ class _RationalStepper:
 
     Each pole is ``(s r, w, solving)``, and ``solving.solve(b, tol)``
     solves its system with ``sparse.choose_solver``'s solver.  A
-    ``BandedSolver`` is ``solving`` itself: it factors on the first step
-    (so a failure still names level 1), and every step checks the true
-    residual.  A ``Multigrid``, with float32 levels, is the ``solver`` of
-    a ``_Projection``, which runs float64 CG preconditioned by it, each
-    solve started from the projection onto the system's last solutions:
-    at n_side 201, 82-86 CG iterations per 10-step theta trajectory
-    instead of 99-104 from the pole term's large-z limit (s r / -z) y.  So
-    a stepper follows one trajectory: every step adds its solutions to the
-    projections.
+    ``BandedSolver`` is ``solving`` itself: it factors, and certifies a real
+    factor, on the first step, so a failure still names level 1.  A
+    ``Multigrid``, with float32 levels, is the ``solver`` of a
+    ``_Projection``: float64 CG preconditioned by it, each solve started
+    from the projection onto the system's last solutions (README.md), so
+    a stepper follows one trajectory.
     ``step`` reuses M y when the caller has it (``run_scheme`` does).
     """
 

@@ -6,18 +6,14 @@ part) one solver object: a ``BandedSolver`` (one LAPACK band factor) when
 it fits in DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A)
 on A's structured mesh.  Every solver is a preconditioner
 ``solver(r) -> ~A^-1 r`` that carries ``solver.operator``, A in DIA
-storage, and a solve is ``cg_solve(solver, b, tol)``.  fmes puts entries
-into DIA storage one way, ``_dia_sum``'s sum into the diagonals (the
-assembled matrices, each Galerkin level); ``sp.dia_matrix`` shares their
-arrays, and converts a matrix from elsewhere.  A ``BandedSolver`` also
-solves by itself: ``solver.solve(b, tol)`` is one substitution with its
-true residual checked, relative to ||b|| or, failing that, as a normwise
-backward error.
+storage (``_dia_sum``'s sum into the diagonals, or ``sp.dia_matrix``'s
+conversion), and a solve is ``cg_solve(solver, b, tol)``.  A
+``BandedSolver`` also solves by itself: ``solver.solve(b, tol)`` is one
+substitution, certified once per real factor by a backward error bound.
 
-CG stops on its recurrence residual and runs in float64, also around the
-float32 levels of every ``Multigrid`` that ``choose_solver`` builds; a
-complex A is solved by conjugate orthogonal CG.  All paths are
-deterministic, so runs are bit-reproducible.
+CG stops on its recurrence residual and runs in float64, also around
+float32 V-cycle levels; a complex A is solved by conjugate orthogonal CG.
+All paths are deterministic, so runs are bit-reproducible.
 
 One range rule serves every solve and mass norm: a v whose norm lies
 outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with max|2^e v| in
@@ -47,10 +43,10 @@ DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 # most about 20 iterations, so the cap only stops a stagnating solve.
 CG_MAX_ITER = 1000
 # The range rule's norms.  CG's reductions r^T z and p^T A p fall with
-# tol^2 ||b||^2 (times the scale of A^-1), the band check's ||A x - b||^2
-# with eps^2 ||b||^2: from ||b|| = 2^-256 and tol = 2^-53 they end near
-# 2^-618, 2^404 above the smallest normal float (2^-1022).  ||b|| <= 2^256
-# keeps ||b||^2 and the first r^T z 2^512 below overflow (2^1024).
+# tol^2 ||b||^2 (times the scale of A^-1), the complex band check's
+# ||A x - b||^2 with eps^2 ||b||^2: from ||b|| = 2^-256 and tol = 2^-53
+# they end near 2^-618, 2^404 above the smallest normal float (2^-1022).
+# ||b|| <= 2^256 keeps ||b||^2 and the first r^T z 2^512 below overflow.
 _RANGE = (2.0 ** -256, 2.0 ** 256)
 
 
@@ -71,12 +67,13 @@ def _scaled(v, e: int | None = None):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """How a solve ended: a returned report was accepted (its relative
-    residual met the tolerance, or for ``BandedSolver.solve`` its normwise
-    backward error did), the report of a ConvergenceError was not."""
+    """How a solve ended: a returned report was accepted, the report of a
+    ConvergenceError was not.  A real ``BandedSolver`` measures no
+    residual: its ``backward_bound`` certifies the solve instead."""
 
     iterations: int
-    relative_residual: float
+    relative_residual: float | None
+    backward_bound: float | None = None
 
 
 class ConvergenceError(RuntimeError):
@@ -131,32 +128,20 @@ def _solve_in_range(solve, b: np.ndarray, tol: float, *x0):
 def cg_solve(solver, rhs: np.ndarray, tol: float, *,
              x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Solve A x = rhs by CG preconditioned with ``solver``, for
-    A = ``solver.operator``.
+    A = ``solver.operator``; return (x, SolveReport).
 
-    A real A must be positive definite.  A complex A must be symmetric
-    (A^T = A) with a positive definite Hermitian part; it is solved by
-    conjugate orthogonal CG, the same loop with the unconjugated bilinear
-    form r^T z.
-
-    Parameters
-    ----------
-    solver : a ``choose_solver`` solver, or any callable r -> z, an SPD
-        approximation of A^-1, that carries ``operator``, the square matrix
-        A.  Each iteration tests the residual before preconditioning it, so
-        a converged solve calls ``solver`` once per iteration.
-    rhs : right-hand side vector; one whose norm lies outside _RANGE,
-        [2^-256, 2^256], is solved scaled by a power of 2 into it (the
-        module's range rule), exactly
-    tol : relative tolerance on the CG recurrence residual; the true
-        residual ||A x - rhs|| / ||rhs|| is never computed and can be
-        larger (README.md, numerical notes)
-    x0 : optional warm start; it costs one product A x0, and is dropped
-        for a zero start when ||rhs - A x0|| > ||rhs||, so a poor guess
-        takes the iterations of none
-
-    Returns
-    -------
-    (solution, SolveReport)
+    A real A must be positive definite.  A complex A must be symmetric,
+    A^T = A, with a positive definite Hermitian part; it is solved by
+    conjugate orthogonal CG, the loop with the unconjugated form r^T z.
+    ``solver`` is a ``choose_solver`` solver, or any callable r -> z, an
+    SPD approximation of A^-1, that carries ``operator``, the square matrix
+    A; a converged solve calls it once per iteration, after the residual
+    test.  rhs is solved by the module's range rule.  ``tol`` bounds the
+    relative CG recurrence residual; the true residual ||A x - rhs|| /
+    ||rhs|| is never computed and can be larger (README.md, numerical
+    notes).  A warm start ``x0`` costs one product A x0, and is dropped for
+    a zero start when ||rhs - A x0|| > ||rhs||, so a poor guess takes the
+    iterations of none.
 
     Raises
     ------
@@ -238,7 +223,7 @@ class BandedSolver:
     (LAPACK zgbtrf), (3u + 1) n complex numbers; its Hermitian part Re(A) is
     Cholesky-factored once as well, only to prove it positive definite.  The
     factorization runs on first use.  ``solver(r)`` is the bare substitution
-    A^-1 r, a CG preconditioner; ``solve`` also checks its true residual.
+    A^-1 r, a CG preconditioner; ``solve`` also accepts or refuses it.
     """
 
     def __init__(self, A):
@@ -248,7 +233,10 @@ class BandedSolver:
         self.is_complex = np.iscomplexobj(self.operator)
         self.nbytes = ((3 * u + 1) * n * 16 if self.is_complex
                        else (u + 1) * n * 8)
-        self._factor = None
+
+    @functools.cached_property
+    def _factor(self):
+        return self._factorize()
 
     def _factorize(self):
         u, n = self.bandwidth, self.operator.shape[0]
@@ -278,8 +266,6 @@ class BandedSolver:
         a real factor takes a complex rhs's real and imaginary parts apart."""
         if not self.is_complex and rhs.dtype.kind == "c":
             return self(rhs.real) + 1j * self(rhs.imag)
-        if self._factor is None:
-            self._factor = self._factorize()
         if self.is_complex:
             lu, ipiv = self._factor
             u = self.bandwidth
@@ -291,13 +277,15 @@ class BandedSolver:
         return x
 
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
-        """Solve A x = rhs (an rhs whose norm lies outside _RANGE, [2^-256,
-        2^256], exactly scaled into it by a power of 2, the module's range
-        rule), accepted when ||A x - rhs|| <= tol ||rhs|| or else when the
-        normwise backward error ||A x - rhs|| / (||A||_inf ||x|| + ||rhs||)
-        is at most ``tol`` (||A||_inf bounds ||A||_2 for a symmetric A;
-        Higham, 2nd ed., §7.1); raise ConvergenceError if not, or if rhs is
-        not finite."""
+        """Solve A x = rhs by the module's range rule, or raise
+        ConvergenceError: if rhs or x is not finite, if a real A's
+        ``certificate`` exceeds ``tol``, or if a complex A's relative
+        residual ||A x - rhs|| / ||rhs|| and normwise backward error
+        ||A x - rhs|| / (||A||_inf ||x|| + ||rhs||) both exceed ``tol``
+        (||A||_inf bounds ||A||_2 for a symmetric A; Higham, 2nd ed.,
+        §7.1).  zgbtrf's analogue of ``certificate``, gamma_(3n) |L||U|
+        (Thm 9.4), needs |L| 1 from its interleaved row swaps: a Python
+        loop over n, which costs more than 40 residual checks at n_side 41."""
         return _solve_in_range(self._checked, rhs, tol)
 
     @functools.cached_property
@@ -305,8 +293,30 @@ class BandedSolver:
         """||A||_inf, the largest absolute row sum, taken on first use."""
         return float(abs(self.operator).sum(axis=1).max())
 
+    @functools.cached_property
+    def certificate(self) -> SolveReport:
+        """Every real solve's report: no iterations, no residual, and
+        ``backward_bound`` eta.  A substitution with the Cholesky factor R
+        solves (A + dA) x = b with |dA| <= gamma_(3n+1) |R^T| |R| (Higham, 2nd
+        ed., Thm 10.4; gamma_k = k u / (1 - k u), u = eps / 2), so ||dA||_inf /
+        ||A||_inf <= eta = gamma_(3n+1) max(|R|^T (|R| 1)) / ||A||_inf."""
+        n, u = self.operator.shape[0], self.bandwidth
+        abs_r = functools.partial(scipy.linalg.blas.dtbmv, u,
+                                  np.abs(self._factor))      # x -> |R| x
+        k = (3 * n + 1) * np.finfo(float).eps / 2
+        dA_norm = k / (1.0 - k) * float(abs_r(abs_r(np.ones(n)), trans=1).max())
+        return SolveReport(0, None, dA_norm / self.norm_inf)
+
     def _checked(self, rhs: np.ndarray, b_norm: float, tol: float):
         x = self(rhs)
+        if not self.is_complex:
+            eta = self.certificate.backward_bound
+            if eta <= tol and np.isfinite(x).all():
+                return x, self.certificate
+            raise ConvergenceError("banded solve overflowed" if eta <= tol else
+                                   f"banded Cholesky's backward error bound "
+                                   f"{eta:.3e} exceeds tol={tol:g}",
+                                   report=self.certificate)
         r_norm = _norm(self.operator @ x - rhs)
         report = SolveReport(0, r_norm / b_norm)
         if report.relative_residual <= tol:
@@ -388,34 +398,25 @@ class Multigrid:
     preconditioner for a matrix A on a structured mesh, built from Re(A).
 
     Levels coarsen the mesh to ceil(n_side / 2) nodes per side by
-    ``prolongation`` (built once per n_side, ``_transfers``) while n_side >
-    COARSEST_N_SIDE, with Galerkin coarse operators P^T A P (stored by
-    ``_dia_sum``) and a banded Cholesky factor on the coarsest (the
-    only part on a mesh that does not coarsen).  Galerkin operators stay
-    SPD, so the V-cycle is a valid CG preconditioner on non-nested levels
-    too (Bramble, Pasciak & Xu, Math. Comp. 56, 1991); there they have
-    17-19 diagonals instead of 7.  Each level smooths twice before and
-    twice after the coarse correction by damped Jacobi (weight 0.8).
+    ``prolongation`` (``_transfers``) while n_side > COARSEST_N_SIDE, with
+    Galerkin coarse operators P^T A P (stored by ``_dia_sum``), and the
+    coarsest gets a banded Cholesky factor.  Galerkin operators stay SPD, so
+    the cycle preconditions CG on non-nested levels too (Bramble, Pasciak &
+    Xu, Math. Comp. 56, 1991).  Each level smooths twice before and twice
+    after the coarse correction by damped Jacobi (weight 0.8).
 
-    ``operator`` is A in DIA storage, as given or converted once.  Each
-    level keeps one DIA operator: A, or of a complex A a contiguous copy of
-    its real part, then each Galerkin product.  The cycle is real: a
-    complex r gets ``self(r.real) + 1j * self(r.imag)``.
-
-    ``levels`` holds per level the operator, the Jacobi weights, P and the
-    restriction P^T as CSR (the CSC view ``P.T`` takes twice as long per
-    product, but the Galerkin product keeps it: CSR P^T sums differently).
-    They are stored in ``dtype``: the Galerkin products and the Jacobi
-    weights are formed in float64 and then cast once, while ``operator``
-    and the coarsest factor stay float64.  Narrower levels take every r by
-    the range rule's scale, untested (float32's range is narrower than
-    _RANGE): the cycle casts 2^e r down, max|2^e r| in [1/2, 1), and
-    returns 2^-e times its result in r's dtype, so CG around it runs in
-    float64 throughout.  float32 levels halve the bytes each memory-bound
-    product and sweep reads (a V-cycle at n_side 201 took 1.6 ms instead
-    of 2.4 ms), within one CG iteration per pole-system solve, and are
-    what ``choose_solver`` builds; float64 levels give the exact reference
-    cycle.
+    ``operator`` is A in DIA storage.  ``levels`` holds per level the DIA
+    operator (A, or a contiguous copy of a complex A's real part, then each
+    Galerkin product), the Jacobi weights, P and the restriction P^T as CSR
+    (the CSC view ``P.T`` is slower, but the Galerkin product keeps it: CSR
+    P^T sums differently), cast once to ``dtype`` after the float64
+    products; ``operator`` and the coarsest factor stay float64.  The cycle
+    is real: a complex r gets ``self(r.real) + 1j * self(r.imag)``.
+    Narrower levels take every r by the range rule's scale (max|2^e r| in
+    [1/2, 1)) and return 2^-e times their result in r's dtype, so CG around
+    them runs in float64.  ``choose_solver`` builds float32 levels, which
+    halve the bytes each memory-bound sweep reads; float64 levels give the
+    exact reference cycle.
     """
 
     def __init__(self, A, n_side: int, dtype=np.float64):

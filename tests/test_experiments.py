@@ -62,6 +62,19 @@ def test_epsilon_u_basics(sys6, rng):
         epsilon_u(np.zeros(sys6.n_nodes), y, sys6.M)
 
 
+@pytest.mark.parametrize("scale", [0, -700])
+def test_epsilon_u_takes_the_trajectory_norm_bit_for_bit(sys6, rng, scale):
+    # run_experiment passes Trajectory.m_norms[n] for ||y^n||_M, also for
+    # states whose squared norm leaves the float range
+    w0 = np.ldexp(initial_state(sys6), scale)
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=5, sigma=1.0)
+    traj = run_scheme(spec, sys6, w0)
+    ref = w0 + np.ldexp(rng.standard_normal(sys6.n_nodes), scale - 10)
+    for n in range(6):
+        assert (epsilon_u(traj.vector_at(n), ref, sys6.M, traj.m_norms[n])
+                == epsilon_u(traj.vector_at(n), ref, sys6.M))
+
+
 def test_mass_norms_are_invariant_under_a_power_of_2_scale(sys6, rng):
     # (2^-700 y)^T M (2^-700 y) underflows to zero and (2^700 y)^T M
     # (2^700 y) overflows; the norms rescale by a power of 2, exactly

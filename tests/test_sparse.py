@@ -4,7 +4,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 import scipy.linalg
+import scipy.linalg.blas
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -427,7 +429,9 @@ def test_banded_solver_matches_spsolve(sys6, rng, shift):
     b = rng.standard_normal(sys6.n_nodes) * (1.0 - 2.0j if shift.imag else 1.0)
     solver = BandedSolver(A)
     x, report = solver.solve(b, tol=1e-12)
-    assert report.relative_residual <= 1e-12
+    # a complex solve is accepted by its residual, a real one by its factor
+    assert (report.relative_residual if shift.imag
+            else report.backward_bound) <= 1e-12
     expected = spla.spsolve(A.tocsc(), b)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
     # factored on the first solve, reused by later ones
@@ -444,11 +448,47 @@ def test_banded_solver_indefinite_raises(sys6, shift):
         solver.solve(np.ones(sys6.n_nodes), tol=1e-10)
 
 
-def test_banded_solver_checks_true_residual(sys6):
-    solver = BandedSolver(sys6.M)
-    with pytest.raises(ConvergenceError) as exc:
-        solver.solve(np.ones(sys6.n_nodes), tol=1e-30)
-    assert 0.0 < exc.value.report.relative_residual < 1e-12
+def _normwise_backward_error(A, x, b):
+    """||b - A x||_inf / (||A||_inf ||x||_inf), the residual taken in long
+    double so that its own rounding stays far below the bound's; A x = b
+    is exact for some A + dA with ||dA||_inf / ||A||_inf this small."""
+    A = A.toarray().astype(np.longdouble)
+    r = b.astype(np.longdouble) - A @ x.astype(np.longdouble)
+    return float(np.abs(r).max() / (np.abs(A).sum(axis=1).max()
+                                    * np.abs(x).max()))
+
+
+def _dense_certificate(solver):
+    """gamma_(3n+1) || |R^T| |R| ||_inf / ||A||_inf from the dense R."""
+    u, n = solver.bandwidth, solver.operator.shape[0]
+    R = sum(np.diag(solver._factor[u - d, d:], d) for d in range(u + 1))
+    k = (3 * n + 1) * 2.0 ** -53
+    return (k / (1.0 - k) * (np.abs(R).T @ np.abs(R)).sum(axis=1).max()
+            / abs(solver.operator).sum(axis=1).max())
+
+
+# log-uniform in [1e-3, 1e3], as the eigenpair property draws them
+_LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_side=st.integers(3, 15), k_inner=_LOG_UNIFORM, k_outer=_LOG_UNIFORM,
+       c=st.floats(0.0, 30.0), mu_right_top=_LOG_UNIFORM,
+       mu_left_bottom=st.one_of(st.just(0.0), _LOG_UNIFORM),
+       tau=st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))
+def test_banded_certificate_bounds_the_backward_error(n_side, tau, **coeffs):
+    # the backward implicit pole system M + tau K: the bound holds every
+    # substitution's error, and it certifies even the smallest tolerance a
+    # real pole solve is asked for, OUTER_TOL / (1 + |c0|) with |c0| <= 1
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(**coeffs))
+    A, b = sys.M + tau * sys.K, sys.M @ np.ones(sys.n_nodes)
+    solver = BandedSolver(A)
+    x, report = solver.solve(b, OUTER_TOL / 2)
+    assert report == SolveReport(0, None, report.backward_bound)
+    assert report.backward_bound == pytest.approx(_dense_certificate(solver),
+                                                  rel=1e-12, abs=0.0)
+    assert (_normwise_backward_error(A, x, b) <= report.backward_bound
+            <= OUTER_TOL / 2)
 
 
 def _weakly_damped_pole_system(tau=1000.0):
@@ -460,46 +500,61 @@ def _weakly_damped_pole_system(tau=1000.0):
     return A, math.exp(-lambda1 * tau) * (sys.M @ np.ones(sys.n_nodes))
 
 
-def test_banded_solver_accepts_by_the_normwise_backward_error():
+def test_banded_certificate_accepts_the_weakly_damped_system():
+    # its relative residual, 3.6e-9, misses OUTER_TOL, while its backward
+    # error, 3.3e-16, sits far below the factor's bound of 3.6e-13
     A, b = _weakly_damped_pole_system()
     solver = BandedSolver(A)
     x, report = solver.solve(b, OUTER_TOL)
     assert np.array_equal(x, solver(b))
-    # the relative residual misses the tolerance, the backward error, with
-    # ||A||_inf for ||A||_2, meets it by far
-    assert report.relative_residual > OUTER_TOL
-    r = np.linalg.norm(A @ x - b)
-    assert solver.norm_inf == pytest.approx(abs(A).sum(axis=1).max(),
-                                            rel=1e-15)
-    assert r / (solver.norm_inf * np.linalg.norm(x)
-                + np.linalg.norm(b)) <= 1e-15
-    assert np.linalg.norm(A.toarray(), 2) <= solver.norm_inf
+    assert np.linalg.norm(A @ x - b) > OUTER_TOL * np.linalg.norm(b)
+    assert _normwise_backward_error(A, x, b) <= 5e-16
+    assert report.backward_bound == pytest.approx(3.59e-13, rel=1e-2, abs=0.0)
 
 
-def test_banded_solver_takes_no_matrix_norm_when_the_residual_passes(sys6):
-    # the fast accept: one substitution, one residual product, one norm
-    A, b = 0.01 * sys6.K + sys6.M, np.ones(sys6.n_nodes)
-    solver = BandedSolver(A)
-    x, report = solver.solve(b, OUTER_TOL)
-    assert report == SolveReport(
-        0, float(np.linalg.norm(A @ x - b)) / float(np.linalg.norm(b)))
-    assert report.relative_residual <= OUTER_TOL
-    assert "norm_inf" not in vars(solver)
-
-
-def test_banded_solver_refuses_a_perturbed_substitution(monkeypatch, rng):
-    # each entry of x off by 1e-6 relative: a normwise backward error of
-    # about 3e-7, far above the tolerance
-    A, b = _weakly_damped_pole_system()
-    solver = BandedSolver(A)
-    substitute = BandedSolver.__call__
-    signs = rng.choice([-1.0, 1.0], size=b.size)
-    monkeypatch.setattr(BandedSolver, "__call__", lambda self, r: (
-        substitute(self, r) * (1.0 + 1e-6 * signs)))
+def test_banded_certificate_refuses_a_tolerance_below_it(sys6):
+    solver = BandedSolver(sys6.M)
     with pytest.raises(ConvergenceError,
-                       match=r"^banded solve missed tol=1e-10 \(normwise "
-                             r"backward error [0-9.]+e-07, relative residual"):
-        solver.solve(b, OUTER_TOL)
+                       match=r"^banded Cholesky's backward error bound "
+                             r"[0-9.]+e-14 exceeds tol=1e-30$") as exc:
+        solver.solve(np.ones(sys6.n_nodes), tol=1e-30)
+    assert exc.value.report == solver.certificate
+
+
+def test_banded_solve_refuses_a_non_finite_x(sys6, monkeypatch):
+    # the certificate bounds the backward error, not the size of x: an
+    # overflow in the substitution is caught by the finiteness check
+    solver = BandedSolver(sys6.M)
+    substitute = BandedSolver.__call__
+    monkeypatch.setattr(BandedSolver, "__call__", lambda self, r: (
+        substitute(self, r) * np.where(np.arange(r.size) == 3, np.inf, 1.0)))
+    with pytest.raises(ConvergenceError, match="^banded solve overflowed$"):
+        solver.solve(np.ones(sys6.n_nodes), OUTER_TOL)
+
+
+def test_banded_solve_takes_no_product_and_one_certificate(sys6, monkeypatch):
+    # the certificate is two band products with |R| once per factor, made
+    # on the first solve (a preconditioner never pays for it), and no
+    # solve multiplies by A
+    calls = []
+    dtbmv = scipy.linalg.blas.dtbmv
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dtbmv(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dtbmv", counting)
+    monkeypatch.setattr(sp.dia_matrix, "_matmul_vector",
+                        lambda A, v: pytest.fail("a product with A"))
+    b = np.ones(sys6.n_nodes)
+    solvers = [BandedSolver(0.01 * sys6.K + sys6.M) for _ in range(2)]
+    solvers[0](b)
+    assert calls == []
+    for solver in solvers:
+        for _ in range(3):
+            x, report = solver.solve(b, OUTER_TOL)
+            assert report is solver.certificate
+    assert len(calls) == 4
 
 
 def test_banded_solver_reports_lapack_failures(sys6, monkeypatch):
