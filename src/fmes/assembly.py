@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, triangle_areas
-from .sparse import _dia_sum, _in_range, _scaled
+from .mesh import Mesh
+from .sparse import _dia, _dia_sum, _in_range, _scaled
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -24,6 +24,9 @@ ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
                          [1.0, 1.0, 2.0]]) / 12.0
 EDGE_MASS = np.array([[2.0, 1.0],
                       [1.0, 2.0]]) / 6.0
+# local nodes (x, y) of a cell's lower triangle (ll, lr, ur) and upper one
+# (ll, ur, ul), in steps from its lower-left node ll
+CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,7 @@ class FemSystem:
 
     M is the mass matrix, K_bar the stiffness of the diffusion + boundary
     terms, and K = K_bar + c M the full operator matrix.  All three are
-    symmetric DIA matrices, summed into the diagonals element by element
-    (``sparse._dia_sum``; K_bar has 5), the Robin edges' sum by a DIA add.
+    symmetric DIA matrices (K_bar has 5 diagonals), summed by ``assemble``.
     """
 
     mesh: Mesh | None
@@ -78,28 +80,47 @@ class FemSystem:
 
 def assemble(mesh: Mesh,
              coeffs: ProblemCoefficients | None = None) -> FemSystem:
-    """Assemble mass and stiffness matrices on a mesh."""
+    """Assemble mass and stiffness matrices on a ``build_mesh`` mesh.
+
+    The element terms fall into 18 classes (triangle parity x local row x
+    local column); each is computed on views of the node grid and added
+    into its diagonal as one (n_side - 1)^2 grid slice, in the order that
+    keeps every entry bit for bit the element-by-element sum
+    (``sparse._dia_sum`` of the (T, 3, 3) element blocks).
+    """
     if coeffs is None:
         coeffs = ProblemCoefficients()
 
-    n = mesh.n_nodes
-    tri = mesh.triangles
-    rows, cols = tri[:, :, None], tri[:, None, :]
-    pts = mesh.nodes[tri]                      # (T, 3, 2)
-    areas = triangle_areas(mesh)               # (T,)
-    centroids = pts.mean(axis=1)               # (T, 2)
-    # each (T, 3, 3) array of element blocks lives only through its own sum
-    M = _dia_sum(rows, cols, areas[:, None, None] * ELEMENT_MASS, (n, n))
+    n, m = mesh.n_side, mesh.n_side - 1
+    X, Y = np.ascontiguousarray(mesh.nodes.T).reshape(2, n, n)
+    elements = []
+    for corners in CORNERS:
+        x0, x1, x2 = (X[dy:dy + m, dx:dx + m] for dx, dy in corners)
+        y0, y1, y2 = (Y[dy:dy + m, dx:dx + m] for dx, dy in corners)
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        k_elem = coeffs.diffusivity_at((x0 + x1 + x2) / 3.0,
+                                       (y0 + y1 + y2) / 3.0)
+        # P1 basis gradients: grad(lambda_i) = (b_i, c_i), cyclic differences
+        elements.append((area, k_elem / (4.0 * area),
+                         (y1 - y2, y2 - y0, y0 - y1),
+                         (x2 - x1, x0 - x2, x1 - x0)))
 
-    k_elem = coeffs.diffusivity_at(centroids[:, 0], centroids[:, 1])
-
-    # P1 basis gradients: grad(lambda_i) = (b_i, c_i) with cyclic differences
-    x, y = pts[:, :, 0], pts[:, :, 1]
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    inv4a = k_elem / (4.0 * areas)
-    K_bar = _dia_sum(rows, cols, inv4a[:, None, None] * (
-        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :]), (n, n))
+    # cell (ix, iy) owns triangles 2 (iy m + ix) + s, so class (s, i, j)
+    # adds triangle 2 (jy m + jx) + s - 2 (yj m + xj) at column node (jx,
+    # jy): sorted by that offset, the classes add in triangle order
+    classes = sorted((s - 2 * (corners[j][1] * m + corners[j][0]), s, i, j)
+                     for s, corners in enumerate(CORNERS)
+                     for i in range(3) for j in range(3))
+    offsets = np.array([-n - 1, -n, -1, 0, 1, n, n + 1])
+    M, K_bar = (np.zeros((len(offsets), n, n)) for _ in range(2))
+    for _, s, i, j in classes:
+        area, inv4a, b, c = elements[s]
+        (xi, yi), (xj, yj) = CORNERS[s][i], CORNERS[s][j]
+        d = np.searchsorted(offsets, (yj - yi) * n + xj - xi)
+        M[d, yj:yj + m, xj:xj + m] += area * ELEMENT_MASS[i, j]
+        K_bar[d, yj:yj + m, xj:xj + m] += inv4a * (b[i] * b[j] + c[i] * c[j])
+    M, K_bar = (_dia(data.reshape(len(offsets), -1), offsets, (n * n,) * 2)
+                for data in (M, K_bar))
 
     # Robin term: exact edge-mass integration, each side contributing its own mu
     mu = {"left": coeffs.mu_left_bottom, "bottom": coeffs.mu_left_bottom,
@@ -107,12 +128,12 @@ def assemble(mesh: Mesh,
     robin = [side for side in mesh.boundary_edges if mu[side] != 0.0]
     if robin:
         edges = np.concatenate([mesh.boundary_edges[side] for side in robin])
-        mu_edge = np.repeat([mu[side] for side in robin], mesh.n_side - 1)
+        mu_edge = np.repeat([mu[side] for side in robin], m)
         p = mesh.nodes[edges]
         length = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
         blocks = (mu_edge * length)[:, None, None] * EDGE_MASS
         K_bar = K_bar + _dia_sum(edges[:, :, None], edges[:, None, :],
-                                 blocks, (n, n))
+                                 blocks, (n * n,) * 2)
 
     return FemSystem(mesh, M, K_bar, K_bar + coeffs.c * M, coeffs)
 

@@ -79,10 +79,3 @@ def build_mesh(n_side: int) -> Mesh:
     return Mesh(n_side=n_side, h=h, nodes=nodes, triangles=triangles,
                 boundary_edges=boundary_edges)
 
-
-def triangle_areas(mesh: Mesh) -> np.ndarray:
-    """Signed areas of all triangles (positive for counterclockwise)."""
-    p = mesh.nodes[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])

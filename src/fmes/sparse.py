@@ -6,7 +6,7 @@ part) one solver object: a ``BandedSolver`` (one LAPACK band factor) when
 it fits in DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A)
 on A's structured mesh.  Every solver is a preconditioner
 ``solver(r) -> ~A^-1 r`` that carries ``solver.operator``, A in DIA
-storage (``_dia_sum``'s sum into the diagonals, or ``sp.dia_matrix``'s
+storage (as assembled, ``_dia_sum``'s sum, or ``sp.dia_matrix``'s
 conversion), and a solve is ``cg_solve(solver, b, tol)``.  A
 ``BandedSolver`` also solves by itself: ``solver.solve(b, tol)`` is one
 substitution, certified once per real factor by a backward error bound.
@@ -375,16 +375,22 @@ def _dia_sum(rows, cols, vals, shape) -> sp.dia_matrix:
     diagonals with ascending offsets, the order in which a DIA product sums
     a row.  A count of the offsets finds the diagonals, ``np.bincount``
     adds duplicates in the broadcast's C order, and a diagonal whose
-    entries are all zero is not stored."""
+    entries are all zero is not stored (``_dia``).  It stores each Galerkin
+    level and the assembly's Robin edges' sum."""
     n_rows, n_cols = shape
     k = cols - rows + (n_rows - 1)            # offset + n_rows - 1 >= 0
     present = np.bincount(k.ravel(), minlength=n_rows + n_cols - 1) > 0
     index = ((np.cumsum(present) - 1)[k] * n_cols + cols).ravel()
     data = np.bincount(index, np.broadcast_to(vals, k.shape).ravel(),
                        np.count_nonzero(present) * n_cols).reshape(-1, n_cols)
+    return _dia(data, np.flatnonzero(present) - (n_rows - 1), shape)
+
+
+def _dia(data, offsets, shape) -> sp.dia_matrix:
+    """DIA matrix of rows ``data`` at ``offsets``, all-zero rows dropped."""
     keep = data.any(axis=1)
-    return sp.dia_matrix((data[keep], np.flatnonzero(present)[keep]
-                          - (n_rows - 1)), shape=shape)
+    return sp.dia_matrix((data if keep.all() else data[keep], offsets[keep]),
+                         shape=shape)
 
 
 # Meshes with more nodes per side than this are coarsened; the coarsest

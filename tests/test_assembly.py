@@ -1,44 +1,114 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from fmes import assembly
-from fmes.assembly import ProblemCoefficients, assemble, m_inner, m_norm
+from fmes import sparse
+from fmes.assembly import (EDGE_MASS, ELEMENT_MASS, ProblemCoefficients,
+                           assemble, m_inner, m_norm)
 from fmes.mesh import build_mesh
 from fmes.spectral import inverse_iteration
 
 UNIT_COEFFS = ProblemCoefficients(k_inner=1.0, k_outer=1.0, mu_right_top=0.0)
 
 
+def _element_terms(mesh, coeffs):
+    """(rows, cols, vals) of M's element terms, of K_bar's, and a list of
+    the Robin edges' (empty without a Robin side), formed as the element-
+    by-element assembly formed them: one (T, 3, 3) block per triangle, in
+    triangle order, from gathered coordinates."""
+    tri = mesh.triangles
+    rows, cols = tri[:, :, None], tri[:, None, :]
+    pts = mesh.nodes[tri]
+    d1, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    centroids = pts.mean(axis=1)
+    k_elem = coeffs.diffusivity_at(centroids[:, 0], centroids[:, 1])
+    x, y = pts[:, :, 0], pts[:, :, 1]
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]],
+                 axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]],
+                 axis=1)
+    inv4a = k_elem / (4.0 * areas)
+    M = rows, cols, areas[:, None, None] * ELEMENT_MASS
+    K_bar = rows, cols, inv4a[:, None, None] * (
+        b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+
+    mu = {"left": coeffs.mu_left_bottom, "bottom": coeffs.mu_left_bottom,
+          "right": coeffs.mu_right_top, "top": coeffs.mu_right_top}
+    sides = [side for side in mesh.boundary_edges if mu[side] != 0.0]
+    if not sides:
+        return M, K_bar, []
+    edges = np.concatenate([mesh.boundary_edges[side] for side in sides])
+    mu_edge = np.repeat([mu[side] for side in sides], mesh.n_side - 1)
+    p = mesh.nodes[edges]
+    length = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+    return M, K_bar, [(edges[:, :, None], edges[:, None, :],
+                       (mu_edge * length)[:, None, None] * EDGE_MASS)]
+
+
+def _assert_element_sums(mesh, coeffs):
+    # the reference: sparse._dia_sum of the (T, 3, 3) element blocks, which
+    # adds each entry's terms in triangle order, the Robin edges' own sum
+    # joined by a DIA add, and K = K_bar + c M
+    shape = (mesh.n_nodes, mesh.n_nodes)
+    M, K_bar, robin = _element_terms(mesh, coeffs)
+    M, K_bar = sparse._dia_sum(*M, shape), sparse._dia_sum(*K_bar, shape)
+    for terms in robin:
+        K_bar = K_bar + sparse._dia_sum(*terms, shape)
+    sys = assemble(mesh, coeffs)
+    for stored, reference in ((sys.M, M), (sys.K_bar, K_bar),
+                              (sys.K, K_bar + coeffs.c * M)):
+        assert stored.format == "dia"
+        assert np.array_equal(stored.offsets, reference.offsets)
+        assert np.array_equal(stored.data, reference.data)
+
+
+COEFFS = [ProblemCoefficients(), ProblemCoefficients(mu_right_top=0.0),
+          ProblemCoefficients(c=2.5, mu_left_bottom=3.0)]
+COEFF_IDS = ["robin", "no_robin", "reaction"]
+
+
+@pytest.mark.parametrize("n_side", [2, 3, 5, 26, 27, 201])
+@pytest.mark.parametrize("coeffs", COEFFS, ids=COEFF_IDS)
+def test_system_matrices_are_the_element_sums_bit_for_bit(n_side, coeffs):
+    _assert_element_sums(build_mesh(n_side), coeffs)
+
+
+# log-uniform in [1e-3, 1e3], as the eigenpair property draws them
+_LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_side=st.integers(2, 40), k_inner=_LOG_UNIFORM, k_outer=_LOG_UNIFORM,
+       c=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+       mu_right_top=st.one_of(st.just(0.0), _LOG_UNIFORM),
+       mu_left_bottom=st.one_of(st.just(0.0), _LOG_UNIFORM))
+def test_element_sums_bit_for_bit_property(n_side, **coeffs):
+    _assert_element_sums(build_mesh(n_side), ProblemCoefficients(**coeffs))
+
+
 @pytest.mark.parametrize("n_side", [2, 5, 26])
-@pytest.mark.parametrize("coeffs", [
-    ProblemCoefficients(),
-    ProblemCoefficients(mu_right_top=0.0),
-    ProblemCoefficients(c=2.5, mu_left_bottom=3.0)],
-    ids=["robin", "no_robin", "reaction"])
-def test_system_matrices_are_the_csr_sums_by_diagonals(monkeypatch, n_side,
-                                                      coeffs):
-    # M and K_bar are summed straight into their diagonals, element by
-    # element, and K = K_bar + c M is formed by diagonals from them.  The
-    # reference is scipy's COO -> CSR sum of the same terms (and the CSR add
-    # of the Robin term), which sums each entry in another order: any order
-    # of t terms is off the exact sum by at most gamma_(t-1) sum|terms|
-    # (Higham, 2nd ed., §4.2), so two orders differ by at most twice that
-    terms = []
-    dia_sum = assembly._dia_sum
+@pytest.mark.parametrize("coeffs", COEFFS, ids=COEFF_IDS)
+def test_system_matrices_are_the_csr_sums_by_diagonals(n_side, coeffs):
+    # the reference is scipy's COO -> CSR sum of the same element terms (and
+    # the CSR add of the Robin term), which sums each entry in another
+    # order: any order of t terms is off the exact sum by at most
+    # gamma_(t-1) sum|terms| (Higham, 2nd ed., §4.2), so two orders differ
+    # by at most twice that
+    mesh = build_mesh(n_side)
+    sys = assemble(mesh, coeffs)
 
-    def recording(rows, cols, vals, shape):
+    def coo(rows, cols, vals):
         rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-        terms.append(sp.coo_matrix((vals.ravel(), (rows.ravel(),
-                                                   cols.ravel())), shape))
-        return dia_sum(rows, cols, vals, shape)
+        return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             sys.M.shape)
 
-    monkeypatch.setattr(assembly, "_dia_sum", recording)
-    sys = assemble(build_mesh(n_side), coeffs)
-    M, K_bar, *robin = terms
+    M, K_bar, robin = _element_terms(mesh, coeffs)
     assert len(robin) == (coeffs.mu_right_top != 0.0)
     u = np.finfo(float).eps / 2
-    for stored, parts in ((sys.M, [M]), (sys.K_bar, [K_bar] + robin)):
+    for stored, parts in ((sys.M, [coo(*M)]),
+                          (sys.K_bar, [coo(*t) for t in [K_bar] + robin])):
         assert stored.format == "dia"
         csr = sum(part.tocsr() for part in parts)
         csr.eliminate_zeros()

@@ -256,11 +256,15 @@ def test_failed_run_is_a_nan_summary_row(tmp_path, monkeypatch):
     assert not (result.output_dir / "theta_fmes_sigma1_N5.csv").exists()
 
 
-def test_long_run_keeps_positive_norms(tmp_path, sys6):
+def test_long_run_keeps_positive_norms(tmp_path, sys6, basis6):
     # at T = 100 the fundamental-mode-exact runs decay to about 1e-208, far
     # below the ~1e-154 where y^T M y and ||b||^2 underflow; every norm_m
     # stays finite and positive, and the fundamental mode still decays as
-    # exp(-lambda1 t)
+    # exp(-lambda1 t).  Each step's solve is backward stable for the pole
+    # matrix M + tau (K - lambda1 M), whose pencil eigenvalues reach
+    # 1 + tau (lambda_max - lambda1), so N steps of tau = T / N move the
+    # fundamental amplitude by about u T (lambda_max - lambda1), 6.3e-11
+    # here; it moved by 3.3e-12 (N = 10) and 8.7e-13 (N = 100)
     schemes = tuple(SchemeRequest(kind, sigma=1.0, steps=(10, 100))
                     for kind in ("theta_standard", "theta_fmes"))
     result = run_experiment(_small_config(tmp_path, T=100.0,
@@ -272,11 +276,13 @@ def test_long_run_keeps_positive_norms(tmp_path, sys6):
         assert np.isfinite(rows).all() and (rows[:, 1] > 0.0).all()
     pair = result.eigenpair
     a0 = pair.phi1 @ (sys6.M @ initial_state(sys6))
+    drift = (np.finfo(float).eps / 2 * 100.0
+             * (basis6.eigenvalues[-1] - pair.lambda1))
     for n in (10, 100):
         final = result.find_run("theta_fmes", "sigma1", n).final_norm
         assert final < 1e-200
         assert final == pytest.approx(a0 * np.exp(-100.0 * pair.lambda1),
-                                      rel=1e-6)
+                                      rel=drift, abs=0.0)
 
 
 def test_a_state_that_underflows_to_zero_is_a_failed_run(tmp_path):

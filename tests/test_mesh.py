@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from fmes.mesh import build_mesh, triangle_areas
+from fmes.mesh import build_mesh
+
+
+def triangle_areas(mesh):
+    """Signed areas of all triangles (positive for counterclockwise)."""
+    p = mesh.nodes[mesh.triangles]
+    d1, d2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def _n_boundary_edges(mesh):
