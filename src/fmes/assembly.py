@@ -10,13 +10,13 @@ interface cuts through cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .sparse import _dia, _dia_sum, _in_range, _scaled
+from .sparse import Fold, _dia, _dia_sum, _in_range, _scaled, fold
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -64,7 +64,8 @@ class FemSystem:
 
     M is the mass matrix, K_bar the stiffness of the diffusion + boundary
     terms, and K = K_bar + c M the full operator matrix.  All three are
-    symmetric DIA matrices (K_bar has 5 diagonals), summed by ``assemble``.
+    symmetric DIA matrices (K_bar has 5 diagonals, and so has K at c = 0),
+    summed by ``assemble``; a ``half_system`` keeps the whole mesh.
     """
 
     mesh: Mesh | None
@@ -135,7 +136,24 @@ def assemble(mesh: Mesh,
         K_bar = K_bar + _dia_sum(edges[:, :, None], edges[:, None, :],
                                  blocks, (n * n,) * 2)
 
-    return FemSystem(mesh, M, K_bar, K_bar + coeffs.c * M, coeffs)
+    # K_bar's diagonals are some of M's; _dia drops the rest at c = 0
+    K = coeffs.c * M.data
+    K[np.searchsorted(M.offsets, K_bar.offsets)] += K_bar.data
+    return FemSystem(mesh, M, K_bar, _dia(K, M.offsets, M.shape), coeffs)
+
+
+def half_system(sys: FemSystem) -> tuple[FemSystem, Fold] | None:
+    """(F^T sys F, fold): sys on its mirror-even half, each matrix folded by
+    its mesh's ``sparse.fold``; None without a mesh, for a half system, or
+    when M, K_bar or K fails the fold's mirror test."""
+    if sys.mesh is None or sys.n_nodes != sys.mesh.n_nodes:
+        return None
+    f = fold(sys.mesh.n_side)
+    halves = f.halves(sys.M, sys.K_bar, sys.K)
+    if halves is None:
+        return None
+    M, K_bar, K = halves
+    return replace(sys, M=M, K_bar=K_bar, K=K), f
 
 
 def m_inner(sys: FemSystem, u: np.ndarray, v: np.ndarray) -> float:

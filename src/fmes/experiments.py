@@ -10,8 +10,11 @@ nodal vector), and measure two errors per time level,
 * eps_u, the relative mass-norm distance to a fine fully-implicit reference
   trajectory.
 
-One CSV per run (columns t,norm_m,eps_a,eps_u) plus a summary CSV are
-written; output is byte-deterministic for a fixed configuration.
+Every state is even under the node swap (ix, iy) -> (iy, ix), so all of it
+runs on the system's mirror-even half (``assembly.half_system``), whose
+mass norms and amplitudes are the whole system's; nothing is expanded.  One
+CSV per run (columns t,norm_m,eps_a,eps_u) plus a summary CSV are written;
+output is byte-deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (FemSystem, ProblemCoefficients, _mass_norm,
-                       assemble)
+                       assemble, half_system)
 from .mesh import build_mesh
 from .schemes import SchemeSpec, Trajectory, run_scheme
 from .sparse import ConvergenceError
@@ -247,16 +250,17 @@ def run_experiment(config: ExperimentConfig,
     the remaining runs continue.  With an empty scheme list only the
     eigenpair summary is emitted.  ``output_dir`` bypasses the
     config/environment resolution (used by sweeps writing one subdirectory
-    per variant).  pade_modal schemes share one dense modal basis; it
-    (refused above 2500 nodes) and the eigenpair are computed before the
-    output directory is made, so an unconverged eigensolve raises
-    ConvergenceError and leaves no output behind.
+    per variant).  pade_modal schemes share one dense modal basis of the
+    half; it (refused above 2500 mesh nodes) and the eigenpair are computed
+    before the output directory is made, so an unconverged eigensolve
+    raises ConvergenceError and leaves no output behind.
     """
     mesh = build_mesh(config.n_side)
-    sys = assemble(mesh, config.coefficients)
+    full = assemble(mesh, config.coefficients)
+    sys, fold = half_system(full) or (full, None)
     basis = (modal_decompose(sys) if any(req.kind == "pade_modal"
                                          for req in config.schemes) else None)
-    pair = inverse_iteration(sys)
+    pair = inverse_iteration(full)
     outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "eigenpair.csv",
@@ -270,6 +274,7 @@ def run_experiment(config: ExperimentConfig,
         return ExperimentResult(eigenpair=pair, runs=runs, output_dir=outdir)
 
     w0 = initial_state(sys)
+    phi1 = pair.phi1 if fold is None else pair.phi1[fold.rep]
     all_steps = tuple(sorted({n for req in config.schemes for n in req.steps}))
     reference = make_reference(sys, w0, config.T, config.reference_steps,
                                all_steps)
@@ -278,7 +283,7 @@ def run_experiment(config: ExperimentConfig,
         for n_steps in req.steps:
             spec = req.to_spec(config.T, n_steps, pair.lambda1)
             try:
-                traj = run_scheme(spec, sys, w0, phi1=pair.phi1, basis=basis)
+                traj = run_scheme(spec, sys, w0, phi1=phi1, basis=basis)
             except ConvergenceError as err:
                 runs.append(RunResult(req.kind, req.params_label(), n_steps,
                                       error=str(err)))

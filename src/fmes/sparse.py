@@ -1,4 +1,4 @@
-"""Symmetric sparse solves.
+"""Symmetric sparse solves, on a structured mesh or its mirror-even half.
 
 ``choose_solver`` gives each symmetric matrix A (real and positive
 definite, or complex-symmetric, A^T = A, with a positive definite Hermitian
@@ -10,6 +10,9 @@ storage (as assembled, ``_dia_sum``'s sum, or ``sp.dia_matrix``'s
 conversion), and a solve is ``cg_solve(solver, b, tol)``.  A
 ``BandedSolver`` also solves by itself: ``solver.solve(b, tol)`` is one
 substitution, certified once per real factor by a backward error bound.
+``fold`` maps a mesh's nodes onto the half that is even under the node
+swap (ix, iy) -> (iy, ix), and an operator A onto F^T A F, half the size;
+a ``Multigrid`` of a half operator coarsens it by folded transfers.
 
 CG stops on its recurrence residual and runs in float64, also around
 float32 V-cycle levels; a complex A is solved by conjugate orthogonal CG.
@@ -35,9 +38,8 @@ import scipy.sparse as sp
 from .mesh import Mesh
 
 # Largest band factor a matrix may keep; a larger one is solved by
-# multigrid-preconditioned CG.  The paper's grid (676 nodes) needs 0.15 MB
-# real, 0.9 MB complex; real factors fit up to n_side 127 (16.6 MB), and
-# n_side 201 (40,401 nodes) would need 65 MB real.
+# multigrid-preconditioned CG.  On the mirror-even half, real factors fit up
+# to n_side 160 (16.69 MB) and complex ones up to 87 (127 and 69 whole).
 DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 # CG's iteration cap: band- and multigrid-preconditioned solves take at
 # most about 20 iterations, so the cap only stops a stagnating solve.
@@ -386,6 +388,84 @@ def _dia_sum(rows, cols, vals, shape) -> sp.dia_matrix:
     return _dia(data, np.flatnonzero(present) - (n_rows - 1), shape)
 
 
+# An operator is mirror-symmetric when it matches its copy under the node
+# swap to within MIRROR_TOL max|A| (assembly's roundoff reaches 1.56 eps).
+# _STEPS: the P1 stencil's steps (dx, dy) from row to column node, by DIA
+# offset dy n_side + dx; _TWIN: the place of each one's mirror (dy, dx).
+MIRROR_TOL = 16 * np.finfo(float).eps
+_STEPS = np.array([(-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1)])
+_TWIN = [0, 2, 1, 3, 5, 4, 6]
+
+
+@dataclass(frozen=True, eq=False)
+class Fold:
+    """The mirror-even half of the n_side x n_side node grid: the triangle
+    ix >= iy, whose slot k holds grid row k, then grid row n_side - 1 - k,
+    both by increasing ix.  This rectangular full packed layout (Gustavson
+    et al., ACM TOMS 37, 2010), its second row not rotated, keeps a folded
+    P1 operator on the grid's 7 diagonals plus at most 4 thin seam ones.
+    ``rep`` is each slot's node, ``slot`` each node's slot (shared with its
+    mirror): F, the 0/1 map from node to slot, takes an even y to y[rep] and
+    back as y_h[slot].  Stencil entry (k, iy, ix) lies on the half's
+    ``offsets[diagonal[k, iy, ix]]``, past them if it joins no neighbours.
+    """
+
+    n_side: int
+    rep: np.ndarray
+    slot: np.ndarray
+    diagonal: np.ndarray
+    offsets: np.ndarray
+
+    def halves(self, *matrices) -> list[sp.dia_matrix] | None:
+        """F^T A F of each real A, summed in ``_dia_sum``'s order; None
+        unless every A lies on the stencil's diagonals and passes the mirror
+        test, which an entry joining no neighbours (left out) passes only
+        within MIRROR_TOL max|A| of 0."""
+        n, n_half = self.n_side, len(self.rep)
+        stencil = _STEPS @ (1, n)
+        target = (np.multiply(self.diagonal, n_half, dtype=np.intp)
+                  + self.slot.reshape(n, n)).ravel()
+        halves = []
+        for A in map(sp.dia_matrix, matrices):
+            k = np.searchsorted(stencil, A.offsets)
+            if not np.array_equal(stencil.take(k, mode="clip"), A.offsets):
+                return None
+            data = np.zeros((len(stencil), n * n))
+            data[k, :A.data.shape[1]] = A.data[:, :n * n]
+            # entry (k, iy, ix)'s mirror image is entry (_TWIN[k], ix, iy)
+            grid = data.reshape(len(stencil), n, n)
+            if not (np.abs(grid - grid[_TWIN].swapaxes(1, 2)).max()
+                    <= MIRROR_TOL * np.abs(data).max()):
+                return None
+            data = np.bincount(target, data.ravel(),
+                               (len(self.offsets) + 1) * n_half)
+            halves.append(_dia(data[:-n_half].reshape(-1, n_half),
+                               self.offsets, (n_half, n_half)))
+        return halves
+
+
+@functools.lru_cache(maxsize=8)
+def fold(n_side: int) -> Fold:
+    """The ``Fold`` of the n_side x n_side grid, built once per n_side."""
+    n, grid = n_side, np.arange(n_side, dtype=np.int32)
+    rep = np.concatenate([iy * n + grid[iy:] for k in range((n + 1) // 2)
+                          for iy in dict.fromkeys((k, n - 1 - k))])
+    slot = np.empty(n * n, np.int32)
+    slot[rep] = slot[rep % n * n + rep // n] = np.arange(len(rep))
+    # entry (k, iy, ix) joins grid neighbours if its row node (ix - dx,
+    # iy - dy) is inside the grid; its half offset is the slots' difference
+    ix = grid - _STEPS[:, 0, None, None]
+    iy = grid[:, None] - _STEPS[:, 1, None, None]
+    inside = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
+    offset = slot.reshape(n, n) - slot[np.where(inside, iy * n + ix, 0)]
+    offsets = np.unique(offset[inside])
+    diagonal = np.where(inside, np.searchsorted(offsets, offset),
+                        len(offsets)).astype(np.int8)
+    for a in (rep, slot, diagonal, offsets):        # shared by every caller
+        a.flags.writeable = False
+    return Fold(n_side, rep, slot, diagonal, offsets)
+
+
 def _dia(data, offsets, shape) -> sp.dia_matrix:
     """DIA matrix of rows ``data`` at ``offsets``, all-zero rows dropped."""
     keep = data.any(axis=1)
@@ -401,15 +481,17 @@ COARSEST_N_SIDE = 26
 
 class Multigrid:
     """Geometric multigrid V(2,2)-cycle: a real symmetric positive definite
-    preconditioner for a matrix A on a structured mesh, built from Re(A).
+    preconditioner for a matrix A on a structured mesh, or on its
+    mirror-even half (A with n_side (n_side + 1) / 2 rows), from Re(A).
 
-    Levels coarsen the mesh to ceil(n_side / 2) nodes per side by
-    ``prolongation`` (``_transfers``) while n_side > COARSEST_N_SIDE, with
-    Galerkin coarse operators P^T A P (stored by ``_dia_sum``), and the
-    coarsest gets a banded Cholesky factor.  Galerkin operators stay SPD, so
-    the cycle preconditions CG on non-nested levels too (Bramble, Pasciak &
-    Xu, Math. Comp. 56, 1991).  Each level smooths twice before and twice
-    after the coarse correction by damped Jacobi (weight 0.8).
+    While n_side > COARSEST_N_SIDE, levels coarsen to ceil(n_side / 2)
+    nodes per side by ``prolongation`` (``_transfers``), on a half by P_h,
+    the rows ``rep`` of P F_c: P commutes with the mirror, so P F_c = F P_h
+    and P_h^T (F^T A F) P_h = F_c^T (P^T A P) F_c.  Galerkin coarse
+    operators (stored by ``_dia_sum``) stay SPD, so the cycle preconditions
+    CG on non-nested levels too (Bramble, Pasciak & Xu, Math. Comp. 56,
+    1991); the coarsest is band-factored.  Each level smooths twice before
+    and twice after the coarse correction by damped Jacobi (weight 0.8).
 
     ``operator`` is A in DIA storage.  ``levels`` holds per level the DIA
     operator (A, or a contiguous copy of a complex A's real part, then each
@@ -429,9 +511,16 @@ class Multigrid:
         self.operator = A = sp.dia_matrix(A)
         if np.iscomplexobj(A):
             A = A.real.copy()
-        self.levels = []
+        self.levels, folded = [], A.shape[0] != n_side ** 2
         while n_side > COARSEST_N_SIDE:
             P, R = _transfers(n_side)
+            if folded:
+                coarse = fold((n_side + 1) // 2)
+                P = sp.csr_matrix((P.data, coarse.slot[P.indices], P.indptr),
+                                  (P.shape[0], len(coarse.rep)))
+                P = P[fold(n_side).rep]
+                P.sum_duplicates()
+                R = P.T.tocsr()
             self.levels.append(tuple(a.astype(dtype, copy=False)
                                      for a in (A, 0.8 / A.diagonal(), P, R)))
             G = (P.T @ A.tocsr() @ P).tocoo()

@@ -1,15 +1,15 @@
 """Fundamental eigenpair by inverse iteration, plus a dense modal oracle.
 
 The inverse iteration solves K_bar phi_new = M phi with mass-weighted inner
-products throughout; the eigenvalue estimate after each solve is
-(phi, phi)_M / (phi_new, phi)_M, and a Rayleigh-Ritz step on the last two
-iterates gives the returned pair, where its residual stops falling.  The
-dense path computes the full generalized eigendecomposition of (K, M) and
-backs both the cross-validation tests and the modal time steppers.  The
-model problem's K and M are invariant under the node swap (ix, iy) -> (iy,
-ix), so the dense path solves the even and odd subspaces of that swap
-apart: two problems of half the size, kept apart so that a modal product
-reads half the data of an n x n matrix.
+products; the estimate after each solve is (phi, phi)_M / (phi_new, phi)_M,
+and a Rayleigh-Ritz step on the last two iterates gives the pair, where its
+residual stops falling.  K and M are invariant under the node swap (ix, iy)
+-> (iy, ix), and the all-ones start and the fundamental mode are even, so
+the iteration runs on the mirror-even half (``assembly.half_system``).  The
+dense path computes the full generalized eigendecomposition of (K, M), the
+oracle of the tests and the engine of the modal steppers, on the swap's
+even and odd subspaces apart: two problems of half the size, kept apart so
+that a modal product reads half the data of an n x n matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import FemSystem, _mass_norm, m_norm
+from .assembly import FemSystem, _mass_norm, half_system, m_norm
 from .sparse import ConvergenceError, cg_solve, choose_solver
 
 # Largest system (in nodes) modal_decompose accepts.
@@ -38,9 +38,6 @@ TOL_FACTOR = 1e-2
 MIN_SWEEPS = 10
 # Sweeps after which an eigensolve whose Ritz residual still falls fails
 MAX_SWEEPS = 50
-# K and M count as mirror-symmetric when they match their mirror-permuted
-# copy to within MIRROR_TOL max|A| (the assembly's roundoff reaches 1.56 eps)
-MIRROR_TOL = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class EigenPair:
 class ModalBasis:
     """Full generalized eigendecomposition of (K, M), by mirror block.
 
-    ``blocks`` holds one ``(Q, lam, W)`` per ``_mirror_blocks`` basis Q:
+    ``blocks`` holds one ``(Q, lam, W)`` per ``modal_decompose`` basis Q:
     lam ascends and W's columns are the M-orthonormal eigenvectors of
     ``(Q^T K Q, Q^T M Q)``, so the eigenvectors of (K, M) are the columns of
     each ``Q W``.  eigenvalues is the ascending merge of every lam.  The
@@ -115,6 +112,8 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
     Problem*, ch. 11); the first k >= MIN_SWEEPS whose Ritz residual is at
     least half of sweep k - 1's is at the roundoff floor, and its pair is
     returned.  There is no tolerance: ``tol`` and ``max_iter`` must be None.
+    A system with a ``half_system`` is iterated on that half, and its pair
+    expanded (phi1 = u[slot]); the residual is measured on sys itself.
 
     Raises
     ------
@@ -131,12 +130,13 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
         raise ValueError("inverse iteration needs a positive definite K_bar, "
                          "and with mu_right_top = mu_left_bottom = 0 (pure "
                          "Neumann) it is singular")
-    n = sys.n_nodes
-    phi = np.ones(n) / m_norm(sys, np.ones(n))
-    rhs = sys.M @ phi
+    half, fold = half_system(sys) or (sys, None)
+    n = half.n_nodes
+    phi = np.ones(n) / m_norm(half, np.ones(n))
+    rhs = half.M @ phi
     history: list[float] = []
     warm: np.ndarray | None = None
-    solver = choose_solver(sys.K_bar, sys.mesh)
+    solver = choose_solver(half.K_bar, half.mesh)
 
     for it in range(1, MAX_SWEEPS + 1):
         inner = LOOSE_TOL if it <= 2 else min(LOOSE_TOL, max(
@@ -151,11 +151,11 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
                 report=err.report, history=history) from err
         lam = float(phi @ rhs) / float(psi @ rhs)
         history.append(lam)
-        previous, phi = phi, psi / m_norm(sys, psi)
+        previous, phi = phi, psi / m_norm(half, psi)
         warm = phi / lam
-        rhs = sys.M @ phi
+        rhs = half.M @ phi
         if it >= MIN_SWEEPS - 1:
-            residual, theta, u = _ritz(sys, phi, previous, rhs)
+            residual, theta, u = _ritz(half, phi, previous, rhs)
             if it >= MIN_SWEEPS and residual >= last / 2:
                 break
             last = residual
@@ -166,6 +166,7 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
 
     if np.max(u) <= 0.0:
         u = -u
+    u = u if fold is None else u[fold.slot]
     residual = float(np.linalg.norm(sys.K_bar @ u - theta * (sys.M @ u)))
     return EigenPair(lambda1_bar=theta, lambda1=theta + sys.coeffs.c, phi1=u,
                      residual=residual, iterations=len(history),
@@ -194,37 +195,19 @@ def _ritz(sys: FemSystem, phi: np.ndarray, previous: np.ndarray,
     return float(np.linalg.norm(y @ KV - theta * (y @ MV))), theta, y @ V
 
 
-def _mirror_blocks(sys: FemSystem) -> list[sp.csc_matrix]:
-    """Orthonormal bases Q of the subspaces that (K, M) leaves invariant.
-
-    With a mesh, and K and M equal to their mirror-permuted copies
-    ``mirror @ A @ mirror.T`` to within MIRROR_TOL max|A|: the even basis
-    (e_d for each diagonal node, then (e_a + e_b)/sqrt 2 for each mirrored
-    pair) and the odd one ((e_a - e_b)/sqrt 2).  Otherwise the identity.
-    """
-    n = sys.n_nodes
-    eye, nodes = sp.identity(n, format="csc"), np.arange(n)
-    if sys.mesh is not None:
-        p = nodes.reshape(sys.mesh.n_side, -1).T.ravel()
-        mirror, pairs, s = eye[p], p > nodes, np.sqrt(0.5)
-        if all(abs(mirror @ A @ mirror.T - A).max()
-               <= MIRROR_TOL * abs(A.data).max() for A in (sys.K, sys.M)):
-            return [sp.hstack([eye[:, p == nodes],
-                               s * (eye + mirror)[:, pairs]], format="csc"),
-                    s * (eye - mirror)[:, pairs]]
-    return [eye]
-
-
 def modal_decompose(sys: FemSystem) -> ModalBasis:
     """Dense generalized eigendecomposition of (K, M) for small systems.
 
-    One ``eigh(Q^T K Q, Q^T M Q)`` per ``_mirror_blocks`` basis Q (even and
-    odd mirror subspaces, else the identity: the plain problem bit for bit),
-    kept by block; only the eigenvalues are merged, by a stable sort.  Refuses
-    systems above DENSE_LIMIT nodes; the dense path exists as an oracle and
-    as the engine of the modal steppers, not as a production eigensolver.
+    One ``eigh(Q^T K Q, Q^T M Q)`` per basis Q, kept by block; only the
+    eigenvalues are merged, by a stable sort.  A system with a
+    ``half_system`` has an even basis (e_d per diagonal node, then (e_a +
+    e_b)/sqrt 2 per mirrored pair, a < b, by node order) and an odd one
+    ((e_a - e_b)/sqrt 2); any other, a half system too, has the identity.
+    Refuses systems on more than DENSE_LIMIT mesh nodes (a half system
+    counts its whole mesh): the dense path is an oracle and the engine of
+    the modal steppers, not a production eigensolver.
     """
-    n = sys.n_nodes
+    n = sys.n_nodes if sys.mesh is None else sys.mesh.n_nodes
     if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
@@ -232,10 +215,27 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
     blocks = tuple((Q, *scipy.linalg.eigh(
         (Q.T @ sys.K @ Q).toarray(order="F"),
         (Q.T @ sys.M @ Q).toarray(order="F"),
-        overwrite_a=True, overwrite_b=True)) for Q in _mirror_blocks(sys))
+        overwrite_a=True, overwrite_b=True)) for Q in _bases(sys))
     evals = np.concatenate([lam for _, lam, _ in blocks])
     return ModalBasis(eigenvalues=evals[np.argsort(evals, kind="stable")],
                       blocks=blocks, mass=sys.M)
+
+
+def _bases(sys: FemSystem) -> list[sp.csc_matrix]:
+    """``modal_decompose``'s orthonormal bases Q, from the fold's maps."""
+    folded = half_system(sys)
+    if folded is None:
+        return [sp.identity(sys.n_nodes, format="csc")]
+    f, n, nodes = folded[1], sys.n_nodes, np.arange(sys.n_nodes)
+    pair = np.bincount(f.slot)[f.slot] == 2         # off the diagonal
+    # diagonal slots first, then pair slots, each in the node order of rep
+    column = np.argsort(np.lexsort((f.rep, pair[f.rep])))[f.slot]
+    s, n_diag = np.sqrt(0.5), 2 * len(f.rep) - n
+    sign = np.where(f.rep[f.slot] == nodes, s, -s)
+    return [sp.csc_matrix((np.where(pair, s, 1.0), (nodes, column)),
+                          shape=(n, len(f.rep))),
+            sp.csc_matrix((sign[pair], (nodes[pair], column[pair] - n_diag)),
+                          shape=(n, n - len(f.rep)))]
 
 
 def exact_semidiscrete_solution(basis: ModalBasis, w0: np.ndarray,

@@ -50,15 +50,17 @@ def _element_terms(mesh, coeffs):
 def _assert_element_sums(mesh, coeffs):
     # the reference: sparse._dia_sum of the (T, 3, 3) element blocks, which
     # adds each entry's terms in triangle order, the Robin edges' own sum
-    # joined by a DIA add, and K = K_bar + c M
+    # joined by a DIA add, and K = K_bar + c M by a DIA add, its all-zero
+    # diagonals dropped
     shape = (mesh.n_nodes, mesh.n_nodes)
     M, K_bar, robin = _element_terms(mesh, coeffs)
     M, K_bar = sparse._dia_sum(*M, shape), sparse._dia_sum(*K_bar, shape)
     for terms in robin:
         K_bar = K_bar + sparse._dia_sum(*terms, shape)
+    K = K_bar + coeffs.c * M
     sys = assemble(mesh, coeffs)
     for stored, reference in ((sys.M, M), (sys.K_bar, K_bar),
-                              (sys.K, K_bar + coeffs.c * M)):
+                              (sys.K, sparse._dia(K.data, K.offsets, shape))):
         assert stored.format == "dia"
         assert np.array_equal(stored.offsets, reference.offsets)
         assert np.array_equal(stored.data, reference.data)
@@ -73,6 +75,21 @@ COEFF_IDS = ["robin", "no_robin", "reaction"]
 @pytest.mark.parametrize("coeffs", COEFFS, ids=COEFF_IDS)
 def test_system_matrices_are_the_element_sums_bit_for_bit(n_side, coeffs):
     _assert_element_sums(build_mesh(n_side), coeffs)
+
+
+@pytest.mark.parametrize("n_side", [2, 3, 26, 27])
+@pytest.mark.parametrize("coeffs", COEFFS, ids=COEFF_IDS)
+def test_K_keeps_the_products_of_the_dia_add(n_side, coeffs, rng):
+    # K is K_bar + c M as a DIA add stored it, less the two diagonals that
+    # are zero at c = 0, so every product keeps its bits
+    sys = assemble(build_mesh(n_side), coeffs)
+    added = sys.K_bar + coeffs.c * sys.M
+    assert len(added.offsets) == 7
+    assert np.array_equal(sys.K.offsets, sys.K_bar.offsets if coeffs.c == 0.0
+                          else added.offsets)
+    X = rng.standard_normal((sys.n_nodes, 3))
+    for x in (*X.T, X, 1e300 * X[:, 0], 1e-300 * X[:, 0]):
+        assert np.array_equal(sys.K @ x, added @ x)
 
 
 # log-uniform in [1e-3, 1e3], as the eigenpair property draws them

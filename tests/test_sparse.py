@@ -361,6 +361,89 @@ def test_float64_cycle_equals_the_out_of_place_cycle(n_side, rng):
     assert np.array_equal(mg(r), _out_of_place_cycle(mg, r))
 
 
+def _fold_matrix(fold):
+    """F, the 0/1 map from node to slot, as CSC."""
+    n = len(fold.slot)
+    return sp.csc_matrix((np.ones(n), (np.arange(n), fold.slot)),
+                         shape=(n, len(fold.rep)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_side=st.integers(2, 60))
+def test_fold_layout_is_the_triangle_in_paired_rows(n_side):
+    fold = sparse.fold(n_side)
+    ix, iy = fold.rep % n_side, fold.rep // n_side
+    # a bijection onto the triangle ix >= iy ...
+    assert np.all(ix >= iy)
+    assert len(np.unique(fold.rep)) == len(fold.rep) == n_side * (
+        n_side + 1) // 2
+    assert np.array_equal(fold.slot[fold.rep], np.arange(len(fold.rep)))
+    nodes = np.arange(n_side ** 2)
+    mirror = nodes % n_side * n_side + nodes // n_side
+    assert np.array_equal(fold.slot[mirror], fold.slot)
+    # ... slot by slot: grid row k, then grid row n_side - 1 - k, by ix
+    width = n_side + 1
+    for k in range(n_side // 2):
+        row = fold.rep[k * width:(k + 1) * width]
+        assert np.array_equal(iy[k * width:(k + 1) * width],
+                              [k] * (n_side - k) + [n_side - 1 - k] * (k + 1))
+        assert np.all(np.diff(row[:n_side - k]) == 1)
+        assert np.all(np.diff(row[n_side - k:]) == 1)
+    # the folded P1 operators keep the grid's 7 diagonals and 4 seam ones
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(c=1.0))
+    for half in fold.halves(sys.M, sys.K_bar, sys.K):
+        assert len(half.offsets) <= 11
+
+
+@pytest.mark.parametrize("n_side", [2, 3, 11, 12, 26])
+@pytest.mark.parametrize("coeffs", [ProblemCoefficients(),
+                                    ProblemCoefficients(c=2.5,
+                                                        mu_left_bottom=3.0)])
+def test_half_operator_is_the_csr_product(n_side, coeffs):
+    # an entry of F^T A F sums at most 4 entries of A (a mirrored pair of
+    # rows times one of columns); any two orders of t terms differ by at
+    # most 2 gamma_(t-1) sum|terms| (Higham, 2nd ed., §4.2)
+    sys = assemble(build_mesh(n_side), coeffs)
+    fold = sparse.fold(n_side)
+    F = _fold_matrix(fold)
+    u = np.finfo(float).eps / 2
+    gamma3 = 3 * u / (1 - 3 * u)
+    for A, half in zip((sys.M, sys.K_bar, sys.K),
+                       fold.halves(sys.M, sys.K_bar, sys.K), strict=True):
+        assert half.format == "dia"
+        bound = 2 * gamma3 * (F.T @ abs(A) @ F).toarray()
+        assert np.all(np.abs(half.toarray() - (F.T @ A @ F).toarray())
+                      <= bound)
+
+
+def test_fold_refuses_an_operator_off_the_stencil(sys6):
+    # node 0 coupled to node 2 lies on no diagonal of the 7-point stencil
+    A = sys6.M.tolil()
+    A[0, 2] = A[2, 0] = 1.0
+    fold = sparse.fold(6)
+    assert fold.halves(sys6.M) is not None
+    assert fold.halves(sys6.M, A.tocsr()) is None
+
+
+@pytest.mark.parametrize("n_side", [53, 54])
+def test_folded_float64_cycle_equals_the_full_cycle(n_side, rng):
+    # P_h = (P F_c)[rep] and R_h = P_h^T give the coarse half operators
+    # F_c^T (P^T A P) F_c, and no mirrored pair shares an edge on any level,
+    # so Jacobi's diagonal folds too: on an even r the cycles are one linear
+    # map, and differ by roundoff (measured 2.1e-14 and 1.3e-14)
+    sys = assemble(build_mesh(n_side))
+    fold = sparse.fold(n_side)
+    M, K_bar = fold.halves(sys.M, sys.K_bar)
+    full, half = (Multigrid(A, n_side) for A in (sys.K_bar + sys.M,
+                                                 K_bar + M))
+    assert [level[0].shape[0] for level in half.levels] == [
+        len(fold.rep), len(sparse.fold((n_side + 1) // 2).rep)]
+    r = (full.operator @ rng.standard_normal(len(fold.rep))[fold.slot])
+    x = full(r)
+    x_half = half(np.bincount(fold.slot, r))            # F^T r
+    assert np.abs(x_half - x[fold.rep]).max() <= 1e-12 * np.abs(x).max()
+
+
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
 def test_float32_levels_keep_float64_at_the_ends(sys28, rng, z):
     A = 0.01 * sys28.K - z * sys28.M

@@ -6,7 +6,8 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
-from fmes.assembly import FemSystem, ProblemCoefficients, assemble, m_norm
+from fmes.assembly import (FemSystem, ProblemCoefficients, assemble,
+                           half_system, m_norm)
 from fmes.mesh import build_mesh
 from fmes import sparse, spectral
 from fmes.schemes import SchemeSpec, make_stepper, pade_rational
@@ -93,9 +94,29 @@ def test_cross_validation_against_dense_oracle(sys11, basis11):
 
 
 def test_eigensolve_converts_no_matrix(sys26, todia_calls):
-    # the assembled matrices are DIA, so K_bar's band factor takes them as is
+    # the assembled matrices are DIA, the fold adds them into the half's DIA
+    # data, and the half K_bar's band factor takes it as is
     inverse_iteration(sys26)
     assert todia_calls == []
+
+
+@pytest.mark.parametrize("n_side", [11, 12, 26])
+def test_folded_eigensolve_matches_the_unfolded_one(n_side):
+    # without a mesh the same matrices are not folded; each Ritz value lies
+    # within ||r||_{M^-1} of an eigenvalue (Weinstein), the fundamental one
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(c=1.5))
+    folded, whole = inverse_iteration(sys), inverse_iteration(
+        replace(sys, mesh=None))
+    assert folded.iterations == whole.iterations
+    assert folded.phi1.shape == whole.phi1.shape == (sys.n_nodes,)
+    M = sys.M.toarray()
+    bounds = []
+    for pair in (folded, whole):
+        r = sys.K_bar @ pair.phi1 - pair.lambda1_bar * (sys.M @ pair.phi1)
+        assert np.linalg.norm(r) == pair.residual
+        bounds.append(np.sqrt(r @ np.linalg.solve(M, r)))
+    assert abs(folded.lambda1_bar - whole.lambda1_bar) <= sum(bounds)
+    assert abs(m_norm(sys, folded.phi1) - 1.0) <= 1e-14
 
 
 def test_nonconvergence_carries_history(sys26, monkeypatch):
@@ -363,16 +384,44 @@ def test_mirror_split_is_deterministic(sys11):
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
+def _permutation_bases(sys):
+    # the even and odd bases as permutation matrices built them before the
+    # fold: columns e_d, then (e_a + e_b)/sqrt 2 by a's node order; (e_a -
+    # e_b)/sqrt 2
+    n = sys.n_nodes
+    eye, nodes = sp.identity(n, format="csc"), np.arange(n)
+    p = nodes.reshape(sys.mesh.n_side, -1).T.ravel()
+    mirror, pairs, s = eye[p], p > nodes, np.sqrt(0.5)
+    return [sp.hstack([eye[:, p == nodes], s * (eye + mirror)[:, pairs]],
+                      format="csc"), s * (eye - mirror)[:, pairs]]
+
+
 @pytest.mark.parametrize("name", ["sys6", "sys11"])
 def test_assembled_system_splits_into_even_and_odd_blocks(request, name):
     sys = request.getfixturevalue(name)
     n_side = sys.mesh.n_side
-    blocks = spectral._mirror_blocks(sys)
+    blocks = spectral._bases(sys)
     assert [Q.shape for Q in blocks] == [
         (sys.n_nodes, n_side * (n_side + 1) // 2),
         (sys.n_nodes, n_side * (n_side - 1) // 2)]
     Q = sp.hstack(blocks).toarray()
     assert np.abs(Q.T @ Q - np.eye(sys.n_nodes)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n_side", [2, 3, 12, 26])
+def test_fold_bases_keep_the_eigh_inputs_bit_for_bit(n_side):
+    # built from the fold's maps in the permutation bases' column order, the
+    # bases store the same arrays, so eigh gets the same bits
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(c=1.5,
+                                                           mu_left_bottom=2.0))
+    for Q, reference in zip(spectral._bases(sys), _permutation_bases(sys),
+                            strict=True):
+        assert Q.shape == reference.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(Q, name), getattr(reference, name))
+        for A in (sys.K, sys.M):
+            assert np.array_equal((Q.T @ A @ Q).toarray(),
+                                  (reference.T @ A @ reference).toarray())
 
 
 def _off_mirror_perturbed(sys):
@@ -393,7 +442,9 @@ def test_one_block_equals_full_eigh_bit_for_bit(sys6, rng, case):
             0.5, 1.5, 7)))
     else:
         sys = _off_mirror_perturbed(sys6)
-    assert len(spectral._mirror_blocks(sys)) == 1
+    # the perturbed system fails the fold's mirror test, so it is not folded
+    assert half_system(sys) is None
+    assert len(spectral._bases(sys)) == 1
     basis = modal_decompose(sys)
     lam, V = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray())
     assert np.array_equal(basis.eigenvalues, lam)
@@ -406,10 +457,11 @@ def test_one_block_equals_full_eigh_bit_for_bit(sys6, rng, case):
        c=st.floats(0.0, 1e3), mu_right_top=st.floats(0.0, 1e3),
        mu_left_bottom=st.floats(0.0, 1e3))
 def test_every_assembled_system_passes_the_mirror_test(n_side, **coeffs):
-    # the split, and with it the dense path's speed, rests on assembly
-    # keeping K and M invariant under (ix, iy) -> (iy, ix)
+    # the fold, and with it the split and the half-size solves, rests on
+    # assembly keeping M, K_bar and K invariant under (ix, iy) -> (iy, ix)
     sys = assemble(build_mesh(n_side), ProblemCoefficients(**coeffs))
-    assert len(spectral._mirror_blocks(sys)) == 2
+    assert half_system(sys) is not None
+    assert len(spectral._bases(sys)) == 2
 
 
 def test_dense_limit_refusal():
