@@ -124,14 +124,18 @@ def resolve_output_dir(config: ExperimentConfig) -> Path:
 # ---------------------------------------------------------------------------
 
 def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix,
-              y_norm: float | None = None) -> float:
-    """Relative error ||y^n - ref^n||_M / ||y^n||_M; y_norm is ||y^n||_M."""
+              y_norm: float | np.ndarray | None = None):
+    """Relative error ||y^n - ref^n||_M / ||y^n||_M; y_norm is ||y^n||_M.
+    Levels stacked in rows take one mass product, each with its own bits."""
     y_n = np.asarray(y_n, dtype=float)
-    diff = y_n - np.asarray(reference_n, dtype=float)
-    den = _mass_norm(M, y_n) if y_norm is None else y_norm
-    if den == 0.0:
+    diff = np.atleast_2d(y_n - np.asarray(reference_n, dtype=float))
+    den = (np.atleast_1d(y_norm) if y_norm is not None else
+           [_mass_norm(M, y) for y in np.atleast_2d(y_n)])
+    if not np.all(den):
         raise ValueError("relative error undefined: ||y^n||_M is zero")
-    return _mass_norm(M, diff) / den
+    Mdiff = np.ascontiguousarray((M @ diff.T).T)
+    eps = np.array([_mass_norm(M, d, Md) for d, Md in zip(diff, Mdiff)]) / den
+    return eps if y_n.ndim == 2 else float(eps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +296,10 @@ def run_experiment(config: ExperimentConfig,
                 -pair.lambda1 * traj.times)
             stride = config.reference_steps // n_steps
             try:
-                eps_u = np.array([
-                    epsilon_u(traj.vector_at(n), reference.vector_at(
-                        n * stride), sys.M, traj.m_norms[n])
-                    for n in range(n_steps + 1)])
+                eps_u = epsilon_u(
+                    [traj.vector_at(n) for n in range(n_steps + 1)],
+                    [reference.vector_at(n * stride)
+                     for n in range(n_steps + 1)], sys.M, traj.m_norms)
             except ValueError as err:       # a state that is exactly zero
                 runs.append(RunResult(req.kind, req.params_label(), n_steps,
                                       error=str(err)))

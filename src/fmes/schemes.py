@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import FemSystem, _mass_norm
 from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
@@ -279,14 +280,13 @@ class _RationalStepper:
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
                  tau: float, mu: float):
-        Kt = sys.K - mu * sys.M
         self.M = sys.M
         self.scale = math.exp(-mu * tau)
         self.c0, terms = _partial_fractions(p, q)
         self.tol = OUTER_TOL / (1.0 + abs(self.c0))
         self.poles = []
         for z, r, w in terms:
-            solver = choose_solver(tau * Kt - z * sys.M, sys.mesh)
+            solver = choose_solver(_pole_operator(sys, tau, mu, z), sys.mesh)
             self.poles.append((self.scale * r, w,
                                solver if isinstance(solver, BandedSolver)
                                else _Projection(solver)))
@@ -295,10 +295,24 @@ class _RationalStepper:
         My = self.M @ y if My is None else My
         out = self.scale * self.c0 * y if self.c0 else None
         for sr, w, solving in self.poles:
-            x, _ = solving.solve(sr * My, self.tol)
-            x = w * x.real
+            # theta_standard's s r and a real pole's w are exactly 1
+            x, _ = solving.solve(My if sr == 1.0 else sr * My, self.tol)
+            x = x.real if w == 1.0 else w * x.real
             out = x if out is None else out + x
         return out
+
+
+def _pole_operator(sys: FemSystem, tau: float, mu: float, z) -> sp.dia_matrix:
+    """tau (K - mu M) - z M by scipy's DIA arithmetic's operations on each
+    entry (so its bits), on K's and M's rows placed on their offsets' union
+    (M's offsets when assembled or folded); it frees each intermediate."""
+    K, M = sp.dia_matrix(sys.K), sp.dia_matrix(sys.M)
+    offsets, n = np.union1d(K.offsets, M.offsets), M.shape[1]
+    Kd, Md = np.zeros((2, len(offsets), n))
+    for A, data in ((K, Kd), (M, Md)):
+        data[np.searchsorted(offsets, A.offsets), :A.data.shape[1]] = (
+            A.data[:, :n])
+    return sp.dia_matrix((tau * (Kd - mu * Md) - z * Md, offsets), M.shape)
 
 
 class _ModalStepper:

@@ -310,15 +310,22 @@ class BandedSolver:
         return SolveReport(0, None, dA_norm / self.norm_inf)
 
     def _checked(self, rhs: np.ndarray, b_norm: float, tol: float):
-        x = self(rhs)
         if not self.is_complex:
             eta = self.certificate.backward_bound
-            if eta <= tol and np.isfinite(x).all():
+            # a real rhs (each step's) goes to dpbtrs directly; only an x
+            # whose _norm is inf (finite entries can reach it) is tested
+            x, info = ((self(rhs), 0) if rhs.dtype.kind == "c" else
+                       scipy.linalg.lapack.dpbtrs(self._factor, rhs))
+            if info != 0:
+                raise ValueError(f"band substitution failed (info={info})")
+            if eta <= tol and (math.isfinite(_norm(x))
+                               or np.isfinite(x).all()):
                 return x, self.certificate
             raise ConvergenceError("banded solve overflowed" if eta <= tol else
                                    f"banded Cholesky's backward error bound "
                                    f"{eta:.3e} exceeds tol={tol:g}",
                                    report=self.certificate)
+        x = self(rhs)
         r_norm = _norm(self.operator @ x - rhs)
         report = SolveReport(0, r_norm / b_norm)
         if report.relative_residual <= tol:

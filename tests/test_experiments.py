@@ -74,6 +74,13 @@ def test_epsilon_u_takes_the_trajectory_norm_bit_for_bit(sys6, rng, scale):
     for n in range(6):
         assert (epsilon_u(traj.vector_at(n), ref, sys6.M, traj.m_norms[n])
                 == epsilon_u(traj.vector_at(n), ref, sys6.M))
+    # the levels stacked take one mass product and keep each level's bits
+    states = [traj.vector_at(n) for n in range(6)]
+    assert np.array_equal(
+        epsilon_u(states, [ref] * 6, sys6.M, traj.m_norms),
+        [m_norm(sys6, y - ref) / m_norm(sys6, y) for y in states])
+    with pytest.raises(ValueError, match="is zero"):
+        epsilon_u(states + [0.0 * ref], [ref] * 7, sys6.M)
 
 
 def test_mass_norms_are_invariant_under_a_power_of_2_scale(sys6, rng):

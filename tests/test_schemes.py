@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fmes import assemble, build_mesh, schemes, sparse
-from fmes.assembly import FemSystem, ProblemCoefficients, m_inner, m_norm
+from fmes.assembly import (FemSystem, ProblemCoefficients, half_system,
+                           m_inner, m_norm)
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
                           pade_rational, run_scheme)
@@ -810,6 +811,52 @@ def test_band_path_stepping_converts_no_matrix(sys26, pair26, todia_calls,
                       lambda1=pair26.lambda1)
     run_scheme(spec, sys26, np.ones(sys26.n_nodes), store_levels=())
     assert todia_calls == []
+
+
+def _pole_test_system(name):
+    """A system whose pole operators the bit-for-bit test forms: assembled
+    on n_side 6, whole or on its mirror-even half, at c = 0 (K on fewer
+    diagonals than M) or c = 2.5, or a random SPD pair in CSR with a dense
+    K and a tridiagonal M (K on more diagonals than M)."""
+    if name == "csr":
+        rng = np.random.default_rng(7)
+        A, e = rng.standard_normal((5, 5)), rng.uniform(0.5, 1.0, 4)
+        K = A @ A.T + 0.1 * np.eye(5)
+        M = np.diag(rng.uniform(4.0, 5.0, 5)) + np.diag(e, 1) + np.diag(e, -1)
+        return FemSystem(mesh=None, M=sp.csr_matrix(M),
+                         K_bar=sp.csr_matrix(K), K=sp.csr_matrix(K),
+                         coeffs=ProblemCoefficients())
+    half, c = name.split("_c")
+    sys = assemble(build_mesh(6), ProblemCoefficients(c=float(c)))
+    sys = half_system(sys)[0] if half == "half" else sys
+    assert (len(sys.K.offsets) < len(sys.M.offsets)) == (c == "0")
+    return sys
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("theta_standard", dict(sigma=1.0)), ("theta_fmes", dict(sigma=0.5)),
+    ("pade_fmes", dict(l=0, m=2)), ("pade_fmes", dict(l=2, m=2))])
+@pytest.mark.parametrize("system", ["whole_c0", "half_c0", "whole_c2.5",
+                                    "half_c2.5", "csr"])
+def test_pole_operators_keep_the_bits_of_scipys_dia_arithmetic(kind, params,
+                                                                 system):
+    # real poles (theta) and complex ones (Pade), each operator as scipy's
+    # sparse arithmetic forms it, converted to DIA
+    sys = _pole_test_system(system)
+    tau, mu = 0.01, (0.0 if kind == "theta_standard" else 7.25)
+    spec = SchemeSpec(kind, tau=tau, n_steps=1, **params,
+                      lambda1=None if kind == "theta_standard" else mu)
+    if kind == "pade_fmes":
+        p, q = pade_coefficients(params["l"], params["m"])
+    else:
+        p = np.array([1.0, params["sigma"] - 1.0])
+        q = np.array([1.0, params["sigma"]])
+    _, ((z, _, _),) = _partial_fractions(p, q)
+    (*_, solver), = make_stepper(spec, sys).poles
+    expected = sp.dia_matrix(tau * (sys.K - mu * sys.M) - z * sys.M)
+    assert np.array_equal(solver.operator.offsets, expected.offsets)
+    assert np.array_equal(solver.operator.data, expected.data)
+    assert solver.operator.dtype == expected.dtype
 
 
 @pytest.mark.parametrize("sigma, delta", [(1.0, 1e-3), (1.0, 1e-2),

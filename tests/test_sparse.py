@@ -608,11 +608,27 @@ def test_banded_solve_refuses_a_non_finite_x(sys6, monkeypatch):
     # the certificate bounds the backward error, not the size of x: an
     # overflow in the substitution is caught by the finiteness check
     solver = BandedSolver(sys6.M)
-    substitute = BandedSolver.__call__
-    monkeypatch.setattr(BandedSolver, "__call__", lambda self, r: (
-        substitute(self, r) * np.where(np.arange(r.size) == 3, np.inf, 1.0)))
+    dpbtrs = scipy.linalg.lapack.dpbtrs
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", lambda *args: (
+        dpbtrs(*args)[0] * np.where(np.arange(sys6.n_nodes) == 3, np.inf, 1.0),
+        0))
     with pytest.raises(ConvergenceError, match="^banded solve overflowed$"):
         solver.solve(np.ones(sys6.n_nodes), OUTER_TOL)
+
+
+def test_banded_solve_accepts_a_finite_x_whose_squares_overflow():
+    # 2^-768 I x = 2^254 1 on 8 nodes: ||b|| = 2^255.5 is in range and
+    # certified, each x entry is 2^1022, and ||x||^2 overflows; the solve
+    # must test the entries, not refuse on ||x||
+    solver = BandedSolver(sp.dia_matrix((np.full((1, 8), 2.0 ** -768), [0]),
+                                        shape=(8, 8)))
+    b = np.full(8, 2.0 ** 254)
+    assert solver.certificate.backward_bound <= OUTER_TOL
+    assert sparse._in_range(sparse._norm(b))
+    assert sparse._norm(np.full(8, 2.0 ** 1022)) == np.inf
+    x, report = solver.solve(b, OUTER_TOL)
+    assert np.array_equal(x, np.full(8, 2.0 ** 1022))
+    assert report is solver.certificate
 
 
 def test_banded_solve_takes_no_product_and_one_certificate(sys6, monkeypatch):
