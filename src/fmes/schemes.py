@@ -26,7 +26,8 @@ for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
 conjugate pole pair by ``sparse.choose_solver``'s solver: a band factor
 made once per run or, above sparse.DIRECT_LIMIT_BYTES, CG preconditioned
-by a real multigrid V-cycle.
+by a real multigrid V-cycle.  Each solve is checked by its solver, except
+in ``run_scheme``'s flat loop, which makes the checks itself.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -40,10 +41,12 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import dia_matvec
 
 from .assembly import FemSystem, _mass_norm
 from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
-                     cg_solve, choose_solver)
+                     _in_range, _norm, _solve_in_range, cg_solve,
+                     choose_solver)
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
@@ -268,14 +271,14 @@ class _RationalStepper:
     terms.
 
     Each pole is ``(s r, w, solving)``, and ``solving.solve(b, tol)``
-    solves its system with ``sparse.choose_solver``'s solver.  A
-    ``BandedSolver`` is ``solving`` itself: it factors, and certifies a real
-    factor, on the first step, so a failure still names level 1.  A
-    ``Multigrid``, with float32 levels, is the ``solver`` of a
-    ``_Projection``: float64 CG preconditioned by it, each solve started
-    from the projection onto the system's last solutions (README.md), so
-    a stepper follows one trajectory.
-    ``step`` reuses M y when the caller has it (``run_scheme`` does).
+    solves its system with ``sparse.choose_solver``'s solver and checks
+    it, except in ``run_scheme``'s flat loop.  A ``BandedSolver`` is
+    ``solving`` itself: it factors, and certifies a real factor, on the
+    first step, so a failure still names level 1.  A ``Multigrid``, with
+    float32 levels, is the ``solver`` of a ``_Projection``: float64 CG
+    preconditioned by it, each solve started from the projection onto the
+    system's last solutions (README.md), so a stepper follows one
+    trajectory.  ``step`` reuses M y when the caller has it.
     """
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
@@ -427,6 +430,10 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     level indices; levels 0 and n_steps are always kept).  Norms and, when
     phi1 is given, fundamental-mode amplitudes are recorded at every level.
 
+    A stepper whose only pole is a real band factor (theta, Pade m = 1) is
+    stepped here, with the checks of ``BandedSolver.solve``: the range rule
+    on b, LAPACK's info, the certificate and x's finiteness.
+
     Raises
     ------
     ValueError
@@ -449,23 +456,36 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     amplitudes = np.empty(n_steps + 1) if phi1 is not None else None
     vectors: dict[int, np.ndarray] = {}
 
-    def record(level: int, vec: np.ndarray):
-        mv = sys.M @ vec
-        m_norms[level] = _mass_norm(sys.M, vec, mv)
-        if amplitudes is not None:
-            amplitudes[level] = float(phi1 @ mv)
-        if keep is None or level in keep:
-            vectors[level] = vec
-        return mv
-
-    My = record(0, y)
-    for level in range(1, n_steps + 1):
-        try:
-            y = stepper.step(y, My)
-        except ConvergenceError as err:
-            raise ConvergenceError(
-                f"{spec.kind} step failed at level {level}: {err}",
-                report=err.report) from err
-        My = record(level, y)
+    M = sp.dia_matrix(sys.M)
+    # scipy's kernel of M @ y, called into zeros (private API; tested bits)
+    dia = (*M.shape, len(M.offsets), M.data.shape[1], M.offsets, M.data)
+    (sr, _, solver), *more = getattr(stepper, "poles", [(None,) * 3])
+    flat = isinstance(solver, BandedSolver) and not (more or solver.is_complex)
+    try:
+        for level in range(n_steps + 1):
+            if level and not flat:
+                y = stepper.step(y, My)
+            elif level:
+                b = My if sr == 1.0 else sr * My
+                x = (solver(b) if _in_range(_norm(b)) and
+                     solver.certificate.backward_bound <= stepper.tol
+                     else _solve_in_range(solver._checked, b, stepper.tol)[0])
+                y = stepper.scale * stepper.c0 * y + x if stepper.c0 else x
+            dia_matvec(*dia, y, My := np.zeros(len(y)))
+            m_norms[level] = norm = _mass_norm(M, y, My)
+            # M's diagonal is positive, so an inf or nan entry of y (so of x)
+            # makes its term of y^T M y, and so the norm, non-finite
+            if flat and level and not (math.isfinite(norm)
+                                       or np.isfinite(x).all()):
+                raise ConvergenceError("banded solve overflowed",
+                                       report=solver.certificate)
+            if amplitudes is not None:      # phi1 @ My's bits, sooner
+                amplitudes[level] = np.vdot(phi1, My)
+            if keep is None or level in keep:
+                vectors[level] = y
+    except ConvergenceError as err:
+        raise ConvergenceError(
+            f"{spec.kind} step failed at level {level}: {err}",
+            report=err.report) from err
     return Trajectory(times=times, m_norms=m_norms,
                       amplitudes=amplitudes, vectors=vectors)

@@ -7,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from fmes import assemble, build_mesh, schemes, sparse
-from fmes.assembly import (FemSystem, ProblemCoefficients, half_system,
-                           m_inner, m_norm)
+from fmes.assembly import (FemSystem, ProblemCoefficients, _mass_norm,
+                           half_system, m_inner, m_norm)
 from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
                           fmes_weight, make_stepper, pade_coefficients,
                           pade_rational, run_scheme)
@@ -639,6 +639,96 @@ def test_run_scheme_reuses_mass_product(sys6, pair6, basis6, rng, kind,
     for level in range(1, spec.n_steps + 1):
         y = stepper.step(y)
         assert np.array_equal(traj.vector_at(level), y)
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("kind, params", [
+    ("theta_standard", dict(sigma=1.0)), ("theta_fmes", dict(sigma=1.0)),
+    ("theta_fmes", dict(sigma=0.5)), ("pade_fmes", dict(l=0, m=1)),
+    ("pade_fmes", dict(l=1, m=1)), ("pade_fmes", dict(l=0, m=2))])
+def test_band_loop_is_the_chained_steps(sys6, pair6, rng, monkeypatch, kind,
+                                        params, half, scale):
+    # a stepper whose one pole is a real band factor runs in run_scheme's
+    # own loop, without .step; (0, 2), with complex poles, still steps by
+    # .step.  Both give the states, mass norms and amplitudes of chained
+    # .step calls bit for bit: in range and, from 2^-300 and 2^300, through
+    # the range rule's scaled solves and norms
+    sys, fold = half_system(sys6) if half else (sys6, None)
+    phi1 = pair6.phi1 if fold is None else pair6.phi1[fold.rep]
+    lam1 = None if kind == "theta_standard" else pair6.lambda1
+    spec = SchemeSpec(kind, tau=0.01, n_steps=4, lambda1=lam1, **params)
+    y = scale * _generic_state(sys, rng)
+    assert sparse._in_range(sparse._norm(sys.M @ y)) == (scale == 1.0)
+    steps = []
+    step = schemes._RationalStepper.step
+    monkeypatch.setattr(schemes._RationalStepper, "step",
+                        lambda *args: steps.append(1) or step(*args))
+    traj = run_scheme(spec, sys, y, phi1=phi1)
+    assert len(steps) == (4 if params.get("m") == 2 else 0)
+    stepper = make_stepper(spec, sys)
+    for level in range(spec.n_steps + 1):
+        y = stepper.step(y) if level else y
+        My = sys.M @ y
+        assert np.array_equal(traj.vector_at(level), y)
+        assert traj.m_norms[level] == _mass_norm(sys.M, y, My)
+        assert traj.amplitudes[level] == phi1 @ My
+
+
+def test_band_loop_refuses_a_non_finite_x_at_its_level(sys6, monkeypatch):
+    # the loop reads x's finiteness off the level's mass norm; an inf entry
+    # from the third substitution is refused at level 3
+    dpbtrs, calls = scipy.linalg.lapack.dpbtrs, []
+
+    def overflowing(*args):
+        x, info = dpbtrs(*args)
+        calls.append(1)
+        if len(calls) == 3:
+            x[3] = np.inf
+        return x, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", overflowing)
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=5, sigma=1.0)
+    with pytest.raises(ConvergenceError,
+                       match="^theta_standard step failed at level 3: "
+                             "banded solve overflowed$"):
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+    assert len(calls) == 3
+
+
+def test_band_loop_accepts_a_finite_x_whose_squares_overflow():
+    # M = 2^-768 I and K = 0 on 8 nodes: theta_standard's pole operator is
+    # M, so each level is y = 2^1022 1, whose M y = 2^254 1 is in range and
+    # whose y^T M y overflows; the range rule's norm is sqrt(2) 2^639
+    M = sp.dia_matrix((np.full((1, 8), 2.0 ** -768), [0]), shape=(8, 8))
+    K = sp.dia_matrix((np.zeros((1, 8)), [0]), shape=(8, 8))
+    sys = FemSystem(mesh=None, M=M, K_bar=K, K=K,
+                    coeffs=ProblemCoefficients())
+    w0 = np.full(8, 2.0 ** 1022)
+    assert np.vdot(w0, M @ w0) == np.inf
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=2, sigma=1.0)
+    traj = run_scheme(spec, sys, w0)
+    assert np.array_equal(traj.final, w0)
+    assert traj.m_norms.tolist() == [math.sqrt(2.0) * 2.0 ** 639] * 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_side=st.integers(2, 40), half=st.booleans(),
+       c=st.sampled_from([0.0, 2.5]),
+       scale=st.sampled_from([1.0, 2.0 ** -600, 2.0 ** 600]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dia_kernel_into_zeros_is_the_dia_product(n_side, half, c, scale,
+                                                   seed):
+    # run_scheme's mass product calls scipy's private DIA kernel into fresh
+    # zeros; it must keep the bits of scipy's M @ y (and K @ y)
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(c=c))
+    sys = half_system(sys)[0] if half else sys
+    y = scale * np.random.default_rng(seed).standard_normal(sys.n_nodes)
+    for A in (sys.M, sys.K):
+        out = np.zeros(sys.n_nodes)
+        schemes.dia_matvec(*A.shape, len(A.offsets), A.data.shape[1],
+                           A.offsets, A.data, y, out)
+        assert np.array_equal(out.view(np.int64), (A @ y).view(np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -498,11 +498,16 @@ def test_banded_solver_reads_any_sparse_format(sys6, rng, shift):
     assert abs(padded - A).max() == abs(wide - A).max() == 0.0
     b = rng.standard_normal(sys6.n_nodes) * (1.0 - 2.0j if shift.imag else 1.0)
     expected = BandedSolver(A)(b)
+    # ||A||_inf from the DIA columns, padding left out: the row sums add the
+    # same moduli of at most 7 entries in another order, 12 u apart at most
+    norm_inf = np.abs(A.toarray()).sum(axis=1).max()
     for same in (A.tocsc(), A.todia(), padded, wide):
         solver = BandedSolver(same)
         # row-by-row numbering: the farthest neighbour is one row up, one right
         assert solver.bandwidth == sys6.mesh.n_side + 1
         assert np.array_equal(solver(b), expected)
+        assert solver.norm_inf == pytest.approx(norm_inf, rel=12 * 2.0 ** -53,
+                                                abs=0.0)
     assert BandedSolver(sp.eye(4)).bandwidth == 0
 
 
