@@ -10,6 +10,7 @@ interface cuts through cells.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -145,15 +146,19 @@ def assemble(mesh: Mesh,
 def half_system(sys: FemSystem) -> tuple[FemSystem, Fold] | None:
     """(F^T sys F, fold): sys on its mirror-even half, each matrix folded by
     its mesh's ``sparse.fold``; None without a mesh, for a half system, or
-    when M, K_bar or K fails the fold's mirror test."""
+    when M, K_bar or K fails the fold's mirror test.  A weak link on sys
+    shares one fold among its callers while the half is in use."""
     if sys.mesh is None or sys.n_nodes != sys.mesh.n_nodes:
         return None
     f = fold(sys.mesh.n_side)
-    halves = f.halves(sys.M, sys.K_bar, sys.K)
-    if halves is None:
-        return None
-    M, K_bar, K = halves
-    return replace(sys, M=M, K_bar=K_bar, K=K), f
+    half = getattr(sys, "_half", lambda: None)()
+    if half is None:
+        halves = f.halves(sys.M, sys.K_bar, sys.K)
+        if halves is None:
+            return None
+        half = replace(sys, M=halves[0], K_bar=halves[1], K=halves[2])
+        object.__setattr__(sys, "_half", weakref.ref(half))
+    return half, f
 
 
 def m_inner(sys: FemSystem, u: np.ndarray, v: np.ndarray) -> float:

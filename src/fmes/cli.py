@@ -107,7 +107,7 @@ def _cmd_analyze(args) -> int:
     for eta in etas:
         sigma1 = fmes_weight(eta)
         defect = amplification_factor(sigma1, eta) - np.exp(-eta)
-        rows.append([_fmt(eta), _fmt(sigma1), _fmt(defect)])
+        rows.append(",".join([_fmt(eta), _fmt(sigma1), _fmt(defect)]))
     _write_csv(outdir / "fmes_weight.csv", "eta,sigma1,r_minus_exp", rows)
 
     pairs = ((0, 1), (1, 1), (0, 2), (2, 2))
@@ -116,7 +116,7 @@ def _cmd_analyze(args) -> int:
     rows = []
     for z in zs:
         errs = [abs(pade_rational(l, m, z) - np.exp(-z)) for l, m in pairs]
-        rows.append([_fmt(z)] + [_fmt(e) for e in errs])
+        rows.append(",".join([_fmt(z)] + [_fmt(e) for e in errs]))
     _write_csv(outdir / "pade_error.csv", header, rows)
 
     print("exact-weight samples (eta, sigma1):")

@@ -31,11 +31,12 @@ from .assembly import (FemSystem, ProblemCoefficients, _mass_norm,
                        assemble, half_system)
 from .mesh import build_mesh
 from .schemes import SchemeSpec, Trajectory, run_scheme
-from .sparse import ConvergenceError
+from .sparse import _RANGE, ConvergenceError
 from .spectral import (MIN_SWEEPS, EigenPair, inverse_iteration,
                        modal_decompose)
 
 OUTPUT_DIR_ENV = "FMES_OUTPUT_DIR"
+_FMT = "%.17g"      # every number in the CSVs (_fmt, _float_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +134,11 @@ def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix,
            [_mass_norm(M, y) for y in np.atleast_2d(y_n)])
     if not np.all(den):
         raise ValueError("relative error undefined: ||y^n||_M is zero")
-    Mdiff = np.ascontiguousarray((M @ diff.T).T)
-    eps = np.array([_mass_norm(M, d, Md) for d, Md in zip(diff, Mdiff)]) / den
+    Mdiff = np.ascontiguousarray((M @ diff.T).T)    # C rows: vdot's bits
+    norms = np.sqrt(np.abs([np.vdot(d, Md) for d, Md in zip(diff, Mdiff)]))
+    for i in np.flatnonzero(~((_RANGE[0] <= norms) & (norms <= _RANGE[1]))):
+        norms[i] = _mass_norm(M, diff[i], Mdiff[i])
+    eps = norms / den
     return eps if y_n.ndim == 2 else float(eps[0])
 
 
@@ -191,14 +195,18 @@ class RunResult:
 
 
 def _fmt(x: float) -> str:
-    return format(x, ".17g")
+    return _FMT % x
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _float_rows(*columns: np.ndarray) -> list[str]:
+    """One CSV line per row of number columns, each number as _fmt's."""
+    row = ",".join([_FMT] * len(columns))
+    return [row % values for values in zip(*(c.tolist() for c in columns))]
+
+
+def _write_csv(path: Path, header: str, lines) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([header, *lines, ""]))
 
 
 def initial_state(sys: FemSystem) -> np.ndarray:
@@ -217,13 +225,10 @@ def run_table1(config: ExperimentConfig) -> dict[int, EigenPair]:
     outdir = resolve_output_dir(config)
     outdir.mkdir(parents=True, exist_ok=True)
     header = "m," + ",".join(f"nside_{n}" for n in config.eigen_grids)
-    rows = []
-    for i in range(MIN_SWEEPS):
-        row = [str(i + 1)]
-        for n_side in config.eigen_grids:
-            row.append(_fmt(pairs[n_side].history[i]))
-        rows.append(row)
-    _write_csv(outdir / "eigen_iterations.csv", header, rows)
+    _write_csv(outdir / "eigen_iterations.csv", header, _float_rows(
+        np.arange(1, MIN_SWEEPS + 1),
+        *(np.array(pairs[n].history[:MIN_SWEEPS])
+          for n in config.eigen_grids)))
     return pairs
 
 
@@ -269,9 +274,9 @@ def run_experiment(config: ExperimentConfig,
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "eigenpair.csv",
                "n_side,c,lambda1_bar,lambda1,iterations,residual",
-               [[str(config.n_side), _fmt(config.coefficients.c),
-                 _fmt(pair.lambda1_bar), _fmt(pair.lambda1),
-                 str(pair.iterations), _fmt(pair.residual)]])
+               [",".join([str(config.n_side), _fmt(config.coefficients.c),
+                          _fmt(pair.lambda1_bar), _fmt(pair.lambda1),
+                          str(pair.iterations), _fmt(pair.residual)])])
 
     runs: list[RunResult] = []
     if not config.schemes:
@@ -306,9 +311,7 @@ def run_experiment(config: ExperimentConfig,
                 continue
             name = f"{req.kind}_{req.params_label()}_N{n_steps}.csv"
             _write_csv(outdir / name, "t,norm_m,eps_a,eps_u",
-                       ([_fmt(traj.times[n]), _fmt(traj.m_norms[n]),
-                         _fmt(eps_a[n]), _fmt(eps_u[n])]
-                        for n in range(n_steps + 1)))
+                       _float_rows(traj.times, traj.m_norms, eps_a, eps_u))
             runs.append(RunResult(
                 req.kind, req.params_label(), n_steps,
                 max_eps_a=float(np.max(np.abs(eps_a))),
@@ -317,8 +320,9 @@ def run_experiment(config: ExperimentConfig,
 
     _write_csv(outdir / "summary.csv",
                "scheme,params,N,max_eps_a,max_eps_u,final_norm",
-               ([r.kind, r.params, str(r.n_steps), _fmt(r.max_eps_a),
-                 _fmt(r.max_eps_u), _fmt(r.final_norm)] for r in runs))
+               (",".join([r.kind, r.params, str(r.n_steps), _fmt(r.max_eps_a),
+                          _fmt(r.max_eps_u), _fmt(r.final_norm)])
+                for r in runs))
     return ExperimentResult(eigenpair=pair, runs=runs, output_dir=outdir)
 
 

@@ -40,13 +40,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import dia_matvec
 
 from .assembly import FemSystem, _mass_norm
-from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
-                     _in_range, _norm, _solve_in_range, cg_solve,
-                     choose_solver)
+from .sparse import (_RANGE, BandedSolver, ConvergenceError, Multigrid,
+                     SolveReport, _solve_in_range, cg_solve, choose_solver)
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
@@ -207,7 +207,8 @@ def _partial_fractions(p: np.ndarray, q: np.ndarray):
     c0 = p[-1] / q[-1] if p.size == q.size else 0.0
     dq = np.polyder(q[::-1])
     terms = []
-    for z in np.roots(q[::-1]):
+    # a degree-1 Q's pole as np.roots gives it, without its eigensolve
+    for z in [-q[0] / q[1]] if q.size == 2 else np.roots(q[::-1]):
         if z.imag < 0.0:
             continue
         r = np.polyval(p[::-1], z) / np.polyval(dq, z)
@@ -461,24 +462,34 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     dia = (*M.shape, len(M.offsets), M.data.shape[1], M.offsets, M.data)
     (sr, _, solver), *more = getattr(stepper, "poles", [(None,) * 3])
     flat = isinstance(solver, BandedSolver) and not (more or solver.is_complex)
+    # inline fast paths; out of range or refused, the checked functions
+    lo, hi = _RANGE
+    dpbtrs = scipy.linalg.lapack.dpbtrs
     try:
         for level in range(n_steps + 1):
             if level and not flat:
                 y = stepper.step(y, My)
             elif level:
+                if level == 1:      # factors and certifies: failures name 1
+                    factor = solver._factor
+                    eta = solver.certificate.backward_bound
                 b = My if sr == 1.0 else sr * My
-                x = (solver(b) if _in_range(_norm(b)) and
-                     solver.certificate.backward_bound <= stepper.tol
-                     else _solve_in_range(solver._checked, b, stepper.tol)[0])
+                x, info = (dpbtrs(factor, b) if eta <= stepper.tol and
+                           lo <= math.sqrt(np.vdot(b, b)) <= hi else (None, 1))
+                if info != 0:
+                    x = _solve_in_range(solver._checked, b, stepper.tol)[0]
                 y = stepper.scale * stepper.c0 * y + x if stepper.c0 else x
             dia_matvec(*dia, y, My := np.zeros(len(y)))
-            m_norms[level] = norm = _mass_norm(M, y, My)
-            # M's diagonal is positive, so an inf or nan entry of y (so of x)
-            # makes its term of y^T M y, and so the norm, non-finite
-            if flat and level and not (math.isfinite(norm)
-                                       or np.isfinite(x).all()):
-                raise ConvergenceError("banded solve overflowed",
-                                       report=solver.certificate)
+            norm = math.sqrt(abs(np.vdot(y, My)))
+            if not lo <= norm <= hi:
+                norm = _mass_norm(M, y, My)
+                # M's diagonal is positive, so an inf or nan entry of y (so
+                # of x) makes its term of y^T M y, and so the norm, non-finite
+                if flat and level and not (math.isfinite(norm)
+                                           or np.isfinite(x).all()):
+                    raise ConvergenceError("banded solve overflowed",
+                                           report=solver.certificate)
+            m_norms[level] = norm
             if amplitudes is not None:      # phi1 @ My's bits, sooner
                 amplitudes[level] = np.vdot(phi1, My)
             if keep is None or level in keep:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fmes import sparse
 from fmes.assembly import (EDGE_MASS, ELEMENT_MASS, ProblemCoefficients,
-                           assemble, m_inner, m_norm)
+                           assemble, half_system, m_inner, m_norm)
 from fmes.mesh import build_mesh
 from fmes.spectral import inverse_iteration
 
@@ -166,6 +169,20 @@ def test_m_inner_basics(sys6):
     ones = np.ones(sys6.n_nodes)
     assert m_inner(sys6, ones, np.zeros(sys6.n_nodes)) == 0.0
     assert m_inner(sys6, ones, ones) == pytest.approx(1.0, rel=1e-13)
+
+
+def test_half_system_is_shared_while_in_use_and_not_kept():
+    # a system's callers share one fold while its half lives, but the whole
+    # system does not keep the half (5 MB at n_side 201) alive
+    sys = assemble(build_mesh(6))
+    half, f = half_system(sys)
+    assert half_system(sys)[0] is half and half_system(sys)[1] is f
+    assert half_system(half) is None
+    link = weakref.ref(half)
+    del half
+    gc.collect()
+    assert link() is None
+    assert half_system(sys)[0].n_nodes == 21
 
 
 def test_m_norm_of_sine_interpolant():

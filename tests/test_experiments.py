@@ -1,10 +1,11 @@
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fmes import (assemble, build_mesh, experiments, inverse_iteration,
-                  m_norm, spectral)
+                  m_norm, sparse, spectral)
 from fmes.assembly import ProblemCoefficients
 from fmes.config import default_config_text, load_config, parse_config
 from fmes.experiments import (ExperimentConfig, SchemeRequest, epsilon_u,
@@ -327,6 +328,35 @@ def test_csv_output_deterministic(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_run_csv_rows_are_fmt_text():
+    # the run CSVs write each row with one %-format on .tolist() floats;
+    # every value must read as _fmt, and _fmt as format(x, ".17g"), writes it
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+              2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+              0.1 + 0.2]
+    assert repr(0.1 + 0.2) == "0.30000000000000004"     # all 17 digits
+    column = np.array(values)
+    rows = experiments._float_rows(column, column[::-1], -column)
+    assert rows == [",".join(map(experiments._fmt, (x, y, -x)))
+                    for x, y in zip(values, values[::-1])]
+    assert [row.split(",")[0] for row in rows] == [
+        format(x, ".17g") for x in values]
+
+
+def test_run_experiment_folds_its_system_once(tmp_path, monkeypatch):
+    # run_experiment and its inverse_iteration share one fold of the whole
+    # system; the modal basis is made on the half, which folds nothing
+    calls = []
+    halves = sparse.Fold.halves
+    monkeypatch.setattr(sparse.Fold, "halves",
+                        lambda *args: calls.append(1) or halves(*args))
+    schemes = SMALL_SCHEMES + (
+        SchemeRequest("pade_modal", l=1, m=1, steps=(5,)),)
+    result = run_experiment(_small_config(tmp_path, schemes=schemes))
+    assert result.all_converged
+    assert len(calls) == 1
 
 
 def _read_columns(outdir):

@@ -155,6 +155,28 @@ def test_partial_fractions_match_rational(pq, z):
     assert abs(split - direct) <= 1e-11 * (1.0 + abs(c0))
 
 
+_DEGREE_ONE = ([(np.array([1.0, -(1.0 - sigma)]), np.array([1.0, sigma]))
+                for sigma in (0.5, 0.55, 0.7, 0.93, 1.0)]
+               + [pade_coefficients(l, 1) for l in (0, 1)])
+
+
+@pytest.mark.parametrize("pq", _DEGREE_ONE)
+def test_partial_fractions_degree_one_pole_is_np_roots(pq, monkeypatch):
+    # a degree-1 Q's pole is -q0/q1, np.roots's value bit for bit, without
+    # its call; degrees 2-4 still call np.roots once
+    p, q = pq
+    (root,) = np.roots(q[::-1])
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: calls.append(1) or roots(c))
+    _, [(z, r, w)] = _partial_fractions(p, q)
+    assert calls == [] and w == 1.0 and np.imag(root) == 0.0
+    assert np.float64(z).view(np.int64) == np.float64(root).view(np.int64)
+    for m in range(2, 5):
+        _partial_fractions(*pade_coefficients(0, m))
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # standard theta scheme
 # ---------------------------------------------------------------------------
@@ -710,6 +732,51 @@ def test_band_loop_accepts_a_finite_x_whose_squares_overflow():
     traj = run_scheme(spec, sys, w0)
     assert np.array_equal(traj.final, w0)
     assert traj.m_norms.tolist() == [math.sqrt(2.0) * 2.0 ** 639] * 3
+
+
+_EDGE = 2.0 ** 255        # ||c 1|| on 4 nodes is 2 c
+
+
+@pytest.mark.parametrize("m, c, solves, norms", [
+    (1.0, _EDGE, 0, 0),                                 # ||b|| = 2^256
+    (1.0, _EDGE * 2.0 ** -512, 0, 0),                   # ||b|| = 2^-256
+    (1.0, np.nextafter(_EDGE, np.inf), 2, 3),           # just above
+    (1.0, np.nextafter(_EDGE * 2.0 ** -512, 0.0), 2, 3),    # just below
+    (1.0, 0.0, 2, 3),                                   # b = 0, y^T M y = 0
+    (2.0 ** 600, 2.0 ** -801, 0, 3),        # ||b|| = 2^-200, norm 2^-500
+    (2.0 ** -1000, 2.0 ** -74, 2, 3)],      # M y = 2^-1074 1, y^T M y 0
+    ids=["b_2^256", "b_2^-256", "b_above", "b_below", "b_zero",
+         "norm_below", "norm_underflows"])
+def test_band_loop_range_rule_edges(m, c, solves, norms, monkeypatch):
+    # M = m I and K = 0 on 4 nodes: theta_standard's pole operator is M, so
+    # b = M y and every level is y = c 1.  The loop's inline fast paths take
+    # a b with ||b|| in [2^-256, 2^256] and a norm in that range; any other
+    # goes through _solve_in_range and _mass_norm, with the bits of the
+    # checked steps and of _mass_norm
+    M = sp.dia_matrix((np.full((1, 4), m), [0]), shape=(4, 4))
+    K = sp.dia_matrix((np.zeros((1, 4)), [0]), shape=(4, 4))
+    sys = FemSystem(mesh=None, M=M, K_bar=K, K=K,
+                    coeffs=ProblemCoefficients())
+    w0 = np.full(4, c)
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=2, sigma=1.0)
+    calls = {"solves": 0, "norms": 0}
+
+    def counted(name, func):
+        return lambda *args: calls.update({name: calls[name] + 1}) or func(
+            *args)
+
+    monkeypatch.setattr(schemes, "_solve_in_range",
+                        counted("solves", schemes._solve_in_range))
+    monkeypatch.setattr(schemes, "_mass_norm",
+                        counted("norms", schemes._mass_norm))
+    traj = run_scheme(spec, sys, w0)
+    assert calls == {"solves": solves, "norms": norms}
+    y, stepper = w0, make_stepper(spec, sys)
+    for level in range(3):
+        y = stepper.step(y) if level else y
+        assert np.array_equal(traj.vector_at(level), y)
+        assert traj.m_norms[level] == _mass_norm(M, y)
+    assert traj.m_norms.tolist() == [2.0 * c * math.sqrt(m)] * 3
 
 
 @settings(max_examples=40, deadline=None)
