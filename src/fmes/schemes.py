@@ -308,15 +308,18 @@ class _RationalStepper:
 
 def _pole_operator(sys: FemSystem, tau: float, mu: float, z) -> sp.dia_matrix:
     """tau (K - mu M) - z M by scipy's DIA arithmetic's operations on each
-    entry (so its bits), on K's and M's rows placed on their offsets' union
-    (M's offsets when assembled or folded); it frees each intermediate."""
+    entry (so its bits), in place on K's and M's rows placed on their
+    offsets' union (M's offsets when assembled or folded) and one scratch."""
     K, M = sp.dia_matrix(sys.K), sp.dia_matrix(sys.M)
     offsets, n = np.union1d(K.offsets, M.offsets), M.shape[1]
     Kd, Md = np.zeros((2, len(offsets), n))
     for A, data in ((K, Kd), (M, Md)):
         data[np.searchsorted(offsets, A.offsets), :A.data.shape[1]] = (
             A.data[:, :n])
-    return sp.dia_matrix((tau * (Kd - mu * Md) - z * Md, offsets), M.shape)
+    Kd -= (scratch := np.multiply(mu, Md))
+    Kd *= tau
+    zMd = np.multiply(z, Md, out=None if np.iscomplexobj(z) else scratch)
+    return sp.dia_matrix((np.subtract(Kd, zMd, out=zMd), offsets), M.shape)
 
 
 class _ModalStepper:

@@ -16,6 +16,7 @@ a ``Multigrid`` of a half operator coarsens it by folded transfers.
 
 CG stops on its recurrence residual and runs in float64, also around
 float32 V-cycle levels; a complex A is solved by conjugate orthogonal CG.
+Each V-cycle level and each CG solve keeps a workspace; results are fresh.
 All paths are deterministic, so runs are bit-reproducible.
 
 One range rule serves every solve and mass norm: a v whose norm lies
@@ -34,6 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
+from scipy.sparse._sparsetools import dia_matvec
 
 from .mesh import Mesh
 
@@ -96,7 +99,7 @@ def _check_breakdown(name: str, value, iterations: int, residual: float):
     """Raise ConvergenceError unless a CG scalar is finite and at least the
     smallest normal float: a subnormal divisor loses digits, and complex
     division, which takes its reciprocal, overflows."""
-    if not np.finfo(float).tiny <= abs(value) < math.inf:
+    if not 2.0 ** -1022 <= abs(value) < math.inf:     # np.finfo(float).tiny
         raise ConvergenceError(
             f"CG breakdown: {name} = {value} underflowed or is not finite",
             report=SolveReport(iterations, residual))
@@ -107,6 +110,19 @@ def _norm(v: np.ndarray) -> float:
     if v.dtype.kind == "c":
         return math.sqrt(np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag))
     return math.sqrt(np.vdot(v, v))
+
+
+def _product(A, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ v's bits for a DIA, CSR or CSC A of out's dtype: scipy's kernel
+    of the product (private API) into ``out`` on zeros, as A @ v calls it."""
+    out.fill(0)
+    if A.format == "dia":
+        dia_matvec(*A.shape, len(A.offsets), A.data.shape[1], A.offsets,
+                   A.data, v, out)
+    else:
+        getattr(_sparsetools, A.format + "_matvec")(
+            *A.shape, A.indptr, A.indices, A.data, v, out)
+    return out
 
 
 def _solve_in_range(solve, b: np.ndarray, tol: float, *x0):
@@ -173,10 +189,12 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
     A = solver.operator
     is_complex = np.iscomplexobj(rhs)
     x, r, res = np.zeros_like(rhs), rhs.copy(), b_norm   # updated in place
+    ap, step = np.empty((2, len(rhs)), rhs.dtype)   # A p; alpha p, alpha A p
+    direct = isinstance(A, sp.dia_matrix) and A.dtype == rhs.dtype
     if x0 is not None:
         # a warm start worse than none (||rhs - A x0|| > ||rhs||) is dropped
         x_warm = np.array(x0, dtype=rhs.dtype)
-        r_warm = rhs - A @ x_warm
+        r_warm = rhs - (_product(A, x_warm, ap) if direct else A @ x_warm)
         res_warm = _norm(r_warm)
         if res_warm <= b_norm:
             x, r, res = x_warm, r_warm, res_warm
@@ -196,7 +214,7 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
             np.multiply(rz_next / rz, p, out=p)
             p += z
         rz = rz_next
-        ap = A @ p
+        ap = _product(A, p, ap) if direct else A @ p
         pap = p @ ap
         # a real solve keeps one reduction; a complex one also needs p^H A p
         if (np.vdot(p, ap).real if is_complex else pap) <= 0.0:
@@ -205,8 +223,8 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
                 report=SolveReport(iterations, res / b_norm))
         _check_breakdown("p^T A p", pap, iterations, res / b_norm)
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, ap, out=step)
         res = _norm(r)
 
     report = SolveReport(CG_MAX_ITER, res / b_norm)
@@ -367,11 +385,16 @@ def prolongation(n_side: int) -> sp.csr_matrix:
 
 
 @functools.lru_cache(maxsize=8)
-def _transfers(n_side: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``prolongation(n_side)`` P and the restriction P^T as CSR, built once
-    per n_side and shared by every ``Multigrid`` (read-only arrays)."""
+def _transfers(n_side: int, folded: bool):
+    """``prolongation(n_side)`` P (on a half, P_h), P^T as CSR and P as CSC,
+    built once per grid and shared by every ``Multigrid`` (read-only)."""
     P = prolongation(n_side)
-    transfers = P, P.T.tocsr()
+    if folded:
+        coarse = fold((n_side + 1) // 2)
+        P = sp.csr_matrix((P.data, coarse.slot[P.indices], P.indptr),
+                          (P.shape[0], len(coarse.rep)))[fold(n_side).rep]
+        P.sum_duplicates()
+    transfers = P, P.T.tocsr(), P.tocsc()
     for matrix in transfers:
         for a in (matrix.data, matrix.indices, matrix.indptr):
             a.flags.writeable = False
@@ -503,12 +526,14 @@ class Multigrid:
     ``operator`` is A in DIA storage.  ``levels`` holds per level the DIA
     operator (A, or a contiguous copy of a complex A's real part, then each
     Galerkin product), the Jacobi weights, P and the restriction P^T as CSR
-    (the CSC view ``P.T`` is slower, but the Galerkin product keeps it: CSR
-    P^T sums differently), cast once to ``dtype`` after the float64
-    products; ``operator`` and the coarsest factor stay float64.  The cycle
-    is real: a complex r gets ``self(r.real) + 1j * self(r.imag)``.
-    Narrower levels take every r by the range rule's scale (max|2^e r| in
-    [1/2, 1)) and return 2^-e times their result in r's dtype, so CG around
+    (the Galerkin product keeps the CSC view ``P.T``: CSR P^T sums
+    differently), cast once to ``dtype`` after the float64 products;
+    ``operator`` and the coarsest factor stay float64.  ``work`` holds each
+    level's x, t = r - A x, P x_c and R t, which scipy's product kernels
+    fill; a result is a fresh array.  The cycle is real: a complex r gets
+    ``self(r.real) + 1j * self(r.imag)``.  Narrower levels take every r by
+    the range rule's scale, 2^e r with max|2^e r| in [1/2, 1), cast into
+    ``entry``, and return 2^-e times their result in r's dtype, so CG around
     them runs in float64.  ``choose_solver`` builds float32 levels, which
     halve the bytes each memory-bound sweep reads; float64 levels give the
     exact reference cycle.
@@ -518,48 +543,50 @@ class Multigrid:
         self.operator = A = sp.dia_matrix(A)
         if np.iscomplexobj(A):
             A = A.real.copy()
-        self.levels, folded = [], A.shape[0] != n_side ** 2
+        self.dtype = np.dtype(dtype)
+        self.levels, self.work, folded = [], [], A.shape[0] != n_side ** 2
+        self.entry = np.empty(A.shape[0], self.dtype)
         while n_side > COARSEST_N_SIDE:
-            P, R = _transfers(n_side)
-            if folded:
-                coarse = fold((n_side + 1) // 2)
-                P = sp.csr_matrix((P.data, coarse.slot[P.indices], P.indptr),
-                                  (P.shape[0], len(coarse.rep)))
-                P = P[fold(n_side).rep]
-                P.sum_duplicates()
-                R = P.T.tocsr()
+            P, R, P_csc = _transfers(n_side, folded)
             self.levels.append(tuple(a.astype(dtype, copy=False)
                                      for a in (A, 0.8 / A.diagonal(), P, R)))
-            G = (P.T @ A.tocsr() @ P).tocoo()
+            n, nc = P.shape             # the workspace: x, t, P x_c and R t
+            self.work.append([np.empty(k, dtype) for k in (n, n, n, nc)])
+            # CSC operands: the conversions the product made itself
+            G = (P.T @ A.tocsc() @ P_csc).tocoo()
             A = _dia_sum(G.row, G.col, G.data, G.shape)
             n_side = (n_side + 1) // 2
         self.coarsest = BandedSolver(A)
-        self.dtype = np.dtype(dtype)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(r):
+        if r.dtype.kind == "c":
             return self(r.real) + 1j * self(r.imag)
         if r.dtype == self.dtype:
-            return self._cycle(r, 0)
+            return self._cycle(r, 0).copy()     # x is level 0's workspace
         # the cycle is linear: scaling r by a power of 2 (exactly) keeps a
         # tiny or huge r inside the range of the narrower level dtype; the
         # way back multiplies, which measured faster than np.ldexp
-        scaled, e = _scaled(r)
-        x = self._cycle(scaled.astype(self.dtype), 0)
-        return np.multiply(x, 2.0 ** -e, dtype=r.dtype)
+        e = -int(np.frexp(max(r.max(), -r.min()))[1])   # -exponent of max|r|
+        if not -1022 <= e <= 1023:              # 2^e is not a normal float
+            self.entry[...] = _scaled(r, e)[0]
+            return _scaled(self._cycle(self.entry, 0).astype(r.dtype), -e)[0]
+        np.multiply(r, 2.0 ** e, out=self.entry)
+        return np.multiply(self._cycle(self.entry, 0), 2.0 ** -e,
+                           dtype=r.dtype)
 
     def _cycle(self, r: np.ndarray, level: int) -> np.ndarray:
         if level == len(self.levels):
             return self.coarsest(r).astype(r.dtype, copy=False)
         A, jacobi, P, R = self.levels[level]
-        x = jacobi * r
+        x, t, x_p, r_c = self.work[level]
+        np.multiply(jacobi, r, out=x)
         # with t = r - A x: the second pre-smoothing sweep, the coarse
         # correction, then two post-smoothing sweeps, all on x in place
         for sweep in range(4):
-            t = A @ x
-            np.subtract(r, t, out=t)
+            np.subtract(r, _product(A, x, t), out=t)
             if sweep == 1:
-                x += P @ self._cycle(R @ t, level + 1)
+                x += _product(P, self._cycle(_product(R, t, r_c), level + 1),
+                              x_p)
             else:
                 t *= jacobi
                 x += t

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from fmes import assemble, build_mesh, schemes, sparse
 from fmes.assembly import (FemSystem, ProblemCoefficients, _mass_norm,
                            half_system, m_inner, m_norm)
-from fmes.schemes import (SchemeSpec, _partial_fractions, amplification_factor,
-                          fmes_weight, make_stepper, pade_coefficients,
-                          pade_rational, run_scheme)
+from fmes.schemes import (SchemeSpec, _partial_fractions, _pole_operator,
+                          amplification_factor, fmes_weight, make_stepper,
+                          pade_coefficients, pade_rational, run_scheme)
 from fmes.sparse import BandedSolver, ConvergenceError, Multigrid
 from fmes.spectral import (ModalBasis, exact_semidiscrete_solution,
                            inverse_iteration, modal_decompose)
@@ -909,6 +909,23 @@ def test_projected_starts_save_iterations(sys28, pair28, monkeypatch, kind,
     assert sum(projected) < sum(large_z)
 
 
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])
+def test_projection_rows_survive_the_next_solve(sys28, z):
+    # the multigrid's workspaces and CG's buffers are reused by every solve;
+    # a returned solution, and so the ring's row X[i], is kept as solved
+    projection = schemes._Projection(
+        Multigrid(0.01 * sys28.K - z * sys28.M, 28, np.float32))
+    rng = np.random.default_rng(2)
+    solutions = []
+    for _ in range(3):
+        x, _ = projection.solve(sys28.M @ rng.uniform(0.5, 1.5, sys28.n_nodes),
+                                schemes.OUTER_TOL)
+        solutions.append((x, x.copy()))
+        for i, (x, kept) in enumerate(solutions):
+            assert np.array_equal(x, kept)
+            assert np.array_equal(projection.X[i], kept)
+
+
 _SPD_KINDS = ([(kind, dict(sigma=s))
                for kind in ("theta_standard", "theta_fmes")
                for s in (0.5, 0.75, 1.0)]
@@ -1014,6 +1031,29 @@ def test_pole_operators_keep_the_bits_of_scipys_dia_arithmetic(kind, params,
     assert np.array_equal(solver.operator.offsets, expected.offsets)
     assert np.array_equal(solver.operator.data, expected.data)
     assert solver.operator.dtype == expected.dtype
+
+
+@pytest.mark.parametrize("z", [-1.0, np.float64(-0.37), -1.0 + 1.0j,
+                               np.complex128(-0.27 + 2.5j)])
+@pytest.mark.parametrize("system", ["whole_c0", "half_c0", "whole_c2.5",
+                                    "half_c2.5"])
+def test_pole_operator_in_place_is_the_out_of_place_expression(z, system):
+    # the same operations in the same order, on K's and M's rows placed on
+    # their offsets' union, byte for byte (signed zeros too)
+    sys = _pole_test_system(system)
+    K, M = sys.K, sys.M
+    offsets = np.union1d(K.offsets, M.offsets)
+    Kd, Md = np.zeros((2, len(offsets), sys.n_nodes))
+    for A, data in ((K, Kd), (M, Md)):
+        data[np.searchsorted(offsets, A.offsets), :A.data.shape[1]] = (
+            A.data[:, :sys.n_nodes])
+    for tau, mu in ((0.01, 0.0), (0.01, 7.25), (1e3, 0.5)):
+        operator = _pole_operator(sys, tau, mu, z)
+        expected = tau * (Kd - mu * Md) - z * Md
+        assert np.array_equal(operator.offsets, offsets)
+        assert operator.data.dtype == expected.dtype
+        assert np.array_equal(operator.data, expected)
+        assert operator.data.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("sigma, delta", [(1.0, 1e-3), (1.0, 1e-2),

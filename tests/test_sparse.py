@@ -170,23 +170,31 @@ class _Counting:
 
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("jacobi", [True, False], ids=["jacobi", "band"])
-def test_cg_work_per_iteration(sys26, rng, warm, jacobi):
+def test_cg_work_per_iteration(sys26, rng, monkeypatch, warm, jacobi):
     # one product with A per iteration, plus A x0 for a warm start only, and
-    # no preconditioning of the residual that met the tolerance
-    A = _Counting(sys26.K_bar)
-    applied = []
+    # no preconditioning of the residual that met the tolerance; a DIA A is
+    # multiplied by the module's binding of scipy's kernel, to the same bits
+    kernel, products = sparse.dia_matvec, []
+    monkeypatch.setattr(sparse, "dia_matvec",
+                        lambda *args: products.append(1) or kernel(*args))
     band = BandedSolver(sys26.K_bar)
-
-    def precondition(r):
-        applied.append(r)
-        return r / sys26.K_bar.diagonal() if jacobi else band(r)
-
     x0 = rng.standard_normal(sys26.n_nodes) if warm else None
     rhs = sys26.M @ np.ones(sys26.n_nodes)
-    _, report = cg_solve(_Solver(A, precondition), rhs, INNER_TOL, x0=x0)
-    assert report.iterations >= 1
-    assert len(applied) == report.iterations
-    assert A.products == report.iterations + warm
+    solutions = []
+    for A in (_Counting(sys26.K_bar), sp.dia_matrix(sys26.K_bar)):
+        applied = []
+
+        def precondition(r):
+            applied.append(r)
+            return r / sys26.K_bar.diagonal() if jacobi else band(r)
+
+        x, report = cg_solve(_Solver(A, precondition), rhs, INNER_TOL, x0=x0)
+        assert report.iterations >= 1
+        assert len(applied) == report.iterations
+        counted = A.products if isinstance(A, _Counting) else len(products)
+        assert counted == report.iterations + warm
+        solutions.append(x)
+    assert np.array_equal(*solutions)
 
 
 def test_choose_solver_follows_the_budget(sys6, sys28, monkeypatch):
@@ -312,7 +320,7 @@ def test_multigrid_levels_are_stored_by_diagonals(rng):
 def _out_of_place_cycle(mg, r, level=0):
     """The V(2,2)-cycle with every sweep written x += jacobi * (r - A @ x)."""
     if level == len(mg.levels):
-        return mg.coarsest(r)
+        return mg.coarsest(r).astype(r.dtype, copy=False)
     A, jacobi, P, R = mg.levels[level]
     x = jacobi * r
     x += jacobi * (r - A @ x)
@@ -322,13 +330,64 @@ def _out_of_place_cycle(mg, r, level=0):
     return x
 
 
+def _out_of_place_multigrid(mg, r):
+    """``mg(r)`` before the cycle's workspaces: a complex r by its parts; an
+    r of another dtype than the levels' taken as 2^e r by ``_scaled``
+    (np.ldexp), cast, cycled out of place and multiplied by 2^-e."""
+    if np.iscomplexobj(r):
+        return (_out_of_place_multigrid(mg, r.real)
+                + 1j * _out_of_place_multigrid(mg, r.imag))
+    if r.dtype == mg.dtype:
+        return _out_of_place_cycle(mg, r)
+    scaled, e = sparse._scaled(r)
+    x = _out_of_place_cycle(mg, scaled.astype(mg.dtype))
+    return np.multiply(x, 2.0 ** -e, dtype=r.dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("folded", [False, True], ids=["whole", "half"])
+@pytest.mark.parametrize("n_side", [53, 54])
+def test_cycle_equals_the_out_of_place_multigrid(n_side, folded, dtype, rng):
+    # the workspaces' direct kernels, and the entry's max(r.max(), -r.min())
+    # and product by 2^e, keep every bit of the out-of-place cycle and its
+    # np.ldexp entry: at unit scale, at 2^+-200 and, through the ldexp
+    # fallback, for an r whose max is subnormal (2^e is not a normal float)
+    sys = assemble(build_mesh(n_side))
+    M, K_bar = (sparse.fold(n_side).halves(sys.M, sys.K_bar) if folded
+                else (sys.M, sys.K_bar))
+    mg = Multigrid(K_bar + M, n_side, dtype)
+    v, w = rng.standard_normal((2, M.shape[0]))
+    subnormal = np.ldexp(v, -1060)
+    assert -np.frexp(np.abs(subnormal).max())[1] > 1023
+    for r in (v, np.ldexp(v, 200), np.ldexp(v, -200), subnormal, v + 1j * w,
+              _ldexp(v - 0.5j * w, 200), _ldexp(v + 1j * w, -1060)):
+        expected = _out_of_place_multigrid(mg, r)
+        assert mg(r).dtype == expected.dtype == r.dtype
+        assert np.array_equal(mg(r), expected)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_multigrid_results_survive_the_next_call(sys28, sys31, rng, dtype):
+    # every cycle reuses its level's workspace; what mg returns is fresh
+    for sys in (sys28, sys31):
+        mg = Multigrid(sys.K_bar + sys.M, sys.mesh.n_side, dtype)
+        r1, r2 = rng.standard_normal((2, sys.n_nodes))
+        x1 = mg(r1)
+        kept = x1.copy()
+        x2 = mg(r2)
+        assert np.array_equal(x1, kept) and not np.shares_memory(x1, x2)
+        assert not any(np.shares_memory(x1, a) for level in mg.work
+                       for a in level)
+        assert np.array_equal(mg(r1), kept)
+
+
 @pytest.mark.parametrize("n_side", [53, 54])
 def test_galerkin_levels_are_stored_as_todia_stores_them(n_side):
     # the same offsets in the same ascending order and the same data: the
     # order in which a DIA product sums each row
     sys = assemble(build_mesh(n_side))
     mg = Multigrid(sys.K_bar + sys.M, n_side)
-    P, _ = sparse._transfers(n_side)
+    P = sparse._transfers(n_side, False)[0]
     product = P.T @ mg.levels[0][0].tocsr() @ P
     expected = product.todia()
     coarse = mg.levels[1][0]
@@ -461,6 +520,18 @@ def test_float32_levels_keep_float64_at_the_ends(sys28, rng, z):
     # to zero, 1e60 overflow), and the scale is exact
     for k in (-200, 200):
         assert np.array_equal(mg(np.ldexp(r, k)), np.ldexp(mg(r), k))
+
+
+def test_float32_levels_take_an_r_whose_max_is_2_to_1023(sys28, rng):
+    # 2^e = 2^-1024 is not a normal float, so the entry and the way back
+    # take np.ldexp (2.0 ** 1024 raised OverflowError); A^-1 is small here
+    mg = Multigrid(2.0 ** 40 * (sys28.K_bar + sys28.M), 28, np.float32)
+    v = rng.standard_normal(sys28.n_nodes)
+    r = np.ldexp(v / np.abs(v).max(), 1023)
+    assert np.frexp(np.abs(r).max())[1] == 1024
+    x = mg(r)
+    assert np.isfinite(x).all()
+    assert np.array_equal(x, np.ldexp(mg(np.ldexp(r, -1000)), 1000))
 
 
 @pytest.mark.parametrize("n_side", [72, 128])
