@@ -10,14 +10,13 @@ interface cuts through cells.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .sparse import Fold, _dia, _dia_sum, _in_range, _scaled, fold
+from .sparse import _dia, _dia_sum, _in_range, _scaled, fold
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -66,7 +65,8 @@ class FemSystem:
     M is the mass matrix, K_bar the stiffness of the diffusion + boundary
     terms, and K = K_bar + c M the full operator matrix.  All three are
     symmetric DIA matrices (K_bar has 5 diagonals, and so has K at c = 0),
-    summed by ``assemble``; a ``half_system`` keeps the whole mesh.
+    summed by ``assemble``.  A ``half_system`` keeps the whole mesh, and
+    ``whole`` is the system it was folded from (None for any other).
     """
 
     mesh: Mesh | None
@@ -74,6 +74,7 @@ class FemSystem:
     K_bar: sp.dia_matrix
     K: sp.dia_matrix
     coeffs: ProblemCoefficients
+    whole: FemSystem | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -143,22 +144,15 @@ def assemble(mesh: Mesh,
     return FemSystem(mesh, M, K_bar, _dia(K, M.offsets, M.shape), coeffs)
 
 
-def half_system(sys: FemSystem) -> tuple[FemSystem, Fold] | None:
-    """(F^T sys F, fold): sys on its mirror-even half, each matrix folded by
-    its mesh's ``sparse.fold``; None without a mesh, for a half system, or
-    when M, K_bar or K fails the fold's mirror test.  A weak link on sys
-    shares one fold among its callers while the half is in use."""
-    if sys.mesh is None or sys.n_nodes != sys.mesh.n_nodes:
+def half_system(sys: FemSystem) -> FemSystem | None:
+    """F^T sys F: sys on its mirror-even half, each matrix folded by its
+    mesh's ``sparse.fold``, with ``whole`` = sys; None without a mesh, for
+    a half, or when M, K_bar or K fails the fold's mirror test."""
+    if sys.mesh is None or sys.whole is not None:
         return None
-    f = fold(sys.mesh.n_side)
-    half = getattr(sys, "_half", lambda: None)()
-    if half is None:
-        halves = f.halves(sys.M, sys.K_bar, sys.K)
-        if halves is None:
-            return None
-        half = replace(sys, M=halves[0], K_bar=halves[1], K=halves[2])
-        object.__setattr__(sys, "_half", weakref.ref(half))
-    return half, f
+    halves = fold(sys.mesh.n_side).halves(sys.M, sys.K_bar, sys.K)
+    return None if halves is None else FemSystem(sys.mesh, *halves,
+                                                 sys.coeffs, whole=sys)
 
 
 def m_inner(sys: FemSystem, u: np.ndarray, v: np.ndarray) -> float:

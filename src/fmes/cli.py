@@ -13,8 +13,9 @@ environment variable.  Exit status is 0 when every requested computation
 converged and 1 when one did not: an unconverged eigensolve is a one-line
 ``error:`` message on stderr and writes nothing, a failed scheme run is
 listed as FAILED.  Invalid input, a missing or malformed configuration
-file included, is exit 2 with a one-line ``error:`` message and no output
-directory (argparse adds a usage line for an unknown option).
+file or a grid too large to allocate included, is exit 2 with a one-line
+``error:`` message and no output directory (argparse adds a usage line for
+an unknown option).
 """
 
 from __future__ import annotations
@@ -147,8 +148,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConvergenceError, ValueError, OSError) as err:
-        # OSError: an unreadable --config
+    except (ConvergenceError, ValueError, OSError, MemoryError) as err:
+        # OSError: an unreadable --config; MemoryError: too large a grid
         print(f"error: {err}", file=sys.stderr)
         return 1 if isinstance(err, ConvergenceError) else 2
 

@@ -31,7 +31,7 @@ from .assembly import (FemSystem, ProblemCoefficients, _mass_norm,
                        assemble, half_system)
 from .mesh import build_mesh
 from .schemes import SchemeSpec, Trajectory, run_scheme
-from .sparse import _RANGE, ConvergenceError
+from .sparse import _RANGE, ConvergenceError, fold
 from .spectral import (MIN_SWEEPS, EigenPair, inverse_iteration,
                        modal_decompose)
 
@@ -266,10 +266,10 @@ def run_experiment(config: ExperimentConfig,
     """
     mesh = build_mesh(config.n_side)
     full = assemble(mesh, config.coefficients)
-    sys, fold = half_system(full) or (full, None)
+    sys = half_system(full) or full
     basis = (modal_decompose(sys) if any(req.kind == "pade_modal"
                                          for req in config.schemes) else None)
-    pair = inverse_iteration(full)
+    pair = inverse_iteration(sys)
     outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "eigenpair.csv",
@@ -283,7 +283,7 @@ def run_experiment(config: ExperimentConfig,
         return ExperimentResult(eigenpair=pair, runs=runs, output_dir=outdir)
 
     w0 = initial_state(sys)
-    phi1 = pair.phi1 if fold is None else pair.phi1[fold.rep]
+    phi1 = pair.phi1 if sys.whole is None else pair.phi1[fold(mesh.n_side).rep]
     all_steps = tuple(sorted({n for req in config.schemes for n in req.steps}))
     reference = make_reference(sys, w0, config.T, config.reference_steps,
                                all_steps)

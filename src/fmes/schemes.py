@@ -46,7 +46,7 @@ from scipy.sparse._sparsetools import dia_matvec
 
 from .assembly import FemSystem, _mass_norm
 from .sparse import (_RANGE, BandedSolver, ConvergenceError, Multigrid,
-                     SolveReport, _solve_in_range, cg_solve, choose_solver)
+                     SolveReport, cg_solve, choose_solver)
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
@@ -480,7 +480,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
                 x, info = (dpbtrs(factor, b) if eta <= stepper.tol and
                            lo <= math.sqrt(np.vdot(b, b)) <= hi else (None, 1))
                 if info != 0:
-                    x = _solve_in_range(solver._checked, b, stepper.tol)[0]
+                    x = solver.solve(b, stepper.tol)[0]
                 y = stepper.scale * stepper.c0 * y + x if stepper.c0 else x
             dia_matvec(*dia, y, My := np.zeros(len(y)))
             norm = math.sqrt(abs(np.vdot(y, My)))

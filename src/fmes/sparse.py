@@ -299,13 +299,13 @@ class BandedSolver:
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
         """Solve A x = rhs by the module's range rule, or raise
         ConvergenceError: if rhs or x is not finite, if a real A's
-        ``certificate`` exceeds ``tol``, or if a complex A's relative
-        residual ||A x - rhs|| / ||rhs|| and normwise backward error
-        ||A x - rhs|| / (||A||_inf ||x|| + ||rhs||) both exceed ``tol``
-        (||A||_inf bounds ||A||_2 for a symmetric A; Higham, 2nd ed.,
-        §7.1).  zgbtrf's analogue of ``certificate``, gamma_(3n) |L||U|
-        (Thm 9.4), needs |L| 1 from its interleaved row swaps: a Python
-        loop over n, which costs more than 40 residual checks at n_side 41."""
+        ``certificate`` exceeds ``tol``, or if a complex A's normwise
+        backward error ||A x - rhs|| / (||A||_inf ||x|| + ||rhs||), at most
+        its report's relative residual, exceeds ``tol`` (||A||_inf bounds
+        ||A||_2 for a symmetric A; Higham, 2nd ed., §7.1).  zgbtrf's
+        analogue of ``certificate``, gamma_(3n) |L||U| (Thm 9.4), needs |L|
+        1 from its interleaved row swaps: a Python loop over n, which costs
+        more than 40 residual checks at n_side 41."""
         return _solve_in_range(self._checked, rhs, tol)
 
     @functools.cached_property
@@ -346,9 +346,6 @@ class BandedSolver:
                                    report=self.certificate)
         r_norm = _norm(self.operator @ x - rhs)
         report = SolveReport(0, r_norm / b_norm)
-        if report.relative_residual <= tol:
-            return x, report
-        # only a solve the fast test refuses pays for ||x|| and ||A||
         backward = r_norm / (self.norm_inf * _norm(x) + b_norm)
         if not backward <= tol:
             raise ConvergenceError(

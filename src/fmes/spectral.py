@@ -22,7 +22,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import FemSystem, _mass_norm, half_system, m_norm
-from .sparse import ConvergenceError, cg_solve, choose_solver
+from .sparse import ConvergenceError, cg_solve, choose_solver, fold
 
 # Largest system (in nodes) modal_decompose accepts.
 DENSE_LIMIT = 2500
@@ -112,8 +112,9 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
     Problem*, ch. 11); the first k >= MIN_SWEEPS whose Ritz residual is at
     least half of sweep k - 1's is at the roundoff floor, and its pair is
     returned.  There is no tolerance: ``tol`` and ``max_iter`` must be None.
-    A system with a ``half_system`` is iterated on that half, and its pair
-    expanded (phi1 = u[slot]); the residual is measured on sys itself.
+    A half is iterated as it is, and a system with a ``half_system`` on
+    that half; the pair is expanded to the whole mesh (phi1 = u[slot]) and
+    its residual measured on the whole system.
 
     Raises
     ------
@@ -130,7 +131,7 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
         raise ValueError("inverse iteration needs a positive definite K_bar, "
                          "and with mu_right_top = mu_left_bottom = 0 (pure "
                          "Neumann) it is singular")
-    half, fold = half_system(sys) or (sys, None)
+    half = half_system(sys) or sys
     n = half.n_nodes
     phi = np.ones(n) / m_norm(half, np.ones(n))
     rhs = half.M @ phi
@@ -166,7 +167,8 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
 
     if np.max(u) <= 0.0:
         u = -u
-    u = u if fold is None else u[fold.slot]
+    if half.whole is not None:
+        u, sys = u[fold(sys.mesh.n_side).slot], half.whole
     residual = float(np.linalg.norm(sys.K_bar @ u - theta * (sys.M @ u)))
     return EigenPair(lambda1_bar=theta, lambda1=theta + sys.coeffs.c, phi1=u,
                      residual=residual, iterations=len(history),
@@ -202,12 +204,12 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
     eigenvalues are merged, by a stable sort.  A system with a
     ``half_system`` has an even basis (e_d per diagonal node, then (e_a +
     e_b)/sqrt 2 per mirrored pair, a < b, by node order) and an odd one
-    ((e_a - e_b)/sqrt 2); any other, a half system too, has the identity.
-    Refuses systems on more than DENSE_LIMIT mesh nodes (a half system
-    counts its whole mesh): the dense path is an oracle and the engine of
-    the modal steppers, not a production eigensolver.
+    ((e_a - e_b)/sqrt 2); any other, a half too, has the identity.
+    Refuses systems on more than DENSE_LIMIT nodes (a half counts its whole
+    system's): the dense path is an oracle and the engine of the modal
+    steppers, not a production eigensolver.
     """
-    n = sys.n_nodes if sys.mesh is None else sys.mesh.n_nodes
+    n = (sys.whole or sys).n_nodes
     if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
@@ -223,10 +225,9 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
 
 def _bases(sys: FemSystem) -> list[sp.csc_matrix]:
     """``modal_decompose``'s orthonormal bases Q, from the fold's maps."""
-    folded = half_system(sys)
-    if folded is None:
+    if half_system(sys) is None:
         return [sp.identity(sys.n_nodes, format="csc")]
-    f, n, nodes = folded[1], sys.n_nodes, np.arange(sys.n_nodes)
+    f, n, nodes = fold(sys.mesh.n_side), sys.n_nodes, np.arange(sys.n_nodes)
     pair = np.bincount(f.slot)[f.slot] == 2         # off the diagonal
     # diagonal slots first, then pair slots, each in the node order of rep
     column = np.argsort(np.lexsort((f.rep, pair[f.rep])))[f.slot]

@@ -1,6 +1,3 @@
-import gc
-import weakref
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -171,18 +168,18 @@ def test_m_inner_basics(sys6):
     assert m_inner(sys6, ones, ones) == pytest.approx(1.0, rel=1e-13)
 
 
-def test_half_system_is_shared_while_in_use_and_not_kept():
-    # a system's callers share one fold while its half lives, but the whole
-    # system does not keep the half (5 MB at n_side 201) alive
+def test_half_system_carries_its_whole_system():
+    # the half holds the system it was folded from, a half folds no
+    # further, and the whole system keeps nothing of its half (5 MB at
+    # n_side 201)
     sys = assemble(build_mesh(6))
-    half, f = half_system(sys)
-    assert half_system(sys)[0] is half and half_system(sys)[1] is f
+    before = dict(vars(sys))
+    half = half_system(sys)
+    assert half.whole is sys and half.mesh is sys.mesh
+    assert half.n_nodes == 21 and sys.whole is None
     assert half_system(half) is None
-    link = weakref.ref(half)
-    del half
-    gc.collect()
-    assert link() is None
-    assert half_system(sys)[0].n_nodes == 21
+    assert vars(sys) == before
+    assert "whole" not in repr(half)
 
 
 def test_m_norm_of_sine_interpolant():

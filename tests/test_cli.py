@@ -107,12 +107,23 @@ def test_verb_refuses_overrides_it_does_not_read(outdir, capsys, argv):
     assert not outdir.exists()
 
 
+# n_side 10^16: the mesh's first array, 10^16 doubles (71.1 PiB), exceeds any
+# 64-bit address space, so its allocation fails at once
+_HUGE_NSIDE = ["--nside", "10000000000000000"]
+
+
 @pytest.mark.parametrize("argv", [["--nside", "1"], ["--steps", "0"],
                                   ["--nside", "6", "--steps", "7"],
-                                  ["--steps", ""]],
-                         ids=["nside1", "steps0", "steps7", "steps_empty"])
+                                  ["--steps", ""], _HUGE_NSIDE],
+                         ids=["nside1", "steps0", "steps7", "steps_empty",
+                              "nside_huge"])
 def test_run_verb_bad_input_is_one_line_error(outdir, capsys, argv):
     assert main(["run"] + argv) == 2
+    _assert_refused(outdir, capsys)
+
+
+def test_eigens_verb_grid_too_large_is_one_line_error(outdir, capsys):
+    assert main(["eigens"] + _HUGE_NSIDE) == 2
     _assert_refused(outdir, capsys)
 
 

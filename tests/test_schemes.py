@@ -676,8 +676,8 @@ def test_band_loop_is_the_chained_steps(sys6, pair6, rng, monkeypatch, kind,
     # .step.  Both give the states, mass norms and amplitudes of chained
     # .step calls bit for bit: in range and, from 2^-300 and 2^300, through
     # the range rule's scaled solves and norms
-    sys, fold = half_system(sys6) if half else (sys6, None)
-    phi1 = pair6.phi1 if fold is None else pair6.phi1[fold.rep]
+    sys = half_system(sys6) if half else sys6
+    phi1 = pair6.phi1[sparse.fold(6).rep] if half else pair6.phi1
     lam1 = None if kind == "theta_standard" else pair6.lambda1
     spec = SchemeSpec(kind, tau=0.01, n_steps=4, lambda1=lam1, **params)
     y = scale * _generic_state(sys, rng)
@@ -751,7 +751,7 @@ def test_band_loop_range_rule_edges(m, c, solves, norms, monkeypatch):
     # M = m I and K = 0 on 4 nodes: theta_standard's pole operator is M, so
     # b = M y and every level is y = c 1.  The loop's inline fast paths take
     # a b with ||b|| in [2^-256, 2^256] and a norm in that range; any other
-    # goes through _solve_in_range and _mass_norm, with the bits of the
+    # goes through BandedSolver.solve and _mass_norm, with the bits of the
     # checked steps and of _mass_norm
     M = sp.dia_matrix((np.full((1, 4), m), [0]), shape=(4, 4))
     K = sp.dia_matrix((np.zeros((1, 4)), [0]), shape=(4, 4))
@@ -765,8 +765,8 @@ def test_band_loop_range_rule_edges(m, c, solves, norms, monkeypatch):
         return lambda *args: calls.update({name: calls[name] + 1}) or func(
             *args)
 
-    monkeypatch.setattr(schemes, "_solve_in_range",
-                        counted("solves", schemes._solve_in_range))
+    monkeypatch.setattr(sparse.BandedSolver, "solve",
+                        counted("solves", sparse.BandedSolver.solve))
     monkeypatch.setattr(schemes, "_mass_norm",
                         counted("norms", schemes._mass_norm))
     traj = run_scheme(spec, sys, w0)
@@ -789,7 +789,7 @@ def test_dia_kernel_into_zeros_is_the_dia_product(n_side, half, c, scale,
     # run_scheme's mass product calls scipy's private DIA kernel into fresh
     # zeros; it must keep the bits of scipy's M @ y (and K @ y)
     sys = assemble(build_mesh(n_side), ProblemCoefficients(c=c))
-    sys = half_system(sys)[0] if half else sys
+    sys = half_system(sys) if half else sys
     y = scale * np.random.default_rng(seed).standard_normal(sys.n_nodes)
     for A in (sys.M, sys.K):
         out = np.zeros(sys.n_nodes)
@@ -1002,7 +1002,7 @@ def _pole_test_system(name):
                          coeffs=ProblemCoefficients())
     half, c = name.split("_c")
     sys = assemble(build_mesh(6), ProblemCoefficients(c=float(c)))
-    sys = half_system(sys)[0] if half == "half" else sys
+    sys = half_system(sys) if half == "half" else sys
     assert (len(sys.K.offsets) < len(sys.M.offsets)) == (c == "0")
     return sys
 

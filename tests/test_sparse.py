@@ -650,12 +650,12 @@ def test_banded_certificate_bounds_the_backward_error(n_side, tau, **coeffs):
             <= OUTER_TOL / 2)
 
 
-def _weakly_damped_pole_system(tau=1000.0):
-    # tau (K - lambda1 M) + M with mu 0.01 on the right and top: lambda1
+def _weakly_damped_pole_system(tau=1000.0, z=-1.0):
+    # tau (K - lambda1 M) - z M with mu 0.01 on the right and top: lambda1
     # tau is about 20, and M 1 scaled by exp(-lambda1 tau) is its step's rhs
     sys = assemble(build_mesh(26), ProblemCoefficients(mu_right_top=0.01))
     lambda1 = 0.019938465193261062
-    A = tau * (sys.K - lambda1 * sys.M) + sys.M
+    A = tau * (sys.K - lambda1 * sys.M) - z * sys.M
     return A, math.exp(-lambda1 * tau) * (sys.M @ np.ones(sys.n_nodes))
 
 
@@ -669,6 +669,32 @@ def test_banded_certificate_accepts_the_weakly_damped_system():
     assert np.linalg.norm(A @ x - b) > OUTER_TOL * np.linalg.norm(b)
     assert _normwise_backward_error(A, x, b) <= 5e-16
     assert report.backward_bound == pytest.approx(3.59e-13, rel=1e-2, abs=0.0)
+
+
+@pytest.mark.parametrize("tau", [0.01, 1000.0])
+def test_complex_band_solve_is_accepted_by_its_backward_error(tau):
+    # Pade (0, 2)'s pole z = -1 + 1j of the weakly damped system: at tau
+    # 0.01 the relative residual (3.1e-14) and the normwise backward error
+    # (8.3e-17) both meet OUTER_TOL; at tau 1000 the relative residual
+    # (3.7e-9) misses it and the backward error (9.9e-17) does not.  Each
+    # solve returns the substitution and its relative residual, and one
+    # asked for a tolerance below its backward error is refused
+    A, b = _weakly_damped_pole_system(tau, z=-1.0 + 1.0j)
+    b = (1.0 - 1.0j) * b
+    solver = BandedSolver(A)
+    x, report = solver.solve(b, OUTER_TOL)
+    r_norm, b_norm = sparse._norm(solver.operator @ x - b), sparse._norm(b)
+    assert np.array_equal(x, solver(b))
+    assert report == SolveReport(0, r_norm / b_norm)
+    assert (report.relative_residual <= OUTER_TOL) == (tau < 1.0)
+    backward = r_norm / (solver.norm_inf * sparse._norm(x) + b_norm)
+    assert backward <= 1e-15
+    with pytest.raises(ConvergenceError,
+                       match=r"^banded solve missed tol=1e-20 \(normwise "
+                             r"backward error [0-9.]+e-1[67], relative "
+                             r"residual [0-9.]+e-(14|09)\)$") as exc:
+        solver.solve(b, 1e-20)
+    assert exc.value.report == report
 
 
 def test_banded_certificate_refuses_a_tolerance_below_it(sys6):

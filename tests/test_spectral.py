@@ -464,6 +464,27 @@ def test_every_assembled_system_passes_the_mirror_test(n_side, **coeffs):
     assert len(spectral._bases(sys)) == 2
 
 
+@pytest.mark.parametrize("n_side, c", [(6, 0.0), (11, 0.0), (12, 0.0),
+                                       (11, 2.5)])
+def test_inverse_iteration_of_a_half_is_that_of_its_whole(n_side, c,
+                                                          monkeypatch):
+    # a half is iterated as it is, folding nothing, and its pair is the
+    # whole system's bit for bit: phi1 on the whole mesh, residual on the
+    # whole system
+    sys = assemble(build_mesh(n_side), ProblemCoefficients(c=c))
+    half = half_system(sys)
+    calls = []
+    halves = sparse.Fold.halves
+    monkeypatch.setattr(sparse.Fold, "halves",
+                        lambda *args: calls.append(1) or halves(*args))
+    a, b = inverse_iteration(half), inverse_iteration(sys)
+    assert len(calls) == 1                  # the whole system's own fold
+    assert (a.lambda1_bar, a.lambda1, a.residual, a.iterations, a.history) \
+        == (b.lambda1_bar, b.lambda1, b.residual, b.iterations, b.history)
+    assert a.phi1.shape == (sys.n_nodes,)
+    assert np.array_equal(a.phi1, b.phi1)
+
+
 def test_dense_limit_refusal():
     # n_side 51 has 2,601 nodes, just above the 2,500-node dense limit
     with pytest.raises(ValueError, match="dense limit"):
