@@ -81,6 +81,7 @@ class FemSystem:
         return self.M.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")     # overflow is refused below
 def assemble(mesh: Mesh,
              coeffs: ProblemCoefficients | None = None) -> FemSystem:
     """Assemble mass and stiffness matrices on a ``build_mesh`` mesh.
@@ -141,7 +142,10 @@ def assemble(mesh: Mesh,
     # K_bar's diagonals are some of M's; _dia drops the rest at c = 0
     K = coeffs.c * M.data
     K[np.searchsorted(M.offsets, K_bar.offsets)] += K_bar.data
-    return FemSystem(mesh, M, K_bar, _dia(K, M.offsets, M.shape), coeffs)
+    K = _dia(K, M.offsets, M.shape)
+    if not all(np.isfinite(A.data).all() for A in (M, K_bar, K)):
+        raise ValueError("the coefficients overflow the assembled matrices")
+    return FemSystem(mesh, M, K_bar, K, coeffs)
 
 
 def half_system(sys: FemSystem) -> FemSystem | None:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import _int_list, load_config
 from .experiments import (ExperimentConfig, resolve_output_dir, run_experiment,
-                          run_table1, _fmt, _write_csv)
+                          run_table1, _write_csv)
 from .schemes import amplification_factor, fmes_weight, pade_rational
 from .sparse import ConvergenceError
 from .spectral import MIN_SWEEPS
@@ -100,25 +100,18 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     config = _load(args)
     outdir = resolve_output_dir(config)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     etas = np.concatenate([np.logspace(-3, -1, 20, endpoint=False),
                            np.linspace(0.1, 5.0, 30)])
-    rows = []
-    for eta in etas:
-        sigma1 = fmes_weight(eta)
-        defect = amplification_factor(sigma1, eta) - np.exp(-eta)
-        rows.append(",".join([_fmt(eta), _fmt(sigma1), _fmt(defect)]))
-    _write_csv(outdir / "fmes_weight.csv", "eta,sigma1,r_minus_exp", rows)
+    sigma1 = [fmes_weight(eta) for eta in etas]
+    _write_csv(outdir / "fmes_weight.csv", "eta,sigma1,r_minus_exp", etas,
+               sigma1, [amplification_factor(s, eta) - np.exp(-eta)
+                        for s, eta in zip(sigma1, etas)])
 
     pairs = ((0, 1), (1, 1), (0, 2), (2, 2))
     zs = np.logspace(-3, 1, 41)
-    header = "z," + ",".join(f"err_{l}{m}" for l, m in pairs)
-    rows = []
-    for z in zs:
-        errs = [abs(pade_rational(l, m, z) - np.exp(-z)) for l, m in pairs]
-        rows.append(",".join([_fmt(z)] + [_fmt(e) for e in errs]))
-    _write_csv(outdir / "pade_error.csv", header, rows)
+    _write_csv(outdir / "pade_error.csv",
+               "z," + ",".join(f"err_{l}{m}" for l, m in pairs), zs,
+               *(abs(pade_rational(l, m, zs) - np.exp(-zs)) for l, m in pairs))
 
     print("exact-weight samples (eta, sigma1):")
     for eta in (0.01, 0.1, 1.0, 5.0):

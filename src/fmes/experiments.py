@@ -36,7 +36,7 @@ from .spectral import (MIN_SWEEPS, EigenPair, inverse_iteration,
                        modal_decompose)
 
 OUTPUT_DIR_ENV = "FMES_OUTPUT_DIR"
-_FMT = "%.17g"      # every number in the CSVs (_fmt, _float_rows)
+_FMT = "%.17g"      # every number in the CSVs (_write_csv)
 
 
 # ---------------------------------------------------------------------------
@@ -194,19 +194,16 @@ class RunResult:
         return self.error is None
 
 
-def _fmt(x: float) -> str:
-    return _FMT % x
-
-
-def _float_rows(*columns: np.ndarray) -> list[str]:
-    """One CSV line per row of number columns, each number as _fmt's."""
-    row = ",".join([_FMT] * len(columns))
-    return [row % values for values in zip(*(c.tolist() for c in columns))]
-
-
-def _write_csv(path: Path, header: str, lines) -> None:
+def _write_csv(path: Path, header: str, *columns) -> None:
+    """Write path, making its directory: the header, then one row per index
+    of the columns (sequences or arrays).  Strings are written as they are,
+    every other value as _FMT, which writes an int as str does; an array
+    goes through .tolist(), and all rows through one row format."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    row = ",".join("%s" if isinstance(c[0], str) else _FMT for c in columns)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join([header, *lines, ""]))
+        fh.write("\n".join([header, *(row % r for r in zip(*columns)), ""]))
 
 
 def initial_state(sys: FemSystem) -> np.ndarray:
@@ -222,13 +219,10 @@ def run_table1(config: ExperimentConfig) -> dict[int, EigenPair]:
         mesh = build_mesh(n_side)
         sys = assemble(mesh, config.coefficients)
         pairs[n_side] = inverse_iteration(sys)
-    outdir = resolve_output_dir(config)
-    outdir.mkdir(parents=True, exist_ok=True)
-    header = "m," + ",".join(f"nside_{n}" for n in config.eigen_grids)
-    _write_csv(outdir / "eigen_iterations.csv", header, _float_rows(
-        np.arange(1, MIN_SWEEPS + 1),
-        *(np.array(pairs[n].history[:MIN_SWEEPS])
-          for n in config.eigen_grids)))
+    _write_csv(resolve_output_dir(config) / "eigen_iterations.csv",
+               "m," + ",".join(f"nside_{n}" for n in config.eigen_grids),
+               range(1, MIN_SWEEPS + 1),
+               *(pairs[n].history[:MIN_SWEEPS] for n in config.eigen_grids))
     return pairs
 
 
@@ -271,12 +265,11 @@ def run_experiment(config: ExperimentConfig,
                                          for req in config.schemes) else None)
     pair = inverse_iteration(sys)
     outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_csv(outdir / "eigenpair.csv",
                "n_side,c,lambda1_bar,lambda1,iterations,residual",
-               [",".join([str(config.n_side), _fmt(config.coefficients.c),
-                          _fmt(pair.lambda1_bar), _fmt(pair.lambda1),
-                          str(pair.iterations), _fmt(pair.residual)])])
+               *([x] for x in (config.n_side, config.coefficients.c,
+                               pair.lambda1_bar, pair.lambda1,
+                               pair.iterations, pair.residual)))
 
     runs: list[RunResult] = []
     if not config.schemes:
@@ -311,7 +304,7 @@ def run_experiment(config: ExperimentConfig,
                 continue
             name = f"{req.kind}_{req.params_label()}_N{n_steps}.csv"
             _write_csv(outdir / name, "t,norm_m,eps_a,eps_u",
-                       _float_rows(traj.times, traj.m_norms, eps_a, eps_u))
+                       traj.times, traj.m_norms, eps_a, eps_u)
             runs.append(RunResult(
                 req.kind, req.params_label(), n_steps,
                 max_eps_a=float(np.max(np.abs(eps_a))),
@@ -320,9 +313,8 @@ def run_experiment(config: ExperimentConfig,
 
     _write_csv(outdir / "summary.csv",
                "scheme,params,N,max_eps_a,max_eps_u,final_norm",
-               (",".join([r.kind, r.params, str(r.n_steps), _fmt(r.max_eps_a),
-                          _fmt(r.max_eps_u), _fmt(r.final_norm)])
-                for r in runs))
+               *zip(*((r.kind, r.params, r.n_steps, r.max_eps_a,
+                       r.max_eps_u, r.final_norm) for r in runs)))
     return ExperimentResult(eigenpair=pair, runs=runs, output_dir=outdir)
 
 

@@ -253,7 +253,29 @@ def test_run_and_eigens_find_the_same_eigenpair(outdir, tmp_path,
     header, row = (outdir / "eigenpair.csv").read_text().splitlines()
     written = dict(zip(header.split(","), row.split(",")))
     assert written["iterations"] == str(pairs[26].iterations)
-    assert written["lambda1"] == experiments._fmt(pairs[26].lambda1)
+    assert written["lambda1"] == format(pairs[26].lambda1, ".17g")
+
+
+@pytest.mark.parametrize("verb", ["run", "eigens"])
+@pytest.mark.parametrize("key", ["k_inner = 1e308", "k_outer = 1e307"],
+                         ids=["k_inner", "k_outer"])
+def test_coefficient_that_overflows_assembly_is_one_line_error(
+        outdir, tmp_path, capsys, verb, key):
+    # finite coefficients whose k / (4 area) overflows at n_side 26; under
+    # filterwarnings = error a numpy warning would fail this test
+    config = tmp_path / "overflow.ini"
+    config.write_text(f"[coefficients]\n{key}\n")
+    assert main([verb, "--config", str(config)]) == 2
+    _assert_refused(outdir, capsys)
+
+
+def test_huge_robin_coefficient_still_runs(outdir, tmp_path):
+    # its assembled matrices are finite
+    config = tmp_path / "robin.ini"
+    config.write_text("[mesh]\nn_side = 6\n[coefficients]\n"
+                      "mu_right_top = 1.7e308\n")
+    assert main(["run", "--config", str(config), "--steps", "4"]) == 0
+    assert (outdir / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("verb", ["run", "eigens"])

@@ -330,19 +330,59 @@ def test_csv_output_deterministic(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_run_csv_rows_are_fmt_text():
+def test_run_csv_rows_are_fmt_text(tmp_path):
     # the run CSVs write each row with one %-format on .tolist() floats;
-    # every value must read as _fmt, and _fmt as format(x, ".17g"), writes it
+    # every value must read as format(x, ".17g") writes it
     values = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
               2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
               0.1 + 0.2]
     assert repr(0.1 + 0.2) == "0.30000000000000004"     # all 17 digits
     column = np.array(values)
-    rows = experiments._float_rows(column, column[::-1], -column)
-    assert rows == [",".join(map(experiments._fmt, (x, y, -x)))
+    path = tmp_path / "rows.csv"
+    experiments._write_csv(path, "x,y,z", column, column[::-1], -column)
+    header, *rows = path.read_text().splitlines()
+    assert rows == [",".join(format(v, ".17g") for v in (x, y, -x))
                     for x, y in zip(values, values[::-1])]
-    assert [row.split(",")[0] for row in rows] == [
-        format(x, ".17g") for x in values]
+    assert rows[0].split(",")[0] == "nan" and rows[3].startswith("-0,")
+
+
+def test_write_csv_writes_strings_as_they_are_and_ints_as_str(tmp_path):
+    # summary.csv's columns: strings, an int column, floats (nan for a
+    # failed run); a list column and an array column read alike
+    path = tmp_path / "new" / "dir" / "summary.csv"
+    ints = [26, 10, 1000, 10**16]
+    floats = [math.nan, -0.0, math.inf, 1 / 3]
+    experiments._write_csv(path, "scheme,N,x,y", ["a", "b_c", "1e5", "nan"],
+                           ints, floats, np.array(floats))
+    text = path.read_text()
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    assert text.splitlines() == ["scheme,N,x,y"] + [
+        f"{s},{n},{format(x, '.17g')},{format(x, '.17g')}"
+        for s, n, x in zip(["a", "b_c", "1e5", "nan"], ints, floats)]
+    assert [format(n, ".17g") for n in ints] == [str(n) for n in ints]
+
+
+def test_write_csv_one_row_file_opened_once(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(experiments, "open",
+                        lambda *args, **kw: opened.append(args[0])
+                        or open(*args, **kw), raising=False)
+    path = tmp_path / "missing" / "eigenpair.csv"
+    experiments._write_csv(path, "n_side,c,iterations", [26], [0.0], [13])
+    assert path.read_bytes() == b"n_side,c,iterations\n26,0,13\n"
+    assert opened == [path]
+
+
+def test_run_experiment_opens_each_csv_once(tmp_path, monkeypatch):
+    opened = []
+    monkeypatch.setattr(experiments, "open",
+                        lambda *args, **kw: opened.append(args[0].name)
+                        or open(*args, **kw), raising=False)
+    outdir = tmp_path / "a" / "b"
+    result = run_experiment(_small_config(tmp_path), outdir)
+    assert result.output_dir == outdir
+    assert sorted(opened) == sorted(p.name for p in outdir.iterdir())
+    assert len(opened) == len(set(opened)) == 6
 
 
 def test_run_experiment_folds_its_system_once(tmp_path, monkeypatch):
@@ -370,19 +410,33 @@ def _read_columns(outdir):
 
 
 @pytest.mark.parametrize("n_side", [11, 12])
-def test_folded_run_matches_the_unfolded_run(tmp_path, monkeypatch, n_side):
-    # both seam parities; the unfolded run solves the whole system, and its
-    # pade_modal basis has the mirror split.  Solves and products differ at
-    # roundoff only: measured at most 5.4e-15 relative in lambda_1, 3.5e-14
-    # in norm_m, and 2.2e-14 a0 and 2.1e-14 in eps_a and eps_u
+@pytest.mark.parametrize("modules, n_blocks", [
+    ((experiments,), 2), ((experiments, spectral), 1)],
+    ids=["whole_run", "whole_run_and_spectral"])
+def test_folded_run_matches_the_unfolded_run(tmp_path, monkeypatch, n_side,
+                                             modules, n_blocks):
+    # both seam parities.  Without experiments' fold the run steps the
+    # whole system, while its eigensolve and pade_modal basis still fold:
+    # the basis has the mirror split's 2 blocks.  Without spectral's fold
+    # too, the eigensolve iterates the whole system and the basis is one
+    # block.  Solves and products differ at roundoff only; measured at most
+    # 4.0e-14 relative in norm_m and 2.3e-14 a0 in eps_a and eps_u (the
+    # same lambda_1) without experiments' fold, and 5.4e-15 relative in
+    # lambda_1, 3.5e-14 in norm_m and 2.2e-14 a0 and 2.1e-14 in eps_a and
+    # eps_u without both
     schemes = SMALL_SCHEMES + (
         SchemeRequest("pade_fmes", l=0, m=2, steps=(5,)),
         SchemeRequest("pade_modal", l=2, m=2, steps=(5,)))
     config = _small_config(tmp_path, n_side=n_side, schemes=schemes)
     folded = run_experiment(config, tmp_path / "folded")
-    monkeypatch.setattr(experiments, "half_system", lambda sys: None)
-    monkeypatch.setattr(spectral, "half_system", lambda sys: None)
+    for module in modules:
+        monkeypatch.setattr(module, "half_system", lambda sys: None)
+    bases = []
+    decompose = experiments.modal_decompose
+    monkeypatch.setattr(experiments, "modal_decompose",
+                        lambda sys: bases.append(decompose(sys)) or bases[-1])
     whole = run_experiment(config, tmp_path / "whole")
+    assert [len(basis.blocks) for basis in bases] == [n_blocks]
     a, b = _read_columns(folded.output_dir), _read_columns(whole.output_dir)
     assert a.keys() == b.keys()
     for (name, column), values in a.items():
