@@ -24,10 +24,12 @@ The three sparse kinds share one stepper: each is
 y' = exp(-mu tau) R(tau M^-1 (K - mu M)) y for a rational R = P/Q (mu = 0
 for theta_standard, lambda1 otherwise), applied in partial fractions
 R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
-conjugate pole pair by ``sparse.choose_solver``'s solver: a band factor
-made once per run or, above sparse.DIRECT_LIMIT_BYTES, CG preconditioned
-by a real multigrid V-cycle.  Each solve is checked by its solver, except
-in ``run_scheme``'s flat loop, which makes the checks itself.
+conjugate pole pair by ``sparse.choose_solver``'s solver: a direct factor
+(a band Cholesky for a real pole, a sparse LU for a complex pair) made and
+certified once per run or, above sparse.DIRECT_LIMIT_BYTES, CG
+preconditioned by a real multigrid V-cycle.  Each solve is checked by its
+solver, except in ``run_scheme``'s flat loop, which makes the checks
+itself.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -274,8 +276,8 @@ class _RationalStepper:
     Each pole is ``(s r, w, solving)``, and ``solving.solve(b, tol)``
     solves its system with ``sparse.choose_solver``'s solver and checks
     it, except in ``run_scheme``'s flat loop.  A ``BandedSolver`` is
-    ``solving`` itself: it factors, and certifies a real factor, on the
-    first step, so a failure still names level 1.  A ``Multigrid``, with
+    ``solving`` itself: it factors and certifies on the first step, so a
+    failure still names level 1.  A ``Multigrid``, with
     float32 levels, is the ``solver`` of a ``_Projection``: float64 CG
     preconditioned by it, each solve started from the projection onto the
     system's last solutions (README.md), so a stepper follows one

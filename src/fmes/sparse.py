@@ -2,14 +2,15 @@
 
 ``choose_solver`` gives each symmetric matrix A (real and positive
 definite, or complex-symmetric, A^T = A, with a positive definite Hermitian
-part) one solver object: a ``BandedSolver`` (one LAPACK band factor) when
-it fits in DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A)
+part) one solver object: a ``BandedSolver`` (a direct factor) when its band
+factor fits in DIRECT_LIMIT_BYTES, else a real ``Multigrid`` V-cycle of Re(A)
 on A's structured mesh.  Every solver is a preconditioner
 ``solver(r) -> ~A^-1 r`` that carries ``solver.operator``, A in DIA
 storage (as assembled, ``_dia_sum``'s sum, or ``sp.dia_matrix``'s
 conversion), and a solve is ``cg_solve(solver, b, tol)``.  A
 ``BandedSolver`` also solves by itself: ``solver.solve(b, tol)`` is one
-substitution, certified once per real factor by a backward error bound.
+substitution and a finiteness test, its factor (a band Cholesky for a real
+A, a sparse LU for a complex one) certified once by a backward error bound.
 ``fold`` maps a mesh's nodes onto the half that is even under the node
 swap (ix, iy) -> (iy, ix), and an operator A onto F^T A F, half the size;
 a ``Multigrid`` of a half operator coarsens it by folded transfers.
@@ -41,16 +42,15 @@ from scipy.sparse._sparsetools import dia_matvec
 from .mesh import Mesh
 
 # Largest band factor a matrix may keep; a larger one is solved by
-# multigrid-preconditioned CG.  On the mirror-even half, real factors fit up
-# to n_side 160 (16.69 MB) and complex ones up to 87 (127 and 69 whole).
+# multigrid-preconditioned CG.  On the mirror-even half, factors fit up to
+# n_side 160 (16.69 MB; 127 whole), real or complex.
 DIRECT_LIMIT_BYTES = 16 * 2 ** 20
 # CG's iteration cap: band- and multigrid-preconditioned solves take at
 # most about 20 iterations, so the cap only stops a stagnating solve.
 CG_MAX_ITER = 1000
 # The range rule's norms.  CG's reductions r^T z and p^T A p fall with
-# tol^2 ||b||^2 (times the scale of A^-1), the complex band check's
-# ||A x - b||^2 with eps^2 ||b||^2: from ||b|| = 2^-256 and tol = 2^-53
-# they end near 2^-618, 2^404 above the smallest normal float (2^-1022).
+# tol^2 ||b||^2 (times the scale of A^-1): from ||b|| = 2^-256 and tol =
+# 2^-53 they end near 2^-618, 2^404 above the smallest normal float (2^-1022).
 # ||b|| <= 2^256 keeps ||b||^2 and the first r^T z 2^512 below overflow.
 _RANGE = (2.0 ** -256, 2.0 ** 256)
 
@@ -73,8 +73,8 @@ def _scaled(v, e: int | None = None):
 @dataclass(frozen=True)
 class SolveReport:
     """How a solve ended: a returned report was accepted, the report of a
-    ConvergenceError was not.  A real ``BandedSolver`` measures no
-    residual: its ``backward_bound`` certifies the solve instead."""
+    ConvergenceError was not.  A ``BandedSolver`` measures no residual: its
+    ``backward_bound`` certifies the solve instead."""
 
     iterations: int
     relative_residual: float | None
@@ -234,25 +234,25 @@ def _cg(solver, rhs: np.ndarray, b_norm: float, tol: float, x0):
 
 
 class BandedSolver:
-    """Direct solves of one symmetric sparse matrix through a band factor.
+    """Direct solves of one symmetric sparse matrix, certified once.
 
     ``operator`` is A in DIA storage, and its rows are the LAPACK band
-    storage of the factor, so u, the bandwidth, is its largest |offset|.  A
-    real A gets a banded Cholesky factor, (u + 1) n doubles.  A
-    complex-symmetric A gets a banded LU factor with partial pivoting
-    (LAPACK zgbtrf), (3u + 1) n complex numbers; its Hermitian part Re(A) is
-    Cholesky-factored once as well, only to prove it positive definite.  The
-    factorization runs on first use.  ``solver(r)`` is the bare substitution
-    A^-1 r, a CG preconditioner; ``solve`` also accepts or refuses it.
+    storage of a banded Cholesky factor, so u, the bandwidth, is its largest
+    |offset|.  A real A keeps that factor, (u + 1) n doubles.  A
+    complex-symmetric A is factored as well, to prove its Hermitian part
+    Re(A) positive definite (an LU's pivots cannot), then freed; A itself
+    gets a SuperLU factor without pivoting, which such an A admits
+    (Higham, Math. Comp. 67, 1998).  ``nbytes``, (u + 1) n doubles, is the
+    budget of either.  The factors are made on first use.  ``solver(r)`` is
+    the bare substitution A^-1 r, a CG preconditioner; ``solve`` also
+    accepts or refuses it by the factor's ``certificate``.
     """
 
     def __init__(self, A):
         self.operator = sp.dia_matrix(A)
         self.bandwidth = int(np.abs(self.operator.offsets).max(initial=0))
-        n, u = self.operator.shape[0], self.bandwidth
         self.is_complex = np.iscomplexobj(self.operator)
-        self.nbytes = ((3 * u + 1) * n * 16 if self.is_complex
-                       else (u + 1) * n * 8)
+        self.nbytes = (self.bandwidth + 1) * self.operator.shape[0] * 8
 
     @functools.cached_property
     def _factor(self):
@@ -273,39 +273,31 @@ class BandedSolver:
                 f"Hermitian part failed: {err})") from err
         if not self.is_complex:
             return chol
-        # zgbtrf's ab[2u + i - j, j] = A[i, j]; its first u rows are for fill
-        ab = np.zeros((3 * u + 1, n), dtype=complex)
-        ab[2 * u - offsets, :data.shape[1]] = data
-        lu, ipiv, info = scipy.linalg.lapack.zgbtrf(ab, u, u)
-        if info != 0:
-            raise ConvergenceError(f"banded LU failed (zgbtrf info={info})")
-        return lu, ipiv
+        del ab, chol            # Re(A) is proved definite; only the LU stays
+        from scipy.sparse.linalg import splu  # kept off the real paths
+        try:
+            return splu(
+                self.operator.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+        except RuntimeError as err:
+            raise ConvergenceError(f"sparse LU failed ({err})") from err
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        """A^-1 rhs from the factor (made on first use), residual unchecked;
-        a real factor takes a complex rhs's real and imaginary parts apart."""
+        """A^-1 rhs from the factor (made on first use), unchecked; a real
+        factor takes a complex rhs's real and imaginary parts apart."""
         if self.is_complex:
-            lu, ipiv = self._factor
-            u = self.bandwidth
-            x, info = scipy.linalg.lapack.zgbtrs(lu, u, u, rhs, ipiv)
-        elif rhs.dtype.kind == "c":
+            return self._factor.solve(rhs)
+        if rhs.dtype.kind == "c":
             return self(rhs.real) + 1j * self(rhs.imag)
-        else:
-            x, info = scipy.linalg.lapack.dpbtrs(self._factor, rhs)
+        x, info = scipy.linalg.lapack.dpbtrs(self._factor, rhs)
         if info != 0:
             raise ValueError(f"band substitution failed (info={info})")
         return x
 
     def solve(self, rhs: np.ndarray, tol: float) -> tuple[np.ndarray, SolveReport]:
         """Solve A x = rhs by the module's range rule, or raise
-        ConvergenceError: if rhs or x is not finite, if a real A's
-        ``certificate`` exceeds ``tol``, or if a complex A's normwise
-        backward error ||A x - rhs|| / (||A||_inf ||x|| + ||rhs||), at most
-        its report's relative residual, exceeds ``tol`` (||A||_inf bounds
-        ||A||_2 for a symmetric A; Higham, 2nd ed., §7.1).  zgbtrf's
-        analogue of ``certificate``, gamma_(3n) |L||U| (Thm 9.4), needs |L|
-        1 from its interleaved row swaps: a Python loop over n, which costs
-        more than 40 residual checks at n_side 41."""
+        ConvergenceError: if rhs or x is not finite, or if the factor's
+        ``certificate`` exceeds ``tol``."""
         return _solve_in_range(self._checked, rhs, tol)
 
     @functools.cached_property
@@ -320,39 +312,42 @@ class BandedSolver:
 
     @functools.cached_property
     def certificate(self) -> SolveReport:
-        """Every real solve's report: no iterations, no residual, and
-        ``backward_bound`` eta.  A substitution with the Cholesky factor R
-        solves (A + dA) x = b with |dA| <= gamma_(3n+1) |R^T| |R| (Higham, 2nd
-        ed., Thm 10.4; gamma_k = k u / (1 - k u), u = eps / 2), so ||dA||_inf /
-        ||A||_inf <= eta = gamma_(3n+1) max(|R|^T (|R| 1)) / ||A||_inf."""
+        """Every solve's report: no iterations, no residual, and
+        ``backward_bound`` eta >= ||dA||_inf / ||A||_inf for every solve
+        (A + dA) x = b by the factor (Higham, 2nd ed.; gamma_k = k u / (1 -
+        k u), u = eps / 2).  A real A's Cholesky factor R gives |dA| <=
+        gamma_(3n+1) |R^T| |R| (Thm 10.4), so eta = gamma_(3n+1) max(|R|^T
+        (|R| 1)) / ||A||_inf.  A complex A's P A Q = L U gives |dA| <=
+        gamma_(3n) P^T |L| |U| Q^T (Thm 9.4) in real arithmetic.  In complex
+        arithmetic (Lemma 3.5, §3.6) a product errs by at most sqrt(2)
+        gamma_2 <= gamma_3 and a quotient by sqrt(2) gamma_4 <= gamma_6, so
+        each of Thm 9.4's three gamma_n (the factor, two substitutions)
+        becomes gamma_(n+8): eta = gamma_(3n+24) max(|L| (|U| 1)) /
+        ||A||_inf."""
         n, u = self.operator.shape[0], self.bandwidth
-        abs_r = functools.partial(scipy.linalg.blas.dtbmv, u,
-                                  np.abs(self._factor))      # x -> |R| x
-        k = (3 * n + 1) * np.finfo(float).eps / 2
-        dA_norm = k / (1.0 - k) * float(abs_r(abs_r(np.ones(n)), trans=1).max())
+        if self.is_complex:
+            lu, k = self._factor, (3 * n + 24) * np.finfo(float).eps / 2
+            bound = abs(lu.U) @ np.ones(n)      # one factor's copy at a time
+            bound = abs(lu.L) @ bound
+        else:
+            abs_r = functools.partial(scipy.linalg.blas.dtbmv, u,
+                                      np.abs(self._factor))  # x -> |R| x
+            k = (3 * n + 1) * np.finfo(float).eps / 2
+            bound = abs_r(abs_r(np.ones(n)), trans=1)
+        dA_norm = k / (1.0 - k) * float(bound.max())
         return SolveReport(0, None, dA_norm / self.norm_inf)
 
     def _checked(self, rhs: np.ndarray, b_norm: float, tol: float):
         x = self(rhs)
-        if not self.is_complex:
-            eta = self.certificate.backward_bound
-            # finite entries can make _norm(x) inf: only then is each tested
-            if eta <= tol and (math.isfinite(_norm(x))
-                               or np.isfinite(x).all()):
-                return x, self.certificate
-            raise ConvergenceError("banded solve overflowed" if eta <= tol else
-                                   f"banded Cholesky's backward error bound "
-                                   f"{eta:.3e} exceeds tol={tol:g}",
-                                   report=self.certificate)
-        r_norm = _norm(self.operator @ x - rhs)
-        report = SolveReport(0, r_norm / b_norm)
-        backward = r_norm / (self.norm_inf * _norm(x) + b_norm)
-        if not backward <= tol:
-            raise ConvergenceError(
-                f"banded solve missed tol={tol:g} (normwise backward error "
-                f"{backward:.3e}, relative residual "
-                f"{report.relative_residual:.3e})", report=report)
-        return x, report
+        eta = self.certificate.backward_bound
+        # finite entries can make _norm(x) inf: only then is each tested
+        if eta <= tol and (math.isfinite(_norm(x)) or np.isfinite(x).all()):
+            return x, self.certificate
+        kind = "sparse LU" if self.is_complex else "banded Cholesky"
+        raise ConvergenceError(
+            "banded solve overflowed" if eta <= tol else
+            f"{kind}'s backward error bound {eta:.3e} exceeds tol={tol:g}",
+            report=self.certificate)
 
 
 def prolongation(n_side: int) -> sp.csr_matrix:
@@ -593,7 +588,7 @@ class Multigrid:
 def choose_solver(A, mesh: Mesh | None) -> BandedSolver | Multigrid:
     """The solver of A: ``BandedSolver(A)`` when its band factor fits in
     DIRECT_LIMIT_BYTES, else a ``Multigrid`` of that solver's DIA operator
-    on ``mesh.n_side`` with float32 levels (the band factors stay
+    on ``mesh.n_side`` with float32 levels (the direct factors stay
     float64).  Both are preconditioners ``solver(r) -> ~A^-1 r``
     that carry ``operator``, A in DIA: ``cg_solve(solver, b, tol)``.  A
     matrix without a mesh has no other path than its band factor, so a

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from fmes import assemble, build_mesh, schemes, sparse
@@ -620,6 +621,21 @@ def test_complex_pole_definiteness_guard(sys6):
         run_scheme(spec, sys6, np.ones(sys6.n_nodes))
 
 
+def test_sparse_lu_failure_reports_level(sys6, pair6, monkeypatch):
+    # SuperLU raises RuntimeError on an exactly singular factor; a complex
+    # pole's factor is made on the first step, so the failure names level 1
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    spec = SchemeSpec("pade_fmes", tau=0.01, n_steps=3, l=0, m=2,
+                      lambda1=pair6.lambda1)
+    with pytest.raises(ConvergenceError,
+                       match=r"^pade_fmes step failed at level 1: sparse LU "
+                             r"failed \(Factor is exactly singular\)$"):
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+
+
 _SPARSE_SPECS = ([("theta_standard", dict(sigma=s)) for s in (0.5, 1.0)]
                  + [("theta_fmes", dict(sigma=s)) for s in (0.5, 1.0)]
                  + [("pade_fmes", dict(l=l, m=m)) for m in range(1, 5)
@@ -848,12 +864,14 @@ def test_every_multigrid_from_choose_solver_gets_float32_levels(sys28,
 
 
 def test_complex_pole_solves_on_an_even_grid_take_few_iterations(monkeypatch):
-    # at n_side 72 the (0,2) pole pair's complex band factor (18 MB) is over
-    # the budget; its mesh is not nested in the coarse one (diagonal scaling
-    # took 229 iterations per solve on average)
+    # with no room for a direct factor, the (0,2) pole pair of the whole
+    # n_side 72 system runs conjugate orthogonal CG on multigrid; its mesh
+    # is not nested in the coarse one (diagonal scaling took 229 iterations
+    # per solve on average)
     sys = assemble(build_mesh(72))
     spec = SchemeSpec("pade_fmes", tau=0.01, n_steps=3, l=0, m=2,
                       lambda1=inverse_iteration(sys).lambda1)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
     iterations = []
 
     def recording(solver, *args, **kwargs):

@@ -11,9 +11,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from fmes import ProblemCoefficients, assemble, build_mesh, sparse
+from fmes.assembly import half_system
 from fmes.sparse import (BandedSolver, ConvergenceError, Multigrid,
                          SolveReport, cg_solve, choose_solver, prolongation)
-from fmes.schemes import OUTER_TOL
+from fmes.schemes import OUTER_TOL, _partial_fractions, pade_coefficients
 from fmes.spectral import INNER_TOL
 
 
@@ -209,6 +210,17 @@ def test_choose_solver_follows_the_budget(sys6, sys28, monkeypatch):
     mg = choose_solver(sys6.K_bar, sys6.mesh)
     assert isinstance(mg, Multigrid) and mg.levels == []
     assert mg.operator.format == "dia"
+    monkeypatch.undo()
+    # a complex pole system is budgeted by its Hermitian part's band
+    # Cholesky, (u + 1) n doubles, as a real one is: on the half, direct up
+    # to n_side 160 and multigrid from 161; choosing makes no factor
+    for n_side, kind in ((160, BandedSolver), (161, Multigrid)):
+        half = half_system(assemble(build_mesh(n_side)))
+        solver = choose_solver(0.01 * half.K - (-1.0 + 1.0j) * half.M,
+                               half.mesh)
+        assert isinstance(solver, kind) and solver.operator.dtype.kind == "c"
+        if kind is BandedSolver:
+            assert "_factor" not in vars(solver)
 
 
 def test_choose_solver_refuses_a_large_matrix_without_mesh(sys6,
@@ -588,9 +600,9 @@ def test_banded_solver_matches_spsolve(sys6, rng, shift):
     b = rng.standard_normal(sys6.n_nodes) * (1.0 - 2.0j if shift.imag else 1.0)
     solver = BandedSolver(A)
     x, report = solver.solve(b, tol=1e-12)
-    # a complex solve is accepted by its residual, a real one by its factor
-    assert (report.relative_residual if shift.imag
-            else report.backward_bound) <= 1e-12
+    # either factor's solve is accepted by its certificate
+    assert report is solver.certificate
+    assert report.backward_bound <= 1e-12
     expected = spla.spsolve(A.tocsc(), b)
     assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
     # factored on the first solve, reused by later ones
@@ -611,18 +623,27 @@ def _normwise_backward_error(A, x, b):
     """||b - A x||_inf / (||A||_inf ||x||_inf), the residual taken in long
     double so that its own rounding stays far below the bound's; A x = b
     is exact for some A + dA with ||dA||_inf / ||A||_inf this small."""
-    A = A.toarray().astype(np.longdouble)
-    r = b.astype(np.longdouble) - A @ x.astype(np.longdouble)
+    wide = np.clongdouble if np.iscomplexobj(A) else np.longdouble
+    A = A.toarray().astype(wide)
+    r = b.astype(wide) - A @ x.astype(wide)
     return float(np.abs(r).max() / (np.abs(A).sum(axis=1).max()
                                     * np.abs(x).max()))
 
 
 def _dense_certificate(solver):
-    """gamma_(3n+1) || |R^T| |R| ||_inf / ||A||_inf from the dense R."""
+    """gamma_(3n+1) || |R^T| |R| ||_inf / ||A||_inf from the dense Cholesky
+    factor R, or gamma_(3n+24) || |L| |U| ||_inf / ||A||_inf from the dense
+    LU factors of a complex A."""
     u, n = solver.bandwidth, solver.operator.shape[0]
-    R = sum(np.diag(solver._factor[u - d, d:], d) for d in range(u + 1))
-    k = (3 * n + 1) * 2.0 ** -53
-    return (k / (1.0 - k) * (np.abs(R).T @ np.abs(R)).sum(axis=1).max()
+    if solver.is_complex:
+        L, U = (np.abs(F.toarray()) for F in (solver._factor.L,
+                                              solver._factor.U))
+        k = (3 * n + 24) * 2.0 ** -53
+    else:
+        R = sum(np.diag(solver._factor[u - d, d:], d) for d in range(u + 1))
+        L, U = np.abs(R).T, np.abs(R)
+        k = (3 * n + 1) * 2.0 ** -53
+    return (k / (1.0 - k) * (L @ U).sum(axis=1).max()
             / abs(solver.operator).sum(axis=1).max())
 
 
@@ -630,17 +651,27 @@ def _dense_certificate(solver):
 _LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
 
 
-@settings(max_examples=30, deadline=None)
+# each real pole and upper complex pole of Pade (0,1), (0,2), (2,2), (1,3)
+# and (0,4)
+_POLES = [z for l, m in ((0, 1), (0, 2), (2, 2), (1, 3), (0, 4))
+          for z, _, _ in _partial_fractions(*pade_coefficients(l, m))[1]]
+
+
+@settings(max_examples=40, deadline=None)
 @given(n_side=st.integers(3, 15), k_inner=_LOG_UNIFORM, k_outer=_LOG_UNIFORM,
        c=st.floats(0.0, 30.0), mu_right_top=_LOG_UNIFORM,
        mu_left_bottom=st.one_of(st.just(0.0), _LOG_UNIFORM),
-       tau=st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))
-def test_banded_certificate_bounds_the_backward_error(n_side, tau, **coeffs):
-    # the backward implicit pole system M + tau K: the bound holds every
-    # substitution's error, and it certifies even the smallest tolerance a
-    # real pole solve is asked for, OUTER_TOL / (1 + |c0|) with |c0| <= 1
+       tau=st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e),
+       z=st.sampled_from(_POLES))
+def test_banded_certificate_bounds_the_backward_error(n_side, tau, z,
+                                                      **coeffs):
+    # the pole system tau K - z M, by a real pole's band Cholesky or a
+    # complex pole's sparse LU: the bound holds every substitution's error,
+    # and it certifies even the smallest tolerance a pole solve is asked
+    # for, OUTER_TOL / (1 + |c0|) with |c0| <= 1
     sys = assemble(build_mesh(n_side), ProblemCoefficients(**coeffs))
-    A, b = sys.M + tau * sys.K, sys.M @ np.ones(sys.n_nodes)
+    A = tau * sys.K - z * sys.M
+    b = sys.M @ np.ones(sys.n_nodes) * (1.0 - 1.0j if z.imag else 1.0)
     solver = BandedSolver(A)
     x, report = solver.solve(b, OUTER_TOL / 2)
     assert report == SolveReport(0, None, report.backward_bound)
@@ -672,29 +703,33 @@ def test_banded_certificate_accepts_the_weakly_damped_system():
 
 
 @pytest.mark.parametrize("tau", [0.01, 1000.0])
-def test_complex_band_solve_is_accepted_by_its_backward_error(tau):
+def test_complex_solve_is_accepted_by_its_certificate(tau):
     # Pade (0, 2)'s pole z = -1 + 1j of the weakly damped system: at tau
-    # 0.01 the relative residual (3.1e-14) and the normwise backward error
-    # (8.3e-17) both meet OUTER_TOL; at tau 1000 the relative residual
-    # (3.7e-9) misses it and the backward error (9.9e-17) does not.  Each
-    # solve returns the substitution and its relative residual, and one
-    # asked for a tolerance below its backward error is refused
+    # 0.01 the relative residual is 1.8e-14, at tau 1000 it is 1.8e-9 and
+    # misses OUTER_TOL.  The sparse LU's certificate, 5.8e-13 and 6.3e-13,
+    # accepts both and bounds the measured backward error (3.0e-16 and
+    # 2.2e-16); each solve returns the substitution and the certificate
     A, b = _weakly_damped_pole_system(tau, z=-1.0 + 1.0j)
     b = (1.0 - 1.0j) * b
     solver = BandedSolver(A)
     x, report = solver.solve(b, OUTER_TOL)
-    r_norm, b_norm = sparse._norm(solver.operator @ x - b), sparse._norm(b)
     assert np.array_equal(x, solver(b))
-    assert report == SolveReport(0, r_norm / b_norm)
-    assert (report.relative_residual <= OUTER_TOL) == (tau < 1.0)
-    backward = r_norm / (solver.norm_inf * sparse._norm(x) + b_norm)
-    assert backward <= 1e-15
+    assert report is solver.certificate
+    residual = sparse._norm(solver.operator @ x - b) / sparse._norm(b)
+    assert (residual <= OUTER_TOL) == (tau < 1.0)
+    assert (_normwise_backward_error(A, x, b) <= 1e-15
+            <= report.backward_bound <= 1e-12)
+
+
+def test_sparse_lu_certificate_refuses_a_tolerance_below_it(sys6):
+    solver = BandedSolver(0.01 * sys6.K - (-1.0 + 1.0j) * sys6.M)
+    eta = solver.certificate.backward_bound
     with pytest.raises(ConvergenceError,
-                       match=r"^banded solve missed tol=1e-20 \(normwise "
-                             r"backward error [0-9.]+e-1[67], relative "
-                             r"residual [0-9.]+e-(14|09)\)$") as exc:
-        solver.solve(b, 1e-20)
-    assert exc.value.report == report
+                       match=r"^sparse LU's backward error bound "
+                             r"[0-9.]+e-1[45] exceeds tol=[0-9.]+e-1[45]$"
+                       ) as exc:
+        solver.solve(np.ones(sys6.n_nodes) + 0j, tol=eta / 2)
+    assert exc.value.report is solver.certificate
 
 
 def test_banded_certificate_refuses_a_tolerance_below_it(sys6):
@@ -759,18 +794,11 @@ def test_banded_solve_takes_no_product_and_one_certificate(sys6, monkeypatch):
 
 
 def test_banded_solver_reports_lapack_failures(sys6, monkeypatch):
-    # LAPACK's info != 0: a zero pivot in zgbtrf (info > 0), an illegal
-    # argument to a substitution (info < 0)
-    zgbtrf = scipy.linalg.lapack.zgbtrf
+    # LAPACK's info != 0: an illegal argument to a substitution (info < 0)
     dpbtrs = scipy.linalg.lapack.dpbtrs
-    monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf",
-                        lambda *args: (*zgbtrf(*args)[:2], 3))
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs",
                         lambda *args: (dpbtrs(*args)[0], -2))
     b = np.ones(sys6.n_nodes)
-    with pytest.raises(ConvergenceError,
-                       match=r"^banded LU failed \(zgbtrf info=3\)$"):
-        BandedSolver(0.01 * sys6.K + (1.0 + 1.0j) * sys6.M).solve(b, 1e-10)
     with pytest.raises(ValueError,
                        match=r"^band substitution failed \(info=-2\)$"):
         BandedSolver(sys6.M).solve(b, 1e-10)
