@@ -27,9 +27,8 @@ R = c0 + sum_j r_j / (z - z_j) with one sparse solve per real pole or
 conjugate pole pair by ``sparse.choose_solver``'s solver: a direct factor
 (a band Cholesky for a real pole, a sparse LU for a complex pair) made and
 certified once per run or, above sparse.DIRECT_LIMIT_BYTES, CG
-preconditioned by a real multigrid V-cycle.  Each solve is checked by its
-solver, except in ``run_scheme``'s flat loop, which makes the checks
-itself.
+preconditioned by a real multigrid V-cycle.  ``_RationalStepper.advance``
+is every sparse step's body, ``run_scheme``'s included.
 
 Scalar helpers (amplification factor, exact-weight formula, Pade
 coefficients) live here as well since they define the steppers.
@@ -37,17 +36,18 @@ coefficients) live here as well since they define the steppers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrs
 from scipy.sparse._sparsetools import dia_matvec
 
 from .assembly import FemSystem, _mass_norm
-from .sparse import (_RANGE, BandedSolver, ConvergenceError, Multigrid,
+from .sparse import (_HI, _LO, BandedSolver, ConvergenceError, Multigrid,
                      SolveReport, cg_solve, choose_solver)
 from .spectral import ModalBasis
 
@@ -273,15 +273,15 @@ class _RationalStepper:
     OUTER_TOL / (1 + |c0|) because the c0 term cancels against the pole
     terms.
 
-    Each pole is ``(s r, w, solving)``, and ``solving.solve(b, tol)``
-    solves its system with ``sparse.choose_solver``'s solver and checks
-    it, except in ``run_scheme``'s flat loop.  A ``BandedSolver`` is
-    ``solving`` itself: it factors and certifies on the first step, so a
-    failure still names level 1.  A ``Multigrid``, with
-    float32 levels, is the ``solver`` of a ``_Projection``: float64 CG
-    preconditioned by it, each solve started from the projection onto the
-    system's last solutions (README.md), so a stepper follows one
-    trajectory.  ``step`` reuses M y when the caller has it.
+    Each pole is ``(s r, w, solving)``.  A ``BandedSolver`` is ``solving``
+    itself.  A ``Multigrid``, with float32 levels, is the ``solver`` of a
+    ``_Projection``: float64 CG preconditioned by it, each solve started
+    from the projection onto the system's last solutions (README.md), so a
+    stepper follows one trajectory.  ``advance(y, My)``, every step's body,
+    substitutes a certified real band factor inline for an in-range b and
+    calls the checked ``solving.solve`` otherwise.  Factors are made and
+    certified on the first step (``_terms``): a failure names level 1.  An
+    inline x's finiteness shows in y, which ``step`` and ``run_scheme`` test.
     """
 
     def __init__(self, sys: FemSystem, p: np.ndarray, q: np.ndarray,
@@ -297,15 +297,31 @@ class _RationalStepper:
                                solver if isinstance(solver, BandedSolver)
                                else _Projection(solver)))
 
-    def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
-        My = self.M @ y if My is None else My
+    @functools.cached_property
+    def _terms(self) -> list:   # each pole, with a band factor to substitute
+        return [(sr, w, solving,
+                 solving._factor if isinstance(solving, BandedSolver)
+                 and not solving.is_complex and
+                 solving.certificate.backward_bound <= self.tol else None)
+                for sr, w, solving in self.poles]
+
+    def advance(self, y: np.ndarray, My: np.ndarray) -> np.ndarray:
         out = self.scale * self.c0 * y if self.c0 else None
-        for sr, w, solving in self.poles:
-            # theta_standard's s r and a real pole's w are exactly 1
-            x, _ = solving.solve(My if sr == 1.0 else sr * My, self.tol)
-            x = x.real if w == 1.0 else w * x.real
+        for sr, w, solving, factor in self._terms:
+            b = My if sr == 1.0 else sr * My    # theta_standard's s r is 1
+            x, info = (dpbtrs(factor, b) if factor is not None and
+                       _LO <= math.sqrt(np.vdot(b, b)) <= _HI else (None, 1))
+            if info:        # no in-range b on a certified band factor
+                x = solving.solve(b, self.tol)[0]
+            x = x if w == 1.0 else w * x.real   # a real pole's w is exactly 1
             out = x if out is None else out + x
         return out
+
+    def step(self, y: np.ndarray, My: np.ndarray | None = None) -> np.ndarray:
+        y = self.advance(y, self.M @ y if My is None else My)
+        if not np.isfinite(y).all():
+            raise ConvergenceError("state is not finite")
+        return y
 
 
 def _pole_operator(sys: FemSystem, tau: float, mu: float, z) -> sp.dia_matrix:
@@ -361,6 +377,8 @@ class _ModalStepper:
         self.next += 1
         self.remaining -= 1
         return self.states[:, self.next - 1].copy()
+
+    advance = step      # run_scheme's name for a step
 
     def _compute(self, coords: list[np.ndarray]):
         k = max(1, min(MODAL_CHUNK, self.remaining))
@@ -436,17 +454,16 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     level indices; levels 0 and n_steps are always kept).  Norms and, when
     phi1 is given, fundamental-mode amplitudes are recorded at every level.
 
-    A stepper whose only pole is a real band factor (theta, Pade m = 1) is
-    stepped here, with the checks of ``BandedSolver.solve``: the range rule
-    on b, LAPACK's info, the certificate and x's finiteness.
+    Each level is ``stepper.advance(y, M y)``; a non-finite one is refused.
 
     Raises
     ------
     ValueError
         If w0 is not a finite vector of one value per node, or the basis
-        does not fit the system.
+        does not fit the system, or from a step (a LAPACK info).
     ConvergenceError
-        If a step's solve fails; the message carries the level index.
+        If a step's solve fails or its state is not finite.  A step's error
+        names its level and chains the step's own, with its report.
     """
     y = np.array(w0, dtype=float)
     if y.shape != (sys.n_nodes,):
@@ -462,46 +479,31 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     amplitudes = np.empty(n_steps + 1) if phi1 is not None else None
     vectors: dict[int, np.ndarray] = {}
 
-    M = sp.dia_matrix(sys.M)
+    M, n = sp.dia_matrix(sys.M), len(y)
     # scipy's kernel of M @ y, called into zeros (private API; tested bits)
     dia = (*M.shape, len(M.offsets), M.data.shape[1], M.offsets, M.data)
-    (sr, _, solver), *more = getattr(stepper, "poles", [(None,) * 3])
-    flat = isinstance(solver, BandedSolver) and not (more or solver.is_complex)
-    # inline fast paths; out of range or refused, the checked functions
-    lo, hi = _RANGE
-    dpbtrs = scipy.linalg.lapack.dpbtrs
-    try:
-        for level in range(n_steps + 1):
-            if level and not flat:
-                y = stepper.step(y, My)
-            elif level:
-                if level == 1:      # factors and certifies: failures name 1
-                    factor = solver._factor
-                    eta = solver.certificate.backward_bound
-                b = My if sr == 1.0 else sr * My
-                x, info = (dpbtrs(factor, b) if eta <= stepper.tol and
-                           lo <= math.sqrt(np.vdot(b, b)) <= hi else (None, 1))
-                if info != 0:
-                    x = solver.solve(b, stepper.tol)[0]
-                y = stepper.scale * stepper.c0 * y + x if stepper.c0 else x
-            dia_matvec(*dia, y, My := np.zeros(len(y)))
-            norm = math.sqrt(abs(np.vdot(y, My)))
-            if not lo <= norm <= hi:
-                norm = _mass_norm(M, y, My)
-                # M's diagonal is positive, so an inf or nan entry of y (so
-                # of x) makes its term of y^T M y, and so the norm, non-finite
-                if flat and level and not (math.isfinite(norm)
-                                           or np.isfinite(x).all()):
-                    raise ConvergenceError("banded solve overflowed",
-                                           report=solver.certificate)
-            m_norms[level] = norm
-            if amplitudes is not None:      # phi1 @ My's bits, sooner
-                amplitudes[level] = np.vdot(phi1, My)
-            if keep is None or level in keep:
-                vectors[level] = y
-    except ConvergenceError as err:
-        raise ConvergenceError(
-            f"{spec.kind} step failed at level {level}: {err}",
-            report=err.report) from err
+    advance, fail = stepper.advance, f"{spec.kind} step failed at level"
+    for level in range(n_steps + 1):
+        if level:
+            try:
+                y = advance(y, My)
+            except ConvergenceError as err:
+                raise ConvergenceError(f"{fail} {level}: {err}",
+                                       report=err.report) from err
+            except ValueError as err:       # e.g. a LAPACK info
+                raise ValueError(f"{fail} {level}: {err}") from err
+        dia_matvec(*dia, y, My := np.zeros(n))
+        norm = math.sqrt(abs(np.vdot(y, My)))
+        if not _LO <= norm <= _HI:
+            norm = _mass_norm(M, y, My)
+            # an inf or nan entry of y (of a pole's Re x) makes its term of
+            # y^T M y non-finite: M's diagonal is positive
+            if not (math.isfinite(norm) or np.isfinite(y).all()):
+                raise ConvergenceError(f"{fail} {level}: state is not finite")
+        m_norms[level] = norm
+        if amplitudes is not None:      # phi1 @ My's bits, sooner
+            amplitudes[level] = np.vdot(phi1, My)
+        if keep is None or level in keep:
+            vectors[level] = y
     return Trajectory(times=times, m_norms=m_norms,
                       amplitudes=amplitudes, vectors=vectors)

@@ -679,59 +679,180 @@ def test_run_scheme_reuses_mass_product(sys6, pair6, basis6, rng, kind,
         assert np.array_equal(traj.vector_at(level), y)
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
-@pytest.mark.parametrize("half", [False, True])
-@pytest.mark.parametrize("kind, params", [
+def _checked_level(stepper, y):
+    """The level after y with every pole solved by its checked
+    ``solving.solve``, which run_scheme's inline substitutions must match
+    bit for bit: s c0 y + sum_j w_j Re x_j."""
+    My = stepper.M @ y
+    out = stepper.scale * stepper.c0 * y if stepper.c0 else None
+    for sr, w, solving in stepper.poles:
+        x = solving.solve(My if sr == 1.0 else sr * My, stepper.tol)[0]
+        x = x.real if w == 1.0 else w * x.real
+        out = x if out is None else out + x
+    return out
+
+
+# every sparse scheme, the six this test first covered first, so that each
+# keeps its test id
+_CHAINED_SPECS = [
     ("theta_standard", dict(sigma=1.0)), ("theta_fmes", dict(sigma=1.0)),
     ("theta_fmes", dict(sigma=0.5)), ("pade_fmes", dict(l=0, m=1)),
-    ("pade_fmes", dict(l=1, m=1)), ("pade_fmes", dict(l=0, m=2))])
+    ("pade_fmes", dict(l=1, m=1)), ("pade_fmes", dict(l=0, m=2))]
+_CHAINED_SPECS += [s for s in _SPARSE_SPECS if s not in _CHAINED_SPECS]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -300, 2.0 ** 300])
+@pytest.mark.parametrize("half", [False, True])
+@pytest.mark.parametrize("kind, params", _CHAINED_SPECS)
 def test_band_loop_is_the_chained_steps(sys6, pair6, rng, monkeypatch, kind,
                                         params, half, scale):
-    # a stepper whose one pole is a real band factor runs in run_scheme's
-    # own loop, without .step; (0, 2), with complex poles, still steps by
-    # .step.  Both give the states, mass norms and amplitudes of chained
-    # .step calls bit for bit: in range and, from 2^-300 and 2^300, through
-    # the range rule's scaled solves and norms
+    # run_scheme steps every sparse stepper by its advance, never by .step,
+    # and gives the states, mass norms and amplitudes of levels whose every
+    # pole is solved by its checked solve, bit for bit: on direct poles (a
+    # real band factor substituted inline at scale 1) and on multigrid ones,
+    # in range and, from 2^-300 and 2^300, through the range rule's scaled
+    # solves and norms
     sys = half_system(sys6) if half else sys6
     phi1 = pair6.phi1[sparse.fold(6).rep] if half else pair6.phi1
     lam1 = None if kind == "theta_standard" else pair6.lambda1
     spec = SchemeSpec(kind, tau=0.01, n_steps=4, lambda1=lam1, **params)
-    y = scale * _generic_state(sys, rng)
-    assert sparse._in_range(sparse._norm(sys.M @ y)) == (scale == 1.0)
-    steps = []
-    step = schemes._RationalStepper.step
-    monkeypatch.setattr(schemes._RationalStepper, "step",
-                        lambda *args: steps.append(1) or step(*args))
-    traj = run_scheme(spec, sys, y, phi1=phi1)
-    assert len(steps) == (4 if params.get("m") == 2 else 0)
-    stepper = make_stepper(spec, sys)
-    for level in range(spec.n_steps + 1):
-        y = stepper.step(y) if level else y
-        My = sys.M @ y
-        assert np.array_equal(traj.vector_at(level), y)
-        assert traj.m_norms[level] == _mass_norm(sys.M, y, My)
-        assert traj.amplitudes[level] == phi1 @ My
+    w0 = scale * _generic_state(sys, rng)
+    assert sparse._in_range(sparse._norm(sys.M @ w0)) == (scale == 1.0)
+    for limit in (sparse.DIRECT_LIMIT_BYTES, 0):
+        monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", limit)
+        inline = []
+        with monkeypatch.context() as patch:
+            patch.setattr(schemes._RationalStepper, "step",
+                          lambda *args: pytest.fail("run_scheme called .step"))
+            patch.setattr(schemes, "dpbtrs",
+                          lambda *args: inline.append(1) or
+                          scipy.linalg.lapack.dpbtrs(*args))
+            traj = run_scheme(spec, sys, w0, phi1=phi1)
+        y, stepper = w0, make_stepper(spec, sys)
+        assert all(isinstance(solving, BandedSolver) == (limit > 0)
+                   for *_, solving in stepper.poles)
+        real_pole = any(w == 1.0 for _, w, _ in stepper.poles)
+        assert bool(inline) == (limit > 0 and scale == 1.0 and real_pole)
+        for level in range(spec.n_steps + 1):
+            y = _checked_level(stepper, y) if level else y
+            My = sys.M @ y
+            assert np.array_equal(traj.vector_at(level), y)
+            assert traj.m_norms[level] == _mass_norm(sys.M, y, My)
+            assert traj.amplitudes[level] == phi1 @ My
 
 
-def test_band_loop_refuses_a_non_finite_x_at_its_level(sys6, monkeypatch):
-    # the loop reads x's finiteness off the level's mass norm; an inf entry
-    # from the third substitution is refused at level 3
+def _overflowing_dpbtrs(monkeypatch, at: int, info: int = 0):
+    """Patch LAPACK's dpbtrs, inline and in the checked solve, to put an inf
+    into x[3] from its call ``at`` on, with ``info``; return the list of its
+    calls."""
     dpbtrs, calls = scipy.linalg.lapack.dpbtrs, []
 
     def overflowing(*args):
-        x, info = dpbtrs(*args)
+        x, _ = dpbtrs(*args)
         calls.append(1)
-        if len(calls) == 3:
+        if len(calls) >= at:
             x[3] = np.inf
-        return x, info
+        return x, info if len(calls) >= at else 0
 
     monkeypatch.setattr(scipy.linalg.lapack, "dpbtrs", overflowing)
+    monkeypatch.setattr(schemes, "dpbtrs", overflowing)
+    return calls
+
+
+def test_band_loop_refuses_a_non_finite_x_at_its_level(sys6, monkeypatch):
+    # run_scheme reads x's finiteness off the level's mass norm; an inf
+    # entry from the third substitution is refused at level 3
+    calls = _overflowing_dpbtrs(monkeypatch, at=3)
     spec = SchemeSpec("theta_standard", tau=0.01, n_steps=5, sigma=1.0)
     with pytest.raises(ConvergenceError,
                        match="^theta_standard step failed at level 3: "
-                             "banded solve overflowed$"):
+                             "state is not finite$"):
         run_scheme(spec, sys6, np.ones(sys6.n_nodes))
     assert len(calls) == 3
+
+
+def test_step_refuses_a_non_finite_state(sys6, monkeypatch):
+    _overflowing_dpbtrs(monkeypatch, at=1)
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=1, sigma=1.0)
+    with pytest.raises(ConvergenceError, match="^state is not finite$"):
+        make_stepper(spec, sys6).step(np.ones(sys6.n_nodes))
+
+
+def test_lapack_info_names_its_level(sys6, monkeypatch):
+    # a nonzero info takes the checked solve, whose substitution raises
+    _overflowing_dpbtrs(monkeypatch, at=3, info=-2)
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=5, sigma=1.0)
+    with pytest.raises(ValueError,
+                       match=r"^theta_standard step failed at level 3: band "
+                             r"substitution failed \(info=-2\)$") as caught:
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+    assert str(caught.value.__cause__) == "band substitution failed (info=-2)"
+
+
+def test_a_steps_own_value_error_keeps_its_message(sys6, monkeypatch):
+    # any ValueError a step raises names its level, keeps its message and
+    # chains the step's own error
+    def failing(self, y, My):
+        raise ValueError("an unrelated failure")
+
+    monkeypatch.setattr(schemes._RationalStepper, "advance", failing)
+    spec = SchemeSpec("theta_standard", tau=0.01, n_steps=2, sigma=1.0)
+    with pytest.raises(ValueError, match="^theta_standard step failed at "
+                                         "level 1: an unrelated failure$"
+                       ) as caught:
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+    assert str(caught.value.__cause__) == "an unrelated failure"
+
+
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_complex_lu_refuses_a_non_finite_x_at_its_level(sys6, pair6,
+                                                        monkeypatch, part):
+    # an inf in either part of the third SuperLU substitution of the (0, 2)
+    # pole pair is refused at level 3 by the checked solve, whose refusal
+    # carries the factor's certificate
+    splu, calls = scipy.sparse.linalg.splu, []
+
+    class Overflowing:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            calls.append(1)
+            if len(calls) == 3:
+                getattr(x, part)[3] = np.inf
+            return x
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: Overflowing(splu(*args,
+                                                                 **kwargs)))
+    spec = SchemeSpec("pade_fmes", tau=0.01, n_steps=5, l=0, m=2,
+                      lambda1=pair6.lambda1)
+    with pytest.raises(ConvergenceError, match="^pade_fmes step failed at "
+                                               "level 3: banded solve "
+                                               "overflowed$") as caught:
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
+    assert len(calls) == 3
+    report = caught.value.report
+    assert report is caught.value.__cause__.report
+    assert report.iterations == 0 and report.backward_bound < 1e-12
+
+
+@pytest.mark.parametrize("kind, params, factor", [
+    ("theta_standard", dict(sigma=1.0), "banded Cholesky"),
+    ("pade_fmes", dict(l=0, m=2), "sparse LU")])
+def test_uncertified_factor_names_level_1(sys6, pair6, monkeypatch, kind,
+                                          params, factor):
+    monkeypatch.setattr(schemes, "OUTER_TOL", 1e-30)
+    lam1 = None if kind == "theta_standard" else pair6.lambda1
+    spec = SchemeSpec(kind, tau=0.01, n_steps=3, lambda1=lam1, **params)
+    with pytest.raises(ConvergenceError,
+                       match=f"^{kind} step failed at level 1: {factor}'s "
+                             f"backward error bound .* exceeds tol="):
+        run_scheme(spec, sys6, np.ones(sys6.n_nodes))
 
 
 def test_band_loop_accepts_a_finite_x_whose_squares_overflow():
@@ -765,10 +886,11 @@ _EDGE = 2.0 ** 255        # ||c 1|| on 4 nodes is 2 c
          "norm_below", "norm_underflows"])
 def test_band_loop_range_rule_edges(m, c, solves, norms, monkeypatch):
     # M = m I and K = 0 on 4 nodes: theta_standard's pole operator is M, so
-    # b = M y and every level is y = c 1.  The loop's inline fast paths take
-    # a b with ||b|| in [2^-256, 2^256] and a norm in that range; any other
-    # goes through BandedSolver.solve and _mass_norm, with the bits of the
-    # checked steps and of _mass_norm
+    # b = M y and every level is y = c 1.  The inline fast paths take a b
+    # with ||b|| in [2^-256, 2^256] and a norm in that range; any other goes
+    # through BandedSolver.solve and _mass_norm.  Every level has the bits
+    # of levels whose pole is solved by BandedSolver.solve, and every norm
+    # those of _mass_norm
     M = sp.dia_matrix((np.full((1, 4), m), [0]), shape=(4, 4))
     K = sp.dia_matrix((np.zeros((1, 4)), [0]), shape=(4, 4))
     sys = FemSystem(mesh=None, M=M, K_bar=K, K=K,
@@ -789,7 +911,7 @@ def test_band_loop_range_rule_edges(m, c, solves, norms, monkeypatch):
     assert calls == {"solves": solves, "norms": norms}
     y, stepper = w0, make_stepper(spec, sys)
     for level in range(3):
-        y = stepper.step(y) if level else y
+        y = _checked_level(stepper, y) if level else y
         assert np.array_equal(traj.vector_at(level), y)
         assert traj.m_norms[level] == _mass_norm(M, y)
     assert traj.m_norms.tolist() == [2.0 * c * math.sqrt(m)] * 3
