@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .sparse import _dia, _dia_sum, _in_range, _scaled, fold
+from .sparse import _dia, _dia_sum, _mass_norm, fold
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -177,22 +177,3 @@ def m_norm(sys: FemSystem, u: np.ndarray) -> float:
         raise ValueError(f"expected a vector of length {sys.n_nodes}, "
                          f"got {u.shape}")
     return _mass_norm(sys.M, u)
-
-
-def _mass_norm(M, u: np.ndarray, Mu: np.ndarray | None = None) -> float:
-    """sqrt(u^T M u), from ``Mu`` = M u when the caller has it.
-
-    A state that decays like exp(-lambda_1 t) leaves u^T M u's range long
-    before u itself, so the norm follows the range rule of ``sparse``: a
-    norm outside [2^-256, 2^256] is taken of 2^e u instead, e the exponent
-    ``sparse._scaled`` gives (max|2^e u| in [1/2, 1)), and scaled back by
-    2^-e.  That is exact, so an in-range norm keeps its bits.  np.vdot, not
-    ``@``, forms u^T M u: it gives the same bits without numpy's overflow
-    warnings on a huge u.
-    """
-    # abs: a sum of products that overflow can end at -inf
-    norm = math.sqrt(abs(float(np.vdot(u, M @ u if Mu is None else Mu))))
-    if _in_range(norm) or not u.any():
-        return norm
-    u, e = _scaled(u)
-    return float(_scaled(math.sqrt(float(np.vdot(u, M @ u))), -e)[0])

@@ -46,9 +46,10 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrs
 from scipy.sparse._sparsetools import dia_matvec
 
-from .assembly import FemSystem, _mass_norm
-from .sparse import (_HI, _LO, BandedSolver, ConvergenceError, Multigrid,
-                     SolveReport, cg_solve, choose_solver)
+from .assembly import FemSystem
+from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
+                     _in_range, _mass_norm, _solve_in_range, cg_solve,
+                     choose_solver)
 from .spectral import ModalBasis
 
 SCHEME_KINDS = ("theta_standard", "theta_fmes", "pade_fmes", "pade_modal")
@@ -233,6 +234,8 @@ class _Projection:
     runs: c is its least-squares solution with singular values below
     PROJECTION_RCOND times the largest dropped.  The reductions run in
     ``np.einsum``, without BLAS, so they do not depend on the thread count.
+    ``solve`` takes b by the range rule (``sparse._solve_in_range``), so X
+    and G hold in-range pairs: G neither overflows nor underflows.
     """
 
     def __init__(self, solver: Multigrid):
@@ -245,6 +248,9 @@ class _Projection:
     def solve(self, b: np.ndarray, tol: float) -> tuple[np.ndarray,
                                                          SolveReport]:
         """x with A x = b to CG's relative tolerance ``tol``."""
+        return _solve_in_range(self._solve, b, tol)
+
+    def _solve(self, b: np.ndarray, b_norm: float, tol: float):
         k = min(self.count, PROJECTION_SIZE)
         x0 = None
         if k:
@@ -310,7 +316,7 @@ class _RationalStepper:
         for sr, w, solving, factor in self._terms:
             b = My if sr == 1.0 else sr * My    # theta_standard's s r is 1
             x, info = (dpbtrs(factor, b) if factor is not None and
-                       _LO <= math.sqrt(np.vdot(b, b)) <= _HI else (None, 1))
+                       _in_range(math.sqrt(np.vdot(b, b))) else (None, 1))
             if info:        # no in-range b on a certified band factor
                 x = solving.solve(b, self.tol)[0]
             x = x if w == 1.0 else w * x.real   # a real pole's w is exactly 1
@@ -455,6 +461,8 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     phi1 is given, fundamental-mode amplitudes are recorded at every level.
 
     Each level is ``stepper.advance(y, M y)``; a non-finite one is refused.
+    Its norm is ``sparse._mass_norm``'s, and every solve but an in-range
+    inline substitution enters through ``sparse._solve_in_range``.
 
     Raises
     ------
@@ -493,14 +501,11 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
             except ValueError as err:       # e.g. a LAPACK info
                 raise ValueError(f"{fail} {level}: {err}") from err
         dia_matvec(*dia, y, My := np.zeros(n))
-        norm = math.sqrt(abs(np.vdot(y, My)))
-        if not _LO <= norm <= _HI:
-            norm = _mass_norm(M, y, My)
-            # an inf or nan entry of y (of a pole's Re x) makes its term of
-            # y^T M y non-finite: M's diagonal is positive
-            if not (math.isfinite(norm) or np.isfinite(y).all()):
-                raise ConvergenceError(f"{fail} {level}: state is not finite")
-        m_norms[level] = norm
+        m_norms[level] = norm = _mass_norm(M, y, My)
+        # an inf or nan entry of y (of a pole's Re x) makes its term of
+        # y^T M y non-finite: M's diagonal is positive
+        if not (math.isfinite(norm) or np.isfinite(y).all()):
+            raise ConvergenceError(f"{fail} {level}: state is not finite")
         if amplitudes is not None:      # phi1 @ My's bits, sooner
             amplitudes[level] = np.vdot(phi1, My)
         if keep is None or level in keep:

@@ -20,10 +20,11 @@ float32 V-cycle levels; a complex A is solved by conjugate orthogonal CG.
 Each V-cycle level and each CG solve keeps a workspace; results are fresh.
 All paths are deterministic, so runs are bit-reproducible.
 
-One range rule serves every solve and mass norm: a v whose norm lies
-outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with max|2^e v| in
-[1/2, 1), and the result is scaled back by 2^-e (``_scaled``).  That is
-exact, so an in-range input keeps its bits.
+One range rule, in this module alone, serves every solve (by its one way
+in, ``_solve_in_range``) and every mass norm (``_mass_norm``): a v whose
+norm lies outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with
+max|2^e v| in [1/2, 1), and the result is scaled back by 2^-e
+(``_scaled``).  That is exact, so an in-range input keeps its bits.
 README.md's numerical notes hold the measurements behind these choices.
 """
 
@@ -56,7 +57,7 @@ _RANGE = _LO, _HI = 2.0 ** -256, 2.0 ** 256
 
 
 def _in_range(norm: float) -> bool:
-    return _RANGE[0] <= norm <= _RANGE[1]
+    return _LO <= norm <= _HI
 
 
 def _scaled(v, e: int | None = None):
@@ -110,6 +111,19 @@ def _norm(v: np.ndarray) -> float:
     if v.dtype.kind == "c":
         return math.sqrt(np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag))
     return math.sqrt(np.vdot(v, v))
+
+
+def _mass_norm(M, u: np.ndarray, Mu: np.ndarray | None = None) -> float:
+    """sqrt(u^T M u) by the range rule, from ``Mu`` = M u when the caller
+    has it: every mass norm's one way in, as ``_solve_in_range`` is every
+    solve's.  np.vdot, not ``@``, forms u^T M u, with the same bits and no
+    overflow warning on a huge u."""
+    # abs: a sum of products that overflow can end at -inf
+    norm = math.sqrt(abs(np.vdot(u, M @ u if Mu is None else Mu)))
+    if _LO <= norm <= _HI or not u.any():
+        return norm
+    u, e = _scaled(u)
+    return float(_scaled(math.sqrt(np.vdot(u, M @ u)), -e)[0])
 
 
 def _product(A, v: np.ndarray, out: np.ndarray) -> np.ndarray:

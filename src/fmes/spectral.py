@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .assembly import FemSystem, _mass_norm, half_system, m_norm
-from .sparse import ConvergenceError, cg_solve, choose_solver, fold
+from .assembly import FemSystem, half_system, m_norm
+from .sparse import ConvergenceError, _mass_norm, cg_solve, choose_solver, fold
 
 # Largest system (in nodes) modal_decompose accepts.
 DENSE_LIMIT = 2500

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from fmes import assemble, build_mesh, schemes, sparse
-from fmes.assembly import (FemSystem, ProblemCoefficients, _mass_norm,
-                           half_system, m_inner, m_norm)
+from fmes.assembly import (FemSystem, ProblemCoefficients, half_system,
+                           m_inner, m_norm)
 from fmes.schemes import (SchemeSpec, _partial_fractions, _pole_operator,
                           amplification_factor, fmes_weight, make_stepper,
                           pade_coefficients, pade_rational, run_scheme)
-from fmes.sparse import BandedSolver, ConvergenceError, Multigrid
+from fmes.sparse import BandedSolver, ConvergenceError, Multigrid, _mass_norm
 from fmes.spectral import (ModalBasis, exact_semidiscrete_solution,
                            inverse_iteration, modal_decompose)
 
@@ -874,47 +875,134 @@ def test_band_loop_accepts_a_finite_x_whose_squares_overflow():
 _EDGE = 2.0 ** 255        # ||c 1|| on 4 nodes is 2 c
 
 
-@pytest.mark.parametrize("m, c, solves, norms", [
-    (1.0, _EDGE, 0, 0),                                 # ||b|| = 2^256
-    (1.0, _EDGE * 2.0 ** -512, 0, 0),                   # ||b|| = 2^-256
-    (1.0, np.nextafter(_EDGE, np.inf), 2, 3),           # just above
-    (1.0, np.nextafter(_EDGE * 2.0 ** -512, 0.0), 2, 3),    # just below
-    (1.0, 0.0, 2, 3),                                   # b = 0, y^T M y = 0
-    (2.0 ** 600, 2.0 ** -801, 0, 3),        # ||b|| = 2^-200, norm 2^-500
-    (2.0 ** -1000, 2.0 ** -74, 2, 3)],      # M y = 2^-1074 1, y^T M y 0
+@pytest.mark.parametrize("m, c, solves", [
+    (1.0, _EDGE, 0),                                    # ||b|| = 2^256
+    (1.0, _EDGE * 2.0 ** -512, 0),                      # ||b|| = 2^-256
+    (1.0, np.nextafter(_EDGE, np.inf), 2),              # just above
+    (1.0, np.nextafter(_EDGE * 2.0 ** -512, 0.0), 2),   # just below
+    (1.0, 0.0, 2),                                      # b = 0, y^T M y = 0
+    (2.0 ** 600, 2.0 ** -801, 0),           # ||b|| = 2^-200, norm 2^-500
+    (2.0 ** -1000, 2.0 ** -74, 2)],         # M y = 2^-1074 1, y^T M y 0
     ids=["b_2^256", "b_2^-256", "b_above", "b_below", "b_zero",
          "norm_below", "norm_underflows"])
-def test_band_loop_range_rule_edges(m, c, solves, norms, monkeypatch):
+def test_band_loop_range_rule_edges(m, c, solves, monkeypatch):
     # M = m I and K = 0 on 4 nodes: theta_standard's pole operator is M, so
-    # b = M y and every level is y = c 1.  The inline fast paths take a b
-    # with ||b|| in [2^-256, 2^256] and a norm in that range; any other goes
-    # through BandedSolver.solve and _mass_norm.  Every level has the bits
-    # of levels whose pole is solved by BandedSolver.solve, and every norm
-    # those of _mass_norm
+    # b = M y and every level is y = c 1.  The inline substitution takes a b
+    # with ||b|| in [2^-256, 2^256]; any other goes through
+    # BandedSolver.solve.  Every level has the bits of levels whose pole is
+    # solved by BandedSolver.solve, and every norm those of _mass_norm
     M = sp.dia_matrix((np.full((1, 4), m), [0]), shape=(4, 4))
     K = sp.dia_matrix((np.zeros((1, 4)), [0]), shape=(4, 4))
     sys = FemSystem(mesh=None, M=M, K_bar=K, K=K,
                     coeffs=ProblemCoefficients())
     w0 = np.full(4, c)
     spec = SchemeSpec("theta_standard", tau=0.01, n_steps=2, sigma=1.0)
-    calls = {"solves": 0, "norms": 0}
-
-    def counted(name, func):
-        return lambda *args: calls.update({name: calls[name] + 1}) or func(
-            *args)
-
+    calls = []
+    solve = sparse.BandedSolver.solve
     monkeypatch.setattr(sparse.BandedSolver, "solve",
-                        counted("solves", sparse.BandedSolver.solve))
-    monkeypatch.setattr(schemes, "_mass_norm",
-                        counted("norms", schemes._mass_norm))
+                        lambda *args: calls.append(1) or solve(*args))
     traj = run_scheme(spec, sys, w0)
-    assert calls == {"solves": solves, "norms": norms}
+    assert len(calls) == solves
     y, stepper = w0, make_stepper(spec, sys)
     for level in range(3):
         y = _checked_level(stepper, y) if level else y
         assert np.array_equal(traj.vector_at(level), y)
         assert traj.m_norms[level] == _mass_norm(M, y)
     assert traj.m_norms.tolist() == [2.0 * c * math.sqrt(m)] * 3
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_run_system(n_side: int, half: bool):
+    """An assembled system (its half when ``half``), its lambda_1 and its
+    phi1, taken from the whole system's dense eigenpair."""
+    sys = assemble(build_mesh(n_side))
+    lam, phi = scipy.linalg.eigh(sys.K.toarray(), sys.M.toarray(),
+                                 subset_by_index=[0, 0])
+    phi1 = phi[:, 0]
+    if half:
+        sys, phi1 = half_system(sys), phi1[sparse.fold(n_side).rep]
+    return sys, float(lam[0]), phi1
+
+
+def _scaled_run(n_side, half, kind, params, n_steps, seed, scales):
+    """run_scheme's trajectory from 2^k w0 for each k in ``scales``, one w0,
+    and whether each multigrid pole's b lay in the range rule's range."""
+    sys, lam1, phi1 = _scaled_run_system(n_side, half)
+    spec = SchemeSpec(kind, tau=0.01, n_steps=n_steps,
+                      lambda1=None if kind == "theta_standard" else lam1,
+                      **params)
+    w0 = _generic_state(sys, np.random.default_rng(seed))
+    solve, in_range = schemes._Projection.solve, []
+
+    def recorded(projection, b, tol):
+        in_range.append(sparse._in_range(sparse._norm(b)))
+        return solve(projection, b, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(schemes._Projection, "solve", recorded)
+        return [run_scheme(spec, sys, np.ldexp(w0, k), phi1=phi1)
+                for k in scales], in_range
+
+
+def _assert_images(base, traj, k):
+    """Every state, mass norm and amplitude of ``traj`` is 2^k times
+    ``base``'s, bit for bit."""
+    for level, y in base.vectors.items():
+        assert np.array_equal(traj.vector_at(level), np.ldexp(y, k))
+    assert np.array_equal(traj.m_norms, np.ldexp(base.m_norms, k))
+    assert np.array_equal(traj.amplitudes, np.ldexp(base.amplitudes, k))
+
+
+_SCALED_RUN = dict(n_side=st.integers(3, 12), half=st.booleans(),
+                   spec=st.sampled_from(_SPARSE_SPECS),
+                   n_steps=st.integers(3, 4), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(-600, 600), **_SCALED_RUN)
+def test_direct_runs_scale_exactly_by_powers_of_2(n_side, half, spec,
+                                                  n_steps, seed, k):
+    # the range rule scales by powers of 2 alone, so a run from 2^k w0 is 2^k
+    # times the run from w0, in range or not: inline and scaled band solves,
+    # the complex sparse LU's scaled solves and every mass norm
+    kind, params = spec
+    (base, traj), _ = _scaled_run(n_side, half, kind, params, n_steps, seed,
+                                  (0, k))
+    _assert_images(base, traj, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(j=st.integers(320, 600), k=st.integers(320, 600),
+       sign=st.sampled_from([-1, 1]), **_SCALED_RUN)
+def test_multigrid_runs_out_of_range_scale_exactly(n_side, half, spec,
+                                                   n_steps, seed, j, k, sign):
+    # a multigrid pole's projection (X, G) holds the range rule's in-range
+    # copies of its pairs, so two runs whose every b lies out of range, on
+    # one side, follow one history: exact 2^(k - j) images
+    kind, params = spec
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+        (low, high), in_range = _scaled_run(n_side, half, kind, params,
+                                            n_steps, seed, (sign * j, sign * k))
+    assert in_range and not any(in_range)
+    _assert_images(low, high, sign * (k - j))
+
+
+@pytest.mark.parametrize("kind, params", [("theta_fmes", dict(sigma=1.0)),
+                                          ("pade_fmes", dict(l=0, m=2))])
+def test_multigrid_run_from_2_to_the_600_projects_in_range(
+        sys28, pair28, monkeypatch, capfd, kind, params):
+    # from 2^600 w0 each b's x^T b overflows; the projection's Gram matrix G
+    # must hold the in-range copies', so the run neither fails in LAPACK's
+    # least squares nor prints LAPACK's complaints (ZLASCL's go to stdout)
+    monkeypatch.setattr(sparse, "DIRECT_LIMIT_BYTES", 0)
+    sys = half_system(sys28)
+    spec = SchemeSpec(kind, tau=0.01, n_steps=20, lambda1=pair28.lambda1,
+                      **params)
+    w0 = 2.0 ** 600 * np.ones(sys.n_nodes)
+    traj = run_scheme(spec, sys, w0)
+    assert np.isfinite(traj.m_norms).all()
+    assert capfd.readouterr() == ("", "")
 
 
 @settings(max_examples=40, deadline=None)
