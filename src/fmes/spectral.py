@@ -10,15 +10,23 @@ dense path computes the full generalized eigendecomposition of (K, M), the
 oracle of the tests and the engine of the modal steppers, on the swap's
 even and odd subspaces apart: two problems of half the size, kept apart so
 that a modal product reads half the data of an n x n matrix.
+
+The blocks are independent, so ``_blockwise`` runs them at once, one per
+core, while scipy's BLAS pool is single-threaded: each block's LAPACK call
+in ``modal_decompose`` (``_eigh``, eigh's bits without the GIL), and its
+products in ``ModalBasis.coordinates`` and ``synthesize``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
 import scipy.sparse as sp
 
 from .assembly import FemSystem, half_system, m_norm
@@ -85,17 +93,20 @@ class ModalBasis:
         evecs = np.empty((len(order), len(order)), order="F")  # eigh's layout
         start = 0
         for Q, lam, W in self.blocks:
-            evecs[:, column[start:start + len(lam)]] = Q @ W
+            columns = column[start:start + len(lam)]
+            for j in range(0, len(lam), 32):    # Q @ W whole: a peak temporary
+                evecs[:, columns[j:j + 32]] = Q @ W[:, j:j + 32]
             start += len(lam)
         return evecs
 
     def coordinates(self, My: np.ndarray) -> list[np.ndarray]:
         """The modal coordinates W_b^T (Q_b^T M y) of y, block by block."""
-        return [W.T @ (Q.T @ My) for Q, _, W in self.blocks]
+        return _blockwise(lambda Q, _, W: W.T @ (Q.T @ My), *zip(*self.blocks))
 
     def synthesize(self, coords: list[np.ndarray]) -> np.ndarray:
         """sum_b Q_b (W_b c_b), the vector with modal coordinates ``coords``."""
-        return sum(Q @ (W @ c) for (Q, _, W), c in zip(self.blocks, coords))
+        return sum(_blockwise(lambda Q, _, W, c: Q @ (W @ c),
+                              *zip(*self.blocks), coords))
 
 
 def inverse_iteration(sys: FemSystem, tol: None = None,
@@ -213,14 +224,76 @@ def modal_decompose(sys: FemSystem) -> ModalBasis:
     if n > DENSE_LIMIT:
         raise ValueError(f"system has {n} nodes, above the dense limit "
                          f"{DENSE_LIMIT}")
-    # Fortran-ordered temporaries, so that LAPACK overwrites them in place
-    blocks = tuple((Q, *scipy.linalg.eigh(
-        (Q.T @ sys.K @ Q).toarray(order="F"),
-        (Q.T @ sys.M @ Q).toarray(order="F"),
-        overwrite_a=True, overwrite_b=True)) for Q in _bases(sys))
+    bases = _bases(sys)
+    # lazily: in order, each block's arrays are made just before its solve
+    solves = (_eigh(Q.T @ sys.K @ Q, Q.T @ sys.M @ Q) for Q in bases)
+    blocks = tuple(_blockwise(lambda Q, solve: (Q, *solve()), bases, solves))
     evals = np.concatenate([lam for _, lam, _ in blocks])
     return ModalBasis(eigenvalues=evals[np.argsort(evals, kind="stable")],
                       blocks=blocks, mass=sys.M)
+
+
+def _blockwise(work, *args) -> list:
+    """``list(map(work, *args))``, one block per call.  While ``_overlap()``
+    holds, the calling thread takes every block's arguments, then works the
+    first block (callers put the largest first, so it finishes last) while
+    each other block runs on a thread of its own."""
+    if not _overlap():
+        return list(map(work, *args))
+    first, *rest = zip(*args)
+    with ThreadPoolExecutor(max(len(rest), 1)) as pool:
+        futures = [pool.submit(work, *block) for block in rest]
+        return [work(*first)] + [future.result() for future in futures]
+
+
+def _overlap() -> bool:
+    """Whether the OpenBLAS that scipy's wheels bundle runs one thread (any
+    other BLAS counts as multi-threaded) and the process may use two cores
+    (``os.sched_getaffinity``, which only Linux has)."""
+    threads = getattr(ctypes.CDLL(scipy.linalg.cython_lapack.__file__),
+                      "scipy_openblas_get_num_threads", lambda: 0)()
+    cores = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    return threads == 1 and len(cores) >= 2
+
+
+def _dsygvd():
+    """LAPACK's dsygvd, the ``cython_lapack`` capsule's function pointer as a
+    ctypes ``CFUNCTYPE``, which drops the GIL while it runs."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dsygvd"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 14)(pointer)
+
+
+def _eigh(K: sp.spmatrix, M: sp.spmatrix):
+    """A call that returns ``scipy.linalg.eigh(K.toarray(), M.toarray())``
+    bit for bit, by ``_dsygvd`` without the GIL.  Its arrays are made now,
+    on the calling thread: made on a worker, they stayed in its malloc
+    arena (``pade_family`` peak RSS 149 MB against 139).  Inputs that eigh
+    refuses, and a nonzero ``info``, go to eigh: every error is eigh's."""
+    # Fortran-ordered, so that LAPACK overwrites them in place
+    a, b = K.toarray(order="F"), M.toarray(order="F")
+    n = len(a)
+    valid = a.shape == b.shape == (n, n) and np.isfinite(a).all() \
+        and np.isfinite(b).all()
+    # eigh's itype 1 and n = lda = ldb, and its f2py wrapper's lwork and
+    # liwork: LAPACK's blocking, and so the bits, depend on lwork
+    ints = np.array([1, n, 1 + 6 * n + 2 * n * n, 5 * n + 3, 0], np.intc)
+    lam, work = np.empty(n), np.empty(ints[2])
+    iwork, p, s = np.empty(ints[3], np.intc), ints.ctypes.data, ints.itemsize
+
+    def solve():
+        if valid:
+            _dsygvd()(p, b"V", b"L", p + s, a.ctypes.data, p + s,
+                      b.ctypes.data, p + s, lam.ctypes.data, work.ctypes.data,
+                      p + 2 * s, iwork.ctypes.data, p + 3 * s, p + 4 * s)
+            if ints[4] == 0:
+                return lam, a
+        return scipy.linalg.eigh(K.toarray(), M.toarray())
+    return solve
 
 
 def _bases(sys: FemSystem) -> list[sp.csc_matrix]:

@@ -1,4 +1,8 @@
+import ctypes
+import threading
+import tracemalloc
 from dataclasses import replace
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -543,3 +547,241 @@ def test_exact_solution_decay_bound(sys6, basis6, rng):
 def test_exact_solution_refuses_bad_input(basis6, n, t, match):
     with pytest.raises(ValueError, match=match):
         exact_semidiscrete_solution(basis6, np.ones(n), t)
+
+
+# The mirror blocks at once: spectral._blockwise runs them on two threads
+# while spectral._overlap() holds, and in order on the calling thread else.
+# Both paths must give scipy.linalg.eigh's bits.
+
+@pytest.fixture(scope="module")
+def sys41():
+    return assemble(build_mesh(41))
+
+
+@pytest.fixture(params=[True, False], ids=["at_once", "in_order"])
+def overlap(request, monkeypatch):
+    monkeypatch.setattr(spectral, "_overlap", lambda: request.param)
+    return request.param
+
+
+def _reference_blocks(sys):
+    return [(Q, *scipy.linalg.eigh((Q.T @ sys.K @ Q).toarray(),
+                                   (Q.T @ sys.M @ Q).toarray()))
+            for Q in spectral._bases(sys)]
+
+
+@pytest.mark.parametrize("case", ["6", "11", "41", "unfoldable"])
+def test_blocks_are_eighs_bit_for_bit(request, sys6, case, monkeypatch):
+    sys = (_off_mirror_perturbed(sys6) if case == "unfoldable"
+           else request.getfixturevalue(f"sys{case}"))
+    expected = _reference_blocks(sys)
+    assert len(expected) == (1 if case == "unfoldable" else 2)
+    for at_once in (True, False):
+        monkeypatch.setattr(spectral, "_overlap", lambda: at_once)
+        basis = modal_decompose(sys)
+        for (_, lam, W), (_, lam_eigh, W_eigh) in zip(basis.blocks, expected,
+                                                      strict=True):
+            assert np.array_equal(lam, lam_eigh)
+            assert np.array_equal(W, W_eigh)
+            assert W.flags.f_contiguous
+
+
+def _eighs_error(K, M):
+    with pytest.raises(Exception) as expected:
+        scipy.linalg.eigh(K.toarray(), M.toarray())
+    return expected.type, str(expected.value)
+
+
+@pytest.mark.parametrize("case", ["nan_K", "inf_K", "indefinite_M",
+                                  "folded_indefinite_M"])
+def test_eigh_errors_are_eighs(sys6, case, overlap):
+    if case == "folded_indefinite_M":
+        # both mirror blocks fail; the even one, the first, is reported
+        sys = replace(sys6, M=-sys6.M)
+        assert half_system(sys) is not None
+        Q = spectral._bases(sys)[0]
+        K, M = Q.T @ sys.K @ Q, Q.T @ sys.M @ Q
+    else:
+        K = np.diag([2.0, {"nan_K": np.nan, "inf_K": np.inf}.get(case, 3.0),
+                     4.0])
+        M = np.diag([1.0, -1.0 if case == "indefinite_M" else 1.0, 1.0])
+        sys = _scalar_system(K, M)
+        K, M = sys.K, sys.M
+    kind, message = _eighs_error(K, M)
+    assert kind is (np.linalg.LinAlgError if "indefinite" in case
+                    else ValueError)
+    with pytest.raises(kind) as raised:
+        modal_decompose(sys)
+    assert str(raised.value) == message
+
+
+def test_a_lapack_failure_is_handed_to_eigh(sys6, monkeypatch):
+    # any nonzero info goes to eigh on fresh copies of the block's inputs:
+    # its error is eigh's, and were eigh to succeed, its result is eigh's
+    expected, real, calls = _reference_blocks(sys6), spectral._dsygvd(), []
+
+    def failing(*args):
+        real(*args)
+        ctypes.c_int.from_address(args[-1]).value = -3
+    monkeypatch.setattr(spectral, "_dsygvd", lambda: failing)
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh",
+                        lambda *args: calls.append(1) or eigh(*args))
+    basis = modal_decompose(sys6)
+    assert len(calls) == 2
+    for got, want in zip(basis.blocks, expected, strict=True):
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+
+
+def test_the_lapack_call_drops_the_gil():
+    # a CFUNCTYPE pointer releases the GIL for the call, a PYFUNCTYPE keeps it
+    assert not spectral._dsygvd()._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+def test_the_blocks_overlap_when_two_workers_are_allowed(sys11, basis11,
+                                                         monkeypatch):
+    # each block's LAPACK call waits for the other's: in order, the first
+    # would wait for 5 s and raise BrokenBarrierError
+    barrier, real, threads = threading.Barrier(2, timeout=5), \
+        spectral._dsygvd(), []
+
+    def meeting(*args):
+        threads.append((threading.get_ident(),
+                        ctypes.c_int.from_address(args[3]).value))
+        barrier.wait()
+        real(*args)
+    monkeypatch.setattr(spectral, "_dsygvd", lambda: meeting)
+    monkeypatch.setattr(spectral, "_overlap", lambda: True)
+    basis = modal_decompose(sys11)
+    # the calling thread takes the larger, even block (66 of 121 nodes)
+    thread_of = {size: ident for ident, size in threads}
+    assert thread_of[66] == threading.get_ident() != thread_of[55]
+    for got, expected in zip(basis.blocks, basis11.blocks, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(got[1:], expected[1:]))
+
+
+@pytest.mark.parametrize("at_once, expected", [
+    (True, [("make", 66, "caller"), ("make", 55, "caller"),
+            ("solve", 66, "caller"), ("solve", 55, "worker")]),
+    (False, [("make", 66, "caller"), ("solve", 66, "caller"),
+             ("make", 55, "caller"), ("solve", 55, "caller")])],
+    ids=["at_once", "in_order"])
+def test_block_arrays_are_made_on_the_calling_thread(sys11, monkeypatch,
+                                                     at_once, expected):
+    # at once, every block's arrays are made before any block is solved (a
+    # worker's allocations stay in its malloc arena); in order, each block's
+    # just before its solve, so that one block's workspace is live at a time
+    events, caller, eigh = [], threading.get_ident(), spectral._eigh
+
+    def thread():
+        return "caller" if threading.get_ident() == caller else "worker"
+
+    def making(K, M):
+        events.append(("make", K.shape[0], thread()))
+        solve = eigh(K, M)
+
+        def solving():
+            result = solve()
+            events.append(("solve", K.shape[0], thread()))
+            return result
+        return solving
+    monkeypatch.setattr(spectral, "_eigh", making)
+    monkeypatch.setattr(spectral, "_overlap", lambda: at_once)
+    modal_decompose(sys11)
+    assert events[:2] == expected[:2]
+    if at_once:     # the worker's solve may end before the caller's
+        assert sorted(events[2:]) == sorted(expected[2:])
+    else:
+        assert events == expected
+
+
+def test_a_workers_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(spectral, "_overlap", lambda: True)
+
+    def work(b):
+        if b:
+            raise ValueError("second block")
+        return b
+    with pytest.raises(ValueError, match="^second block$"):
+        spectral._blockwise(work, [0, 1])
+    assert spectral._blockwise(lambda b: 2 * b, [3, 4, 5]) == [6, 8, 10]
+
+
+def test_many_blocks_at_once_keep_their_bits(rng, monkeypatch):
+    # more blocks than cores, and thread switches as often as the
+    # interpreter allows: each block's eigensolve keeps eigh's bits
+    monkeypatch.setattr(spectral, "_overlap", lambda: True)
+    pairs = []
+    for n in (40, 35, 30, 25, 20, 15):
+        A, B = rng.standard_normal((2, n, n))
+        pairs.append((sp.csr_matrix(A @ A.T), sp.csr_matrix(B @ B.T + n *
+                                                            np.eye(n))))
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        results = spectral._blockwise(lambda K, M: spectral._eigh(K, M)(),
+                                      *zip(*pairs))
+    finally:
+        setswitchinterval(interval)
+    for (lam, W), (K, M) in zip(results, pairs, strict=True):
+        expected = scipy.linalg.eigh(K.toarray(), M.toarray())
+        assert np.array_equal(lam, expected[0])
+        assert np.array_equal(W, expected[1])
+
+
+@pytest.mark.parametrize("threads, cores, expected", [
+    (1, 2, True), (1, 4, True), (2, 2, False), (None, 2, False),
+    (1, 1, False), (1, None, False)],
+    ids=["one_thread_two_cores", "one_thread_four_cores", "two_threads",
+         "unreadable_pool", "one_core", "no_affinity_call"])
+def test_blocks_overlap_only_on_a_one_thread_pool_and_two_cores(
+        monkeypatch, threads, cores, expected):
+    class Library:
+        def __init__(self, path):
+            if threads is not None:
+                self.scipy_openblas_get_num_threads = lambda: threads
+    monkeypatch.setattr(spectral.ctypes, "CDLL", Library)
+    if cores is None:       # as on macOS and Windows
+        monkeypatch.delattr(spectral.os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(spectral.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+    assert spectral._overlap() is expected
+
+
+@pytest.mark.parametrize("name", ["basis6", "basis11"])
+def test_coordinates_and_synthesize_keep_their_bits(request, rng, name,
+                                                    overlap):
+    basis = request.getfixturevalue(name)
+    My = basis.mass @ rng.standard_normal(basis.mass.shape[0])
+    coords = basis.coordinates(My)
+    for c, (Q, _, W) in zip(coords, basis.blocks, strict=True):
+        assert np.array_equal(c, W.T @ (Q.T @ My))
+    C = [rng.standard_normal((len(lam), 5)) for _, lam, _ in basis.blocks]
+    assert np.array_equal(basis.synthesize(C), sum(
+        Q @ (W @ c) for (Q, _, W), c in zip(basis.blocks, C)))
+
+
+def test_eigenvectors_are_built_a_slab_at_a_time(sys41):
+    basis = modal_decompose(sys41)
+    n = sys41.n_nodes
+    tracemalloc.start()
+    try:
+        evecs = basis.eigenvectors
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the n x n result and at most 64 columns' worth more: a slab of Q W and
+    # its copy of W's columns, where the whole Q W of the even block took
+    # 861 columns (11.6 MB)
+    assert peak < (n * n + 64 * n) * 8
+    order = np.argsort(np.concatenate([lam for _, lam, _ in basis.blocks]),
+                       kind="stable")
+    column, start = np.argsort(order), 0
+    plain = np.empty((n, n), order="F")
+    for Q, lam, W in basis.blocks:
+        plain[:, column[start:start + len(lam)]] = Q @ W
+        start += len(lam)
+    assert np.array_equal(evecs, plain)
+    assert evecs.flags.f_contiguous
