@@ -105,9 +105,13 @@ def assemble(mesh: Mesh,
         k_elem = coeffs.diffusivity_at((x0 + x1 + x2) / 3.0,
                                        (y0 + y1 + y2) / 3.0)
         # P1 basis gradients: grad(lambda_i) = (b_i, c_i), cyclic differences
-        elements.append((area, k_elem / (4.0 * area),
-                         (y1 - y2, y2 - y0, y0 - y1),
+        elements.append((area, k_elem, (y1 - y2, y2 - y0, y0 - y1),
                          (x2 - x1, x0 - x2, x1 - x0)))
+    # k / (4 area) overflows long before K's entries (about k) do; where it
+    # would, it is made 2^e times smaller and K_bar 2^e times larger, exactly
+    top = max(np.max(k / 2.0 ** 1000 / (4.0 * a)) for a, k, *_ in elements)
+    e = max(0, math.frexp(top)[1] - 24)
+    elements = [(a, k / 2.0 ** e / (4.0 * a), *bc) for a, k, *bc in elements]
 
     # cell (ix, iy) owns triangles 2 (iy m + ix) + s, so class (s, i, j)
     # adds triangle 2 (jy m + jx) + s - 2 (yj m + xj) at column node (jx,
@@ -123,6 +127,7 @@ def assemble(mesh: Mesh,
         d = np.searchsorted(offsets, (yj - yi) * n + xj - xi)
         M[d, yj:yj + m, xj:xj + m] += area * ELEMENT_MASS[i, j]
         K_bar[d, yj:yj + m, xj:xj + m] += inv4a * (b[i] * b[j] + c[i] * c[j])
+    K_bar *= 2.0 ** e
     M, K_bar = (_dia(data.reshape(len(offsets), -1), offsets, (n * n,) * 2)
                 for data in (M, K_bar))
 

@@ -12,15 +12,23 @@ nodal vector), and measure two errors per time level,
 
 Every state is even under the node swap (ix, iy) -> (iy, ix), so all of it
 runs on the system's mirror-even half (``assembly.half_system``), whose
-mass norms and amplitudes are the whole system's; nothing is expanded.  One
-CSV per run (columns t,norm_m,eps_a,eps_u) plus a summary CSV are written;
-output is byte-deterministic for a fixed configuration.
+mass norms and amplitudes are the whole system's; nothing is expanded.  On
+two cores at one BLAS thread (``spectral._overlap``) and above FORK_WORK,
+the reference runs in a forked child beside the eigensolve and the scheme
+runs.  One CSV per run (columns t,norm_m,eps_a,eps_u) plus a summary CSV
+are written; output is byte-deterministic for a fixed configuration,
+forked or not.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import pickle
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +39,7 @@ from .assembly import FemSystem, ProblemCoefficients, assemble, half_system
 from .mesh import build_mesh
 from .schemes import SchemeSpec, Trajectory, run_scheme
 from .sparse import ConvergenceError, _mass_norm, fold
-from .spectral import (MIN_SWEEPS, EigenPair, inverse_iteration,
+from .spectral import (MIN_SWEEPS, EigenPair, _overlap, inverse_iteration,
                        modal_decompose)
 
 OUTPUT_DIR_ENV = "FMES_OUTPUT_DIR"
@@ -167,6 +175,60 @@ def make_reference(sys: FemSystem, w0: np.ndarray, T: float,
     return run_scheme(spec, sys, w0, store_levels=needed)
 
 
+# The reference is forked when the shorter side, its steps or all runs'
+# steps, times the half's nodes reaches FORK_WORK.  Median change of the
+# default study, forked against in order (60 pairs in process, one BLAS
+# thread, 2 cores): +0.8 and +0.2 ms at n_side 11 and 16 (22,440 and
+# 46,240), -2.0, -2.8 and -11.9 ms at 21, 26 and 41 (78,540 to 292,740).
+FORK_WORK = 60_000
+
+
+@contextmanager
+def _beside(fork: bool, func, *args):
+    """Yield a call that returns ``func(*args)``, made by the call or, with
+    ``fork``, by a child of ``os.fork`` from the start of the with-block on
+    and read back pickled through a pipe, value or error.  The child dies
+    with its parent, is killed if the block raises before the call, and is
+    reaped on every path; its own death is a one-line OSError."""
+    if not fork:
+        yield lambda: func(*args)
+        return
+    parent, (read, write) = os.getpid(), os.pipe()
+    if not (pid := os.fork()):
+        try:
+            # PR_SET_PDEATHSIG (1): SIGKILL when the parent dies
+            ctypes.CDLL(None).prctl(1, ctypes.c_ulong(signal.SIGKILL))
+            if os.getppid() == parent:
+                try:
+                    out = func(*args)
+                except Exception as err:
+                    out = err
+                with open(write, "wb") as sink:
+                    pickle.dump(out, sink, -1)
+                os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write)
+    reaped = []
+
+    def receive():
+        out = pipe.read()
+        reaped.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+        if code := reaped[0]:
+            raise OSError("the reference process died: " + (
+                signal.strsignal(-code) if code < 0 else f"exit status {code}"))
+        if isinstance(value := pickle.loads(out), Exception):
+            raise value
+        return value
+    with open(read, "rb") as pipe:
+        try:
+            yield receive
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 # ---------------------------------------------------------------------------
 # runs and CSV output
 # ---------------------------------------------------------------------------
@@ -244,9 +306,10 @@ def run_experiment(config: ExperimentConfig,
     """Assemble, eigensolve, run every scheme/step-count pair, write CSVs.
 
     eps_u at level n of an N-step run is measured against level
-    ``n * (reference_steps // N)`` of the make_reference trajectory.  A run
-    whose stepping fails is recorded (its error message, nan metrics) and
-    the remaining runs continue.  With an empty scheme list only the
+    ``n * (reference_steps // N)`` of the make_reference trajectory, made
+    beside the runs by ``_beside`` where that pays.  A run whose stepping
+    fails is recorded (its error message, nan metrics) and the remaining
+    runs continue.  With an empty scheme list only the
     eigenpair summary is emitted.  ``output_dir`` bypasses the
     config/environment resolution (used by sweeps writing one subdirectory
     per variant).  pade_modal schemes share one dense modal basis of the
@@ -257,55 +320,65 @@ def run_experiment(config: ExperimentConfig,
     mesh = build_mesh(config.n_side)
     full = assemble(mesh, config.coefficients)
     sys = half_system(full) or full
-    basis = (modal_decompose(sys) if any(req.kind == "pade_modal"
-                                         for req in config.schemes) else None)
-    pair = inverse_iteration(sys)
-    outdir = Path(output_dir) if output_dir is not None else resolve_output_dir(config)
-    _write_csv(outdir / "eigenpair.csv",
-               "n_side,c,lambda1_bar,lambda1,iterations,residual",
-               *([x] for x in (config.n_side, config.coefficients.c,
-                               pair.lambda1_bar, pair.lambda1,
-                               pair.iterations, pair.residual)))
-
-    runs: list[RunResult] = []
-    if not config.schemes:
-        return ExperimentResult(eigenpair=pair, runs=runs, output_dir=outdir)
-
     w0 = initial_state(sys)
-    phi1 = pair.phi1 if sys.whole is None else pair.phi1[fold(mesh.n_side).rep]
-    all_steps = tuple(sorted({n for req in config.schemes for n in req.steps}))
-    reference = make_reference(sys, w0, config.T, config.reference_steps,
-                               all_steps)
+    steps = [n for req in config.schemes for n in req.steps]
+    fork = (min(config.reference_steps, sum(steps)) * sys.n_nodes >= FORK_WORK
+            and threading.active_count() == 1 and _overlap())
+    # the reference needs no eigenpair: forked, it starts here
+    with _beside(fork, make_reference, sys, w0, config.T,
+                 config.reference_steps, steps) as receive:
+        modal = any(req.kind == "pade_modal" for req in config.schemes)
+        basis = modal_decompose(sys) if modal else None
+        pair = inverse_iteration(sys)
+        outdir = (Path(output_dir) if output_dir is not None
+                  else resolve_output_dir(config))
+        _write_csv(outdir / "eigenpair.csv",
+                   "n_side,c,lambda1_bar,lambda1,iterations,residual",
+                   *([x] for x in (config.n_side, config.coefficients.c,
+                                   pair.lambda1_bar, pair.lambda1,
+                                   pair.iterations, pair.residual)))
 
-    for req in config.schemes:
-        for n_steps in req.steps:
-            spec = req.to_spec(config.T, n_steps, pair.lambda1)
+        runs: list[RunResult] = []
+        if not config.schemes:
+            return ExperimentResult(pair, runs, outdir)
+
+        phi1 = pair.phi1[fold(mesh.n_side).rep] if sys.whole else pair.phi1
+        specs = [req.to_spec(config.T, n, pair.lambda1)
+                 for req in config.schemes for n in req.steps]
+
+        def trajectory(spec):
             try:
-                traj = run_scheme(spec, sys, w0, phi1=phi1, basis=basis)
+                return run_scheme(spec, sys, w0, phi1=phi1, basis=basis)
             except ConvergenceError as err:
-                runs.append(RunResult(req.kind, req.params_label(), n_steps,
-                                      error=str(err)))
-                continue
-            eps_a = traj.amplitudes - traj.amplitudes[0] * np.exp(
-                -pair.lambda1 * traj.times)
-            stride = config.reference_steps // n_steps
-            try:
-                eps_u = epsilon_u(
-                    [traj.vector_at(n) for n in range(n_steps + 1)],
-                    [reference.vector_at(n * stride)
-                     for n in range(n_steps + 1)], sys.M, traj.m_norms)
-            except ValueError as err:       # a state that is exactly zero
-                runs.append(RunResult(req.kind, req.params_label(), n_steps,
-                                      error=str(err)))
-                continue
-            name = f"{req.kind}_{req.params_label()}_N{n_steps}.csv"
-            _write_csv(outdir / name, "t,norm_m,eps_a,eps_u",
-                       traj.times, traj.m_norms, eps_a, eps_u)
-            runs.append(RunResult(
-                req.kind, req.params_label(), n_steps,
-                max_eps_a=float(np.max(np.abs(eps_a))),
-                max_eps_u=float(np.max(eps_u)),
-                final_norm=float(traj.m_norms[-1]), csv_name=name))
+                return err
+
+        # in order one run at a time, forked all of them beside the child
+        trajectories = map(trajectory, specs)
+        if fork:
+            trajectories = list(trajectories)
+        reference = receive()
+    for spec, traj in zip(specs, trajectories):
+        label = spec.kind, spec.params_label(), spec.n_steps
+        levels = range(spec.n_steps + 1)
+        stride = config.reference_steps // spec.n_steps
+        try:    # a run that failed, or a state that is exactly zero
+            if isinstance(traj, ConvergenceError):
+                raise traj
+            eps_u = epsilon_u([traj.vector_at(n) for n in levels],
+                              [reference.vector_at(n * stride)
+                               for n in levels], sys.M, traj.m_norms)
+        except (ConvergenceError, ValueError) as err:
+            runs.append(RunResult(*label, error=str(err)))
+            continue
+        eps_a = traj.amplitudes - traj.amplitudes[0] * np.exp(
+            -pair.lambda1 * traj.times)
+        name = "{}_{}_N{}.csv".format(*label)
+        _write_csv(outdir / name, "t,norm_m,eps_a,eps_u",
+                   traj.times, traj.m_norms, eps_a, eps_u)
+        runs.append(RunResult(*label, max_eps_a=float(np.max(np.abs(eps_a))),
+                              max_eps_u=float(np.max(eps_u)),
+                              final_norm=float(traj.m_norms[-1]),
+                              csv_name=name))
 
     _write_csv(outdir / "summary.csv",
                "scheme,params,N,max_eps_a,max_eps_u,final_norm",

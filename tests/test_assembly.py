@@ -285,6 +285,24 @@ def test_coefficients_must_be_finite(name, value):
         ProblemCoefficients(**{name: value})
 
 
+def test_assembly_refuses_only_entries_that_overflow():
+    # at n_side 21, k / (4 area) is 200 k and overflows from k = 9e305,
+    # long before the entries of K (at most 4 k) do; K_bar keeps the bits
+    # of the same system 2^100 times smaller (no Robin term, which would
+    # not scale), and 1e308 is refused
+    mesh = build_mesh(21)
+    big = ProblemCoefficients(k_inner=1e306, mu_right_top=0.0)
+    small = ProblemCoefficients(k_inner=1e306 / 2.0 ** 100,
+                                k_outer=2.0 ** -100, mu_right_top=0.0)
+    system = assemble(mesh, big)
+    assert np.array_equal(system.K_bar.data,
+                          assemble(mesh, small).K_bar.data * 2.0 ** 100)
+    assert np.abs(system.K.data).max() == pytest.approx(4e306, rel=1e-12)
+    with pytest.raises(ValueError, match="^the coefficients overflow the "
+                                         "assembled matrices$"):
+        assemble(mesh, ProblemCoefficients(k_inner=1e308))
+
+
 def test_diffusivity_placement():
     coeffs = ProblemCoefficients()
     assert coeffs.diffusivity_at(0.25, 0.25) == 10.0

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import pytest
 
 from fmes import cli, experiments, spectral
@@ -46,6 +49,49 @@ def test_run_verb_reports_a_failed_run(outdir, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "  theta_fmes sigma1 N=4: FAILED (forced failure)\n" in out
     assert "  theta_standard sigma1 N=4: max|eps_a| = " in out
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """run forks make_reference at any size, as on 2 cores at one BLAS
+    thread; the list counts the forks."""
+    monkeypatch.setattr(experiments, "_overlap", lambda: True)
+    monkeypatch.setattr(experiments, "FORK_WORK", 0)
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.mark.parametrize("error, code", [(ConvergenceError, 1),
+                                         (ValueError, 2)])
+def test_run_verb_exits_on_its_childs_error(outdir, capsys, monkeypatch,
+                                            forked, error, code):
+    parent = os.getpid()
+
+    def failing(*args):
+        where = "the parent" if os.getpid() == parent else "a child"
+        raise error(f"make_reference failed in {where}")
+
+    monkeypatch.setattr(experiments, "make_reference", failing)
+    assert main(["run", "--nside", "6", "--steps", "4"]) == code
+    assert forked == [1]
+    captured = capsys.readouterr()
+    assert captured.err == "error: make_reference failed in a child\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_verb_exits_2_on_a_killed_child(outdir, capsys, monkeypatch,
+                                            forked):
+    parent = os.getpid()
+    monkeypatch.setattr(experiments, "make_reference", lambda *args: (
+        os.getpid() != parent and os.kill(os.getpid(), signal.SIGKILL)))
+    assert main(["run", "--nside", "6", "--steps", "4"]) == 2
+    assert forked == [1]
+    captured = capsys.readouterr()
+    assert captured.err == "error: the reference process died: Killed\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_verb_reaction_override(outdir):
@@ -257,12 +303,13 @@ def test_run_and_eigens_find_the_same_eigenpair(outdir, tmp_path,
 
 
 @pytest.mark.parametrize("verb", ["run", "eigens"])
-@pytest.mark.parametrize("key", ["k_inner = 1e308", "k_outer = 1e307"],
+@pytest.mark.parametrize("key", ["k_inner = 1e308", "k_outer = 1e308"],
                          ids=["k_inner", "k_outer"])
 def test_coefficient_that_overflows_assembly_is_one_line_error(
         outdir, tmp_path, capsys, verb, key):
-    # finite coefficients whose k / (4 area) overflows at n_side 26; under
-    # filterwarnings = error a numpy warning would fail this test
+    # finite coefficients whose stiffness entries (about 4 k) overflow at
+    # n_side 26; under filterwarnings = error a numpy warning would fail
+    # this test
     config = tmp_path / "overflow.ini"
     config.write_text(f"[coefficients]\n{key}\n")
     assert main([verb, "--config", str(config)]) == 2

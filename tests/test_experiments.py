@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +332,133 @@ def test_csv_output_deterministic(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the reference in a forked child
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """run_experiment forks as on 2 cores at one BLAS thread; the list
+    counts its forks."""
+    monkeypatch.setattr(experiments, "_overlap", lambda: True)
+    calls, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+@pytest.fixture
+def any_size(monkeypatch):
+    """run_experiment may fork at any size (with forks)."""
+    monkeypatch.setattr(experiments, "FORK_WORK", 0)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_and_in_order_runs_write_the_same_bytes(tmp_path, forks,
+                                                       any_size, monkeypatch):
+    schemes = SMALL_SCHEMES + (
+        SchemeRequest("pade_fmes", l=0, m=2, steps=(5,)),
+        SchemeRequest("pade_modal", l=2, m=2, steps=(10,)))
+    config = _small_config(tmp_path, n_side=11, schemes=schemes)
+    forked = run_experiment(config, tmp_path / "forked").output_dir
+    assert forks == [1]
+    _assert_no_child_left()
+    monkeypatch.setattr(experiments, "_overlap", lambda: False)
+    in_order = run_experiment(config, tmp_path / "in_order").output_dir
+    assert forks == [1]
+    names = sorted(path.name for path in forked.iterdir())
+    assert names == sorted(path.name for path in in_order.iterdir())
+    assert len(names) == 8
+    for name in names:
+        assert (forked / name).read_bytes() == (in_order / name).read_bytes()
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, ValueError])
+def test_a_child_error_arrives_with_its_message(tmp_path, forks, any_size,
+                                                monkeypatch, error):
+    parent = os.getpid()
+
+    def failing(*args):
+        where = "the parent" if os.getpid() == parent else "a child"
+        raise error(f"make_reference failed in {where}")
+
+    monkeypatch.setattr(experiments, "make_reference", failing)
+    with pytest.raises(error, match="^make_reference failed in a child$"):
+        run_experiment(_small_config(tmp_path))
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("where, error", [
+    ("inverse_iteration", ConvergenceError), ("run_scheme", ValueError)])
+def test_a_failing_parent_kills_and_reaps_its_child(tmp_path, forks, any_size,
+                                                    monkeypatch, where, error):
+    # the child starts before the eigensolve and would sleep for a minute
+    # unless it is killed; a failed eigensolve still leaves no output
+    def failing(*args, **kwargs):
+        raise error(f"{where} failed")
+
+    monkeypatch.setattr(experiments, "make_reference",
+                        lambda *args: time.sleep(60))
+    monkeypatch.setattr(experiments, where, failing)
+    config = _small_config(tmp_path)
+    start = time.monotonic()
+    with pytest.raises(error, match=f"^{where} failed$"):
+        run_experiment(config)
+    assert time.monotonic() - start < 30
+    assert forks == [1]
+    _assert_no_child_left()
+    assert Path(config.output_dir).exists() == (where == "run_scheme")
+
+
+def test_a_killed_child_is_a_one_line_os_error(tmp_path, forks, any_size,
+                                               monkeypatch):
+    parent = os.getpid()
+    monkeypatch.setattr(experiments, "make_reference", lambda *args: (
+        os.getpid() != parent and os.kill(os.getpid(), signal.SIGKILL)))
+    with pytest.raises(OSError, match="^the reference process died: "
+                                      "Killed$"):
+        run_experiment(_small_config(tmp_path))
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_nothing_forks_below_the_threshold_or_beside_a_thread(
+        tmp_path, forks, monkeypatch):
+    # the shorter side is the runs' 30 steps (against 100 reference
+    # steps), on the n_side 6 half's 21 nodes: 630 node steps
+    config = _small_config(tmp_path)
+    monkeypatch.setattr(experiments, "FORK_WORK", 631)
+    run_experiment(config, tmp_path / "below")
+    assert forks == []
+    monkeypatch.setattr(experiments, "FORK_WORK", 630)
+    run_experiment(config, tmp_path / "at")
+    assert forks == [1]
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        run_experiment(config, tmp_path / "beside_a_thread")
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == [1]
+    _assert_no_child_left()
+
+
+def test_the_default_study_forks_from_n_side_21(tmp_path, forks):
+    # 340 run steps on 136 and 231 half nodes: 46,240 and 78,540
+    for n_side in (16, 21):
+        run_experiment(ExperimentConfig(n_side=n_side, eigen_grids=(n_side,)),
+                       tmp_path / str(n_side))
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 def test_run_csv_rows_are_fmt_text(tmp_path):
