@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import Mesh
-from .sparse import _dia, _dia_sum, _mass_norm, fold
+from .sparse import _dia, _dia_sum, _norm, fold
 
 # exact P1 integrals on a reference triangle / edge, scaled by area / length
 ELEMENT_MASS = np.array([[2.0, 1.0, 1.0],
@@ -181,4 +181,4 @@ def m_norm(sys: FemSystem, u: np.ndarray) -> float:
     if u.shape != (sys.n_nodes,):
         raise ValueError(f"expected a vector of length {sys.n_nodes}, "
                          f"got {u.shape}")
-    return _mass_norm(sys.M, u)
+    return _norm(u, sys.M)

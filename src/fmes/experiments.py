@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from .assembly import FemSystem, ProblemCoefficients, assemble, half_system
 from .mesh import build_mesh
 from .schemes import SchemeSpec, Trajectory, run_scheme
-from .sparse import ConvergenceError, _mass_norm, fold
+from .sparse import ConvergenceError, _norm, fold
 from .spectral import (MIN_SWEEPS, EigenPair, _overlap, inverse_iteration,
                        modal_decompose)
 
@@ -138,11 +138,11 @@ def epsilon_u(y_n: np.ndarray, reference_n: np.ndarray, M: sp.spmatrix,
     y_n = np.asarray(y_n, dtype=float)
     diff = np.atleast_2d(y_n - np.asarray(reference_n, dtype=float))
     den = (np.atleast_1d(y_norm) if y_norm is not None else
-           [_mass_norm(M, y) for y in np.atleast_2d(y_n)])
+           [_norm(y, M) for y in np.atleast_2d(y_n)])
     if not np.all(den):
         raise ValueError("relative error undefined: ||y^n||_M is zero")
     Mdiff = np.ascontiguousarray((M @ diff.T).T)    # C rows: vdot's bits
-    eps = np.array([_mass_norm(M, d, Md) for d, Md in zip(diff, Mdiff)]) / den
+    eps = np.array([_norm(d, M, Md) for d, Md in zip(diff, Mdiff)]) / den
     return eps if y_n.ndim == 2 else float(eps[0])
 
 

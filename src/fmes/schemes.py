@@ -48,7 +48,7 @@ from scipy.sparse._sparsetools import dia_matvec
 
 from .assembly import FemSystem
 from .sparse import (BandedSolver, ConvergenceError, Multigrid, SolveReport,
-                     _in_range, _mass_norm, _solve_in_range, cg_solve,
+                     _in_range, _norm, _solve_in_range, cg_solve,
                      choose_solver)
 from .spectral import ModalBasis
 
@@ -461,7 +461,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
     phi1 is given, fundamental-mode amplitudes are recorded at every level.
 
     Each level is ``stepper.advance(y, M y)``; a non-finite one is refused.
-    Its norm is ``sparse._mass_norm``'s, and every solve but an in-range
+    Its norm is ``sparse._norm``'s, and every solve but an in-range
     inline substitution enters through ``sparse._solve_in_range``.
 
     Raises
@@ -501,7 +501,7 @@ def run_scheme(spec: SchemeSpec, sys: FemSystem, w0: np.ndarray, *,
             except ValueError as err:       # e.g. a LAPACK info
                 raise ValueError(f"{fail} {level}: {err}") from err
         dia_matvec(*dia, y, My := np.zeros(n))
-        m_norms[level] = norm = _mass_norm(M, y, My)
+        m_norms[level] = norm = _norm(y, M, My)
         # an inf or nan entry of y (of a pole's Re x) makes its term of
         # y^T M y non-finite: M's diagonal is positive
         if not (math.isfinite(norm) or np.isfinite(y).all()):

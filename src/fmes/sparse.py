@@ -21,10 +21,10 @@ Each V-cycle level and each CG solve keeps a workspace; results are fresh.
 All paths are deterministic, so runs are bit-reproducible.
 
 One range rule, in this module alone, serves every solve (by its one way
-in, ``_solve_in_range``) and every mass norm (``_mass_norm``): a v whose
-norm lies outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with
-max|2^e v| in [1/2, 1), and the result is scaled back by 2^-e
-(``_scaled``).  That is exact, so an in-range input keeps its bits.
+in, ``_solve_in_range``) and every norm (``_norm``): a v whose norm lies
+outside _RANGE, [2^-256, 2^256], is taken as 2^e v, with max|2^e v| in
+[1/2, 1), and the result is scaled back by 2^-e (``_scaled``).  That is
+exact: an in-range v keeps its bits, and ||2^k v|| is 2^k ||v||, any k.
 README.md's numerical notes hold the measurements behind these choices.
 """
 
@@ -106,24 +106,24 @@ def _check_breakdown(name: str, value, iterations: int, residual: float):
             report=SolveReport(iterations, residual))
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v)'s bits, without its overflow warning on a huge v."""
-    if v.dtype.kind == "c":
-        return math.sqrt(np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag))
-    return math.sqrt(np.vdot(v, v))
-
-
-def _mass_norm(M, u: np.ndarray, Mu: np.ndarray | None = None) -> float:
-    """sqrt(u^T M u) by the range rule, from ``Mu`` = M u when the caller
-    has it: every mass norm's one way in, as ``_solve_in_range`` is every
-    solve's.  np.vdot, not ``@``, forms u^T M u, with the same bits and no
-    overflow warning on a huge u."""
-    # abs: a sum of products that overflow can end at -inf
-    norm = math.sqrt(abs(np.vdot(u, M @ u if Mu is None else Mu)))
-    if _LO <= norm <= _HI or not u.any():
-        return norm
-    u, e = _scaled(u)
-    return float(_scaled(math.sqrt(np.vdot(u, M @ u)), -e)[0])
+def _norm(v: np.ndarray, M=None, Mv: np.ndarray | None = None) -> float:
+    """||v||_2, or sqrt(v^H M v) for a mass matrix ``M`` (from ``Mv`` = M v
+    if given), by the range rule: off _RANGE, a nonzero v's norm is 2^-e
+    times that of 2^e v (``_scaled``).  np.vdot, not ``@``, keeps ||v||_2 in
+    np.linalg.norm's bits, with no overflow warning on a huge v."""
+    for scaled in (False, True):
+        if M is not None:   # abs: products that overflow can sum to -inf
+            norm = math.sqrt(abs(np.vdot(v, M @ v if Mv is None else Mv)))
+        elif v.dtype.kind == "c":
+            norm = math.sqrt(np.vdot(v.real, v.real) + np.vdot(v.imag, v.imag))
+        else:
+            norm = math.sqrt(np.vdot(v, v))
+        if scaled:
+            with np.errstate(over="ignore"):    # inf past the largest float
+                return float(np.ldexp(norm, -e))
+        if _LO <= norm <= _HI or not v.any():
+            return norm
+        (v, e), Mv = _scaled(v), None
 
 
 def _product(A, v: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -3,9 +3,11 @@
 The inverse iteration solves K_bar phi_new = M phi with mass-weighted inner
 products; the estimate after each solve is (phi, phi)_M / (phi_new, phi)_M,
 and a Rayleigh-Ritz step on the last two iterates gives the pair, where its
-residual stops falling.  K and M are invariant under the node swap (ix, iy)
--> (iy, ix), and the all-ones start and the fundamental mode are even, so
-the iteration runs on the mirror-even half (``assembly.half_system``).  The
+residual stops falling.  Every norm is ``sparse._norm``'s: 4^k K_bar gives
+4^k times each estimate and residual and the same phi1, bit for bit, short
+of a CG breakdown.  K and M are invariant under the node swap (ix, iy) ->
+(iy, ix), and the all-ones start and the fundamental mode are even, so the
+iteration runs on the mirror-even half (``assembly.half_system``).  The
 dense path computes the full generalized eigendecomposition of (K, M), the
 oracle of the tests and the engine of the modal steppers, on the swap's
 even and odd subspaces apart: two problems of half the size, kept apart so
@@ -30,7 +32,7 @@ import scipy.linalg.cython_lapack
 import scipy.sparse as sp
 
 from .assembly import FemSystem, half_system, m_norm
-from .sparse import ConvergenceError, _mass_norm, cg_solve, choose_solver, fold
+from .sparse import ConvergenceError, _norm, cg_solve, choose_solver, fold
 
 # Largest system (in nodes) modal_decompose accepts.
 DENSE_LIMIT = 2500
@@ -133,8 +135,9 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
         If both Robin coefficients are 0: that pure Neumann K_bar is
         singular, and inverse iteration needs it positive definite.
     ConvergenceError
-        If an inner solve fails, or the Ritz residual still falls after
-        MAX_SWEEPS sweeps; the partial history rides on the exception.
+        If an inner solve fails (the message ends with the solve's own) or
+        the Ritz residual still falls after MAX_SWEEPS sweeps; the partial
+        history rides on the exception.
     """
     if tol is not None or max_iter is not None:
         raise TypeError("inverse_iteration takes no tol or max_iter")
@@ -143,8 +146,7 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
                          "and with mu_right_top = mu_left_bottom = 0 (pure "
                          "Neumann) it is singular")
     half = half_system(sys) or sys
-    n = half.n_nodes
-    phi = np.ones(n) / m_norm(half, np.ones(n))
+    phi = np.ones(half.n_nodes) / m_norm(half, np.ones(half.n_nodes))
     rhs = half.M @ phi
     history: list[float] = []
     warm: np.ndarray | None = None
@@ -158,8 +160,7 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
             psi, _ = cg_solve(solver, rhs, inner, x0=warm)
         except ConvergenceError as err:
             raise ConvergenceError(
-                f"inner solve failed at iteration {it} "
-                "(is the operator positive definite?)",
+                f"inner solve failed at iteration {it}: {err}",
                 report=err.report, history=history) from err
         lam = float(phi @ rhs) / float(psi @ rhs)
         history.append(lam)
@@ -180,10 +181,9 @@ def inverse_iteration(sys: FemSystem, tol: None = None,
         u = -u
     if half.whole is not None:
         u, sys = u[fold(sys.mesh.n_side).slot], half.whole
-    residual = float(np.linalg.norm(sys.K_bar @ u - theta * (sys.M @ u)))
     return EigenPair(lambda1_bar=theta, lambda1=theta + sys.coeffs.c, phi1=u,
-                     residual=residual, iterations=len(history),
-                     history=history)
+                     residual=_norm(sys.K_bar @ u - theta * (sys.M @ u)),
+                     iterations=len(history), history=history)
 
 
 def _ritz(sys: FemSystem, phi: np.ndarray, previous: np.ndarray,
@@ -198,14 +198,14 @@ def _ritz(sys: FemSystem, phi: np.ndarray, previous: np.ndarray,
         for _ in range(2):
             d -= (Mphi @ d) * phi
         Md = sys.M @ d
-        scale = _mass_norm(sys.M, d, Md)
+        scale = _norm(d, sys.M, Md)
         V.append(d / scale)
         MV.append(Md / scale)
     V, MV = np.array(V), np.array(MV)
     KV = np.array([sys.K_bar @ v for v in V])
     thetas, vectors = np.linalg.eigh(V @ KV.T)
     theta, y = float(thetas[0]), vectors[:, 0]
-    return float(np.linalg.norm(y @ KV - theta * (y @ MV))), theta, y @ V
+    return _norm(y @ KV - theta * (y @ MV)), theta, y @ V
 
 
 def modal_decompose(sys: FemSystem) -> ModalBasis:

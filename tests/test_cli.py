@@ -1,4 +1,5 @@
 import os
+import re
 import signal
 
 import pytest
@@ -245,6 +246,29 @@ def test_eigens_verb_unconverged_eigensolve_is_one_line_error(outdir,
     config.write_text("[eigen]\ngrids = 6 11\n")
     assert main(["eigens", "--config", str(config)]) == 1
     _assert_refused(outdir, capsys)
+
+
+@pytest.mark.parametrize("verb", ["run", "eigens"])
+@pytest.mark.parametrize("coeffs, message", [
+    # spectral's INNER_FAILURES: 10 2^1000, 2^1000 and 10 2^1000 in repr
+    ("k_inner = 1.0715086071862673e+302\nk_outer = 1.0715086071862673e+301"
+     "\nmu_right_top = 1.0715086071862673e+302\n",
+     r"5: CG breakdown: r\^T z = \S+ underflowed or is not finite"),
+    ("k_inner = 1e16\n", r"1: operator is not positive definite "
+     r"\(Re\(p\^H A p\) <= 0 in CG\)"),
+    ("k_inner = 1e18\n", r"1: operator is not positive definite \(banded "
+     r"Cholesky of its Hermitian part failed: 16-th leading minor not "
+     r"positive definite\)")],
+    ids=["cg_breakdown", "cg_indefinite", "band_cholesky"])
+def test_failed_inner_solve_is_one_line_error_with_its_cause(
+        outdir, tmp_path, capsys, verb, coeffs, message):
+    config = tmp_path / "failing.ini"
+    config.write_text("[mesh]\nn_side = 6\n[eigen]\ngrids = 6\n"
+                      f"[coefficients]\n{coeffs}")
+    assert main([verb, "--config", str(config)]) == 1
+    assert re.fullmatch(f"error: inner solve failed at iteration {message}\n",
+                        capsys.readouterr().err)
+    assert not outdir.exists()
 
 
 def _refuses_fewer_sweeps_than_the_table(verb, outdir, tmp_path, capsys,

@@ -14,7 +14,7 @@ from fmes.assembly import (FemSystem, ProblemCoefficients, half_system,
 from fmes.schemes import (SchemeSpec, _partial_fractions, _pole_operator,
                           amplification_factor, fmes_weight, make_stepper,
                           pade_coefficients, pade_rational, run_scheme)
-from fmes.sparse import BandedSolver, ConvergenceError, Multigrid, _mass_norm
+from fmes.sparse import BandedSolver, ConvergenceError, Multigrid, _norm
 from fmes.spectral import (ModalBasis, exact_semidiscrete_solution,
                            inverse_iteration, modal_decompose)
 
@@ -738,7 +738,7 @@ def test_band_loop_is_the_chained_steps(sys6, pair6, rng, monkeypatch, kind,
             y = _checked_level(stepper, y) if level else y
             My = sys.M @ y
             assert np.array_equal(traj.vector_at(level), y)
-            assert traj.m_norms[level] == _mass_norm(sys.M, y, My)
+            assert traj.m_norms[level] == _norm(y, sys.M, My)
             assert traj.amplitudes[level] == phi1 @ My
 
 
@@ -890,7 +890,7 @@ def test_band_loop_range_rule_edges(m, c, solves, monkeypatch):
     # b = M y and every level is y = c 1.  The inline substitution takes a b
     # with ||b|| in [2^-256, 2^256]; any other goes through
     # BandedSolver.solve.  Every level has the bits of levels whose pole is
-    # solved by BandedSolver.solve, and every norm those of _mass_norm
+    # solved by BandedSolver.solve, and every norm those of _norm
     M = sp.dia_matrix((np.full((1, 4), m), [0]), shape=(4, 4))
     K = sp.dia_matrix((np.zeros((1, 4)), [0]), shape=(4, 4))
     sys = FemSystem(mesh=None, M=M, K_bar=K, K=K,
@@ -907,7 +907,7 @@ def test_band_loop_range_rule_edges(m, c, solves, monkeypatch):
     for level in range(3):
         y = _checked_level(stepper, y) if level else y
         assert np.array_equal(traj.vector_at(level), y)
-        assert traj.m_norms[level] == _mass_norm(M, y)
+        assert traj.m_norms[level] == _norm(y, M)
     assert traj.m_norms.tolist() == [2.0 * c * math.sqrt(m)] * 3
 
 

@@ -756,16 +756,16 @@ def test_banded_solve_refuses_a_non_finite_x(sys6, monkeypatch):
 
 def test_banded_solve_accepts_a_finite_x_whose_squares_overflow():
     # 2^-768 I x = 2^254 1 on 8 nodes: ||b|| = 2^255.5 is in range and
-    # certified, each x entry is 2^1022, and ||x||^2 overflows; the solve
-    # must test the entries, not refuse on ||x||
+    # certified, each x entry is 2^1022, and x^T x overflows; the solve
+    # must test the entries, not refuse on x^T x
     solver = BandedSolver(sp.dia_matrix((np.full((1, 8), 2.0 ** -768), [0]),
                                         shape=(8, 8)))
-    b = np.full(8, 2.0 ** 254)
+    b, expected = np.full(8, 2.0 ** 254), np.full(8, 2.0 ** 1022)
     assert solver.certificate.backward_bound <= OUTER_TOL
     assert sparse._in_range(sparse._norm(b))
-    assert sparse._norm(np.full(8, 2.0 ** 1022)) == np.inf
+    assert np.vdot(expected, expected) == np.inf
     x, report = solver.solve(b, OUTER_TOL)
-    assert np.array_equal(x, np.full(8, 2.0 ** 1022))
+    assert np.array_equal(x, expected)
     assert report is solver.certificate
 
 
@@ -915,11 +915,24 @@ def test_a_huge_rhs_is_solved_at_unit_scale(sys28, z, w):
 
 @pytest.mark.parametrize("n", [1, 7, 676, 10201])
 def test_range_norm_keeps_the_bits_of_numpys(rng, n):
-    # the range rule's norm changes no in-range solve
+    # the range rule's norm changes no in-range solve, and takes the norm of
+    # 2^600 u, whose squares overflow, or of 2^-600 u, whose squares
+    # underflow, as exactly 2^600 or 2^-600 times u's, with a mass matrix too
     v = rng.standard_normal(n)
     z = v + 1j * rng.standard_normal(n)
     for u in (v, 1e-100 * v, z, 1e100 * z):
         assert sparse._norm(u) == float(np.linalg.norm(u))
+    off = rng.uniform(0.0, 1.0, n)
+    M = sp.dia_matrix((np.array([off, 4.0 + off, np.roll(off, 1)]),
+                       [-1, 0, 1]), shape=(n, n))
+    for u in (v, z):
+        for mass in (None, M):
+            for k in (-600, 600):
+                assert (sparse._norm(_ldexp(u, k), mass)
+                        == np.ldexp(sparse._norm(u, mass), k))
+    # a mass norm still out of range once v is scaled ends there
+    tiny = sp.dia_matrix((np.full((1, n), 2.0 ** -700), [0]), shape=(n, n))
+    assert sparse._norm(np.ones(n), tiny) == np.ldexp(math.sqrt(n), -350)
 
 
 @pytest.mark.parametrize("z", [-1.0, -1.0 + 1.0j])

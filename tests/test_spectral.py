@@ -255,6 +255,53 @@ def test_indefinite_operator_fails_in_the_inner_solve():
     assert exc.value.history == []
 
 
+# Every cause of a failed inner solve on n_side 6, with the end of its
+# message: coefficients x 2^1000, on which CG's r^T z underflows (the range
+# rule scales b, not K_bar), and diffusivity contrasts of 1e16 and 1e18, on
+# which CG and the band Cholesky find K_bar indefinite (ROADMAP item 13)
+INNER_FAILURES = {
+    "cg_breakdown": (
+        dict(k_inner=10 * 2.0 ** 1000, k_outer=2.0 ** 1000,
+             mu_right_top=10 * 2.0 ** 1000),
+        r"5: CG breakdown: r\^T z = \S+ underflowed or is not finite"),
+    "cg_indefinite": (
+        dict(k_inner=1e16),
+        r"1: operator is not positive definite \(Re\(p\^H A p\) <= 0 in CG\)"),
+    "band_cholesky": (
+        dict(k_inner=1e18),
+        r"1: operator is not positive definite \(banded Cholesky of its "
+        r"Hermitian part failed: 16-th leading minor not positive definite\)"),
+}
+
+
+@pytest.mark.parametrize("cause", INNER_FAILURES)
+def test_a_failed_inner_solve_names_its_cause(cause):
+    coeffs, message = INNER_FAILURES[cause]
+    sys = assemble(build_mesh(6), ProblemCoefficients(**coeffs))
+    with pytest.raises(ConvergenceError, match="^inner solve failed at "
+                                               f"iteration {message}$"):
+        inverse_iteration(sys)
+
+
+@pytest.mark.parametrize("n_side", [6, 11])
+@pytest.mark.parametrize("k", [-900, -600, -300, 300, 600, 900])
+def test_eigensolve_is_exact_under_a_power_of_4_scale(n_side, k):
+    # K_bar times 2^k, k even: its band Cholesky factor is exactly 2^(k/2)
+    # times K_bar's (for an odd k it differs in bits), and every norm and
+    # solve goes through the range rule, so the pair and its history scale
+    # exactly: at 2^600 the residuals used to overflow, at 2^-600 underflow
+    coeffs = ProblemCoefficients()
+    base = inverse_iteration(assemble(build_mesh(n_side), coeffs))
+    pair = inverse_iteration(assemble(build_mesh(n_side), replace(
+        coeffs, **{name: np.ldexp(getattr(coeffs, name), k)
+                   for name in ("k_inner", "k_outer", "mu_right_top")})))
+    assert pair.lambda1_bar == np.ldexp(base.lambda1_bar, k)
+    assert pair.history == [np.ldexp(lam, k) for lam in base.history]
+    assert pair.residual == np.ldexp(base.residual, k)
+    assert np.array_equal(pair.phi1, base.phi1)
+    assert pair.iterations == base.iterations
+
+
 # log-uniform in [1e-3, 1e3]: contrasts of up to 1e6 between the coefficients
 _LOG_UNIFORM = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
 
